@@ -34,11 +34,7 @@ struct PlanNode {
   std::vector<std::uint32_t> children;
   std::uint32_t slot = 0;              // quantifiers: environment slot.
   std::uint32_t count = 0;             // kCountExists threshold.
-  // Quantifier pruning guards: {relation, column} pairs such that the
-  // quantified variable must occur at that column of that relation for the
-  // body (∃/∃^{≥k}) or the antecedent (∀) to hold. Enumeration can be
-  // restricted to the intersection of the guards' distinct column values.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> prune_guards;
+  std::uint32_t guard = 0;             // quantifiers: index into Plan::guards.
 };
 
 struct Plan {
@@ -46,16 +42,30 @@ struct Plan {
   std::uint32_t root = 0;
   std::vector<std::string> free_vars;  // Sorted; free_vars[i] has slot i.
   std::size_t slot_count = 0;
+  // Quantifier pruning guards, pre-order: the quantified variable must
+  // occur at each guard column for the body (∃/∃^{≥k}) or the antecedent
+  // (∀) to hold, so enumeration is restricted to the elements that do.
+  std::vector<QuantifierGuard> guards;
+  bool has_correlated = false;
   Signature signature;  // The signature compiled against (for Bind checks).
 };
 
-// Per-quantifier candidate set, fixed at Bind time. `values` is null when
-// the quantifier scans the whole domain; otherwise it points at a sorted
-// ascending element list — a single guard's column values in place, or the
-// bitset-AND of several guards' columns materialised into `storage`.
+bool IsQuantifier(FormulaKind kind) {
+  return kind == FormulaKind::kExists || kind == FormulaKind::kForall ||
+         kind == FormulaKind::kCountExists;
+}
+
+// Per-quantifier candidate source, fixed at Bind time. Static guards:
+// `values` points at a sorted ascending element list — a single guard's
+// column values in place, or the bitset-AND of several guards' columns
+// materialised into `storage`. Correlated guards: `relation` and the
+// `postings` of its bound column, probed per instantiation. Both null:
+// the quantifier scans the whole domain.
 struct NodeCandidates {
   const std::vector<Element>* values = nullptr;
   std::vector<Element> storage;
+  const Relation* relation = nullptr;
+  const Relation::ColumnIndex* postings = nullptr;
 };
 
 struct Binding {
@@ -126,6 +136,15 @@ class Compiler {
     return out;
   }
 
+  // A guard atom found in a quantifier body: the quantified variable sits
+  // at `column` of `relation`; `bound` is the first other column holding an
+  // enclosing quantifier's variable, with that variable's slot.
+  struct GuardAtom {
+    std::uint32_t relation = 0;
+    std::uint32_t column = 0;
+    std::optional<std::pair<std::uint32_t, std::uint32_t>> bound;
+  };
+
   // A "transparent" conjunct in a quantifier body is one whose evaluation
   // can neither error nor depend on anything unavailable at prune time: an
   // atom with no constants whose terms are all the quantified variable v or
@@ -134,11 +153,10 @@ class Compiler {
   // make a skipped element error-free here but error-producing in a full
   // scan). When such an atom contains v it is a *guard*: v must occur at
   // that column of that relation or the atom — and with it the conjunction
-  // — is false. Returns the guard column, nullopt for a v-independent but
-  // still transparent atom.
-  std::optional<std::size_t> GuardColumn(const Formula& g,
-                                         const std::string& v,
-                                         bool* transparent) const {
+  // — is false. Returns the guard, nullopt for a v-independent but still
+  // transparent atom.
+  std::optional<GuardAtom> GuardOf(const Formula& g, const std::string& v,
+                                   bool* transparent) const {
     *transparent = false;
     if (g.kind() == FormulaKind::kTrue) {
       *transparent = true;
@@ -147,44 +165,50 @@ class Compiler {
     if (g.kind() != FormulaKind::kAtom) {
       return std::nullopt;
     }
-    std::optional<std::size_t> column;
+    std::optional<std::uint32_t> column;
+    std::optional<std::pair<std::uint32_t, std::uint32_t>> bound;
     for (std::size_t i = 0; i < g.terms().size(); ++i) {
       const Term& term = g.terms()[i];
+      const auto position = static_cast<std::uint32_t>(i);
       if (term.is_constant()) {
         return std::nullopt;
       }
       if (term.name == v) {
         if (!column.has_value()) {
-          column = i;
+          column = position;
         }
       } else if (!IsBoundInScope(term.name)) {
         return std::nullopt;
+      } else if (!bound.has_value()) {
+        bound.emplace(position, ResolveVariable(term.name));
       }
     }
     *transparent = true;
-    return column;
+    if (!column.has_value()) {
+      return std::nullopt;
+    }
+    return GuardAtom{
+        static_cast<std::uint32_t>(*signature_.FindRelation(g.relation_name())),
+        *column, bound};
   }
 
   // Collects guards from the leading run of transparent conjuncts (walking
   // nested conjunctions in evaluation order, stopping at the first
   // non-transparent one). Returns false to signal the stop.
   bool CollectGuards(const Formula& g, const std::string& v,
-                     PlanNode* node) const {
+                     std::vector<GuardAtom>* atoms) const {
     if (g.kind() == FormulaKind::kAnd) {
       for (const Formula& child : g.children()) {
-        if (!CollectGuards(child, v, node)) {
+        if (!CollectGuards(child, v, atoms)) {
           return false;
         }
       }
       return true;
     }
     bool transparent = false;
-    std::optional<std::size_t> column = GuardColumn(g, v, &transparent);
-    if (column.has_value()) {
-      node->prune_guards.emplace_back(
-          static_cast<std::uint32_t>(
-              *signature_.FindRelation(g.relation_name())),
-          static_cast<std::uint32_t>(*column));
+    std::optional<GuardAtom> atom = GuardOf(g, v, &transparent);
+    if (atom.has_value()) {
+      atoms->push_back(*atom);
     }
     return transparent;
   }
@@ -195,16 +219,37 @@ class Compiler {
   // column make that guard — and with it the body (∃/∃^{≥k}) or the
   // antecedent (∀) — evaluate the same way a full scan would, without
   // errors: guards precede every conjunct that could error, so verdicts and
-  // error classification are preserved exactly.
-  void AnalyzePrune(const Formula& f, PlanNode* node) const {
+  // error classification are preserved exactly. The first guard atom with
+  // a column bound to an enclosing quantifier drives a correlated guard;
+  // otherwise all guard columns intersect into a static one.
+  QuantifierGuard AnalyzePrune(const Formula& f) const {
+    QuantifierGuard guard;
+    guard.variable = f.variable();
     const Formula* g = &f.body();
     if (f.kind() == FormulaKind::kForall) {
       if (g->kind() != FormulaKind::kImplies) {
-        return;
+        return guard;
       }
       g = &g->child(0);
     }
-    (void)CollectGuards(*g, f.variable(), node);
+    std::vector<GuardAtom> atoms;
+    (void)CollectGuards(*g, f.variable(), &atoms);
+    for (const GuardAtom& atom : atoms) {
+      if (atom.bound.has_value()) {
+        guard.kind = GuardKind::kCorrelated;
+        guard.columns = {{atom.relation, atom.column}};
+        guard.bound_column = atom.bound->first;
+        guard.bound_slot = atom.bound->second;
+        return guard;
+      }
+    }
+    if (!atoms.empty()) {
+      guard.kind = GuardKind::kStatic;
+      for (const GuardAtom& atom : atoms) {
+        guard.columns.emplace_back(atom.relation, atom.column);
+      }
+    }
+    return guard;
   }
 
   std::uint32_t Emit(PlanNode node) {
@@ -250,7 +295,11 @@ class Compiler {
         if (f.kind() == FormulaKind::kCountExists) {
           node.count = static_cast<std::uint32_t>(f.count());
         }
-        AnalyzePrune(f, &node);
+        node.guard = static_cast<std::uint32_t>(plan_->guards.size());
+        plan_->guards.push_back(AnalyzePrune(f));
+        plan_->has_correlated = plan_->has_correlated ||
+                                plan_->guards.back().kind ==
+                                    GuardKind::kCorrelated;
         scope_.emplace_back(f.variable(), node.slot);
         node.children.push_back(CompileNode(f.body()));
         scope_.pop_back();
@@ -269,13 +318,17 @@ class Compiler {
 };
 
 // Mutable per-evaluation (and per-thread) state: the flat slot environment,
-// which free slots carry a value, a reusable tuple buffer for atom lookups,
-// and local work counters.
+// which free slots carry a value, the correlated guards' candidate buffers,
+// a reusable tuple buffer for atom lookups, and local work counters.
 struct EvalState {
   const Plan* plan;
   const Binding* binding;
   std::vector<Element> env;
   std::vector<unsigned char> has_value;  // Indexed by free-variable slot.
+  // Indexed by plan node; sized to the plan when it has correlated guards.
+  // A node's buffer is only rewritten by that node, and never while its
+  // own enumeration is still reading it (a body cannot contain its node).
+  std::vector<CandidateBuffer> buffers;
   Tuple scratch;
   EvalStats stats;
 };
@@ -295,6 +348,54 @@ Status ResolveTerm(EvalState& st, const CompiledTerm& t, Element& out) {
   }
   out = *value;
   return Status::OK();
+}
+
+// The elements quantifier node `idx` enumerates, ascending; nullptr = the
+// whole domain. A correlated guard reads its driving atom's postings at the
+// value the enclosing quantifier bound and keeps the quantified variable's
+// column: a superset of the elements that satisfy the atom, deduplicated
+// (several rows can share the column value at arity > 2) and in ascending
+// order, so enumeration meets the first decisive element a full scan would.
+// The list is rebuilt only when the bound value changes: an inner loop that
+// does not rebind it (∀x ∀y ∃z E(x,z) ...) reuses it.
+const std::vector<Element>* Candidates(EvalState& st, std::uint32_t idx,
+                                       const PlanNode& n) {
+  const NodeCandidates& cand = st.binding->prune[idx];
+  if (cand.postings == nullptr) {
+    return cand.values;
+  }
+  const QuantifierGuard& guard = st.plan->guards[n.guard];
+  const Element key = st.env[guard.bound_slot];
+  CandidateBuffer& buffer = st.buffers[idx];
+  std::vector<Element>& out = buffer.values;
+  if (buffer.valid && buffer.key == key) {
+    return &out;
+  }
+  buffer.valid = true;
+  buffer.key = key;
+  const std::uint32_t column = guard.columns[0].second;
+  const Relation& relation = *cand.relation;
+  const Relation::ColumnIndex::View view = cand.postings->Find(key);
+  out.clear();
+  bool ascending = true;
+  const auto take = [&](std::uint32_t row) {
+    const Element e = relation.TupleData(row)[column];
+    ascending = ascending && (out.empty() || out.back() < e);
+    out.push_back(e);
+  };
+  for (std::size_t k = 0; k < view.bulk_size; ++k) {
+    take(view.bulk[k]);
+  }
+  if (view.tail != nullptr) {
+    for (std::uint32_t row : *view.tail) {
+      take(row);
+    }
+  }
+  if (!ascending) {
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+  }
+  return &out;
 }
 
 Result<bool> EvalNode(EvalState& st, std::uint32_t idx) {
@@ -375,76 +476,42 @@ Result<bool> EvalNode(EvalState& st, std::uint32_t idx) {
       FMTK_ASSIGN_OR_RETURN(bool b, EvalNode(st, n.children[1]));
       return a == b;
     }
-    case FormulaKind::kCountExists: {
-      const std::vector<Element>* candidates = st.binding->prune[idx].values;
-      std::size_t witnesses = 0;
-      auto try_element = [&](Element d,
-                             std::optional<Result<bool>>& decided) {
-        ++st.stats.quantifier_instantiations;
-        st.env[n.slot] = d;
-        Result<bool> r = EvalNode(st, n.children[0]);
-        if (!r.ok()) {
-          decided = std::move(r);
-          return;
-        }
-        if (*r && ++witnesses >= n.count) {
-          decided = true;
-        }
-      };
-      std::optional<Result<bool>> decided;
-      if (candidates != nullptr) {
-        ++st.stats.index_hits;
-        for (Element d : *candidates) {
-          try_element(d, decided);
-          if (decided.has_value()) {
-            return *std::move(decided);
-          }
-        }
-      } else {
-        for (std::size_t d = 0; d < st.binding->domain; ++d) {
-          try_element(static_cast<Element>(d), decided);
-          if (decided.has_value()) {
-            return *std::move(decided);
-          }
-        }
-      }
-      return witnesses >= n.count;
-    }
+    case FormulaKind::kCountExists:
     case FormulaKind::kExists:
     case FormulaKind::kForall: {
-      const bool is_exists = n.kind == FormulaKind::kExists;
-      const std::vector<Element>* candidates = st.binding->prune[idx].values;
-      auto try_element = [&](Element d,
-                             std::optional<Result<bool>>& decided) {
+      // ∃ decides on the first true body, ∀ on the first false one, ∃^{≥k}
+      // on the k-th true one; an error decides wherever it occurs.
+      const bool counting = n.kind == FormulaKind::kCountExists;
+      const bool is_exists = n.kind != FormulaKind::kForall;
+      std::size_t witnesses = 0;
+      auto decides = [&](Element d) -> std::optional<Result<bool>> {
         ++st.stats.quantifier_instantiations;
         st.env[n.slot] = d;
         Result<bool> r = EvalNode(st, n.children[0]);
         if (!r.ok()) {
-          decided = std::move(r);
-          return;
+          return r;
         }
-        if (*r == is_exists) {
-          decided = is_exists;
+        if (*r == is_exists && (!counting || ++witnesses >= n.count)) {
+          return is_exists;
         }
+        return std::nullopt;
       };
-      std::optional<Result<bool>> decided;
-      if (candidates != nullptr) {
+      if (const std::vector<Element>* candidates = Candidates(st, idx, n)) {
         ++st.stats.index_hits;
         for (Element d : *candidates) {
-          try_element(d, decided);
-          if (decided.has_value()) {
+          if (std::optional<Result<bool>> decided = decides(d)) {
             return *std::move(decided);
           }
         }
       } else {
         for (std::size_t d = 0; d < st.binding->domain; ++d) {
-          try_element(static_cast<Element>(d), decided);
-          if (decided.has_value()) {
+          if (std::optional<Result<bool>> decided =
+                  decides(static_cast<Element>(d))) {
             return *std::move(decided);
           }
         }
       }
-      return !is_exists;
+      return counting ? witnesses >= n.count : !is_exists;
     }
   }
   FMTK_CHECK(false) << "unreachable formula kind";
@@ -469,31 +536,45 @@ std::shared_ptr<const Binding> MakeBinding(const Plan& plan,
   binding->prune.resize(plan.nodes.size());
   for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
     const PlanNode& node = plan.nodes[i];
-    if (node.prune_guards.empty()) {
+    if (!IsQuantifier(node.kind)) {
       continue;
     }
-    // Built here, once, so parallel evaluation reads lock-free. A single
-    // guard aliases the column's value list; several guards AND their
-    // columns' bitsets and materialise the surviving elements (ascending,
-    // matching the order a single-guard scan uses).
+    // Built here, once, so parallel evaluation reads lock-free.
+    const QuantifierGuard& guard = plan.guards[node.guard];
     NodeCandidates& cand = binding->prune[i];
-    if (node.prune_guards.size() == 1) {
-      const auto& [rel, col] = node.prune_guards[0];
-      cand.values = &binding->relations[rel]->column_index(col).values;
-    } else {
-      ElementBitset surviving;
-      for (std::size_t g = 0; g < node.prune_guards.size(); ++g) {
-        const auto& [rel, col] = node.prune_guards[g];
-        const ElementBitset column_set = ElementBitset::FromList(
-            binding->domain, binding->relations[rel]->column_index(col).values);
-        if (g == 0) {
-          surviving = column_set;
-        } else {
-          surviving.AndWith(column_set);
+    switch (guard.kind) {
+      case GuardKind::kNone:
+        break;
+      case GuardKind::kCorrelated:
+        cand.relation = binding->relations[guard.columns[0].first];
+        cand.postings = &cand.relation->column_index(guard.bound_column);
+        break;
+      case GuardKind::kStatic: {
+        // A single guard aliases the column's value list; several guards
+        // AND their columns' bitsets and materialise the surviving
+        // elements (ascending, matching the order a single-guard scan
+        // uses).
+        if (guard.columns.size() == 1) {
+          const auto& [rel, col] = guard.columns[0];
+          cand.values = &binding->relations[rel]->column_index(col).values;
+          break;
         }
+        ElementBitset surviving;
+        for (std::size_t g = 0; g < guard.columns.size(); ++g) {
+          const auto& [rel, col] = guard.columns[g];
+          const ElementBitset column_set = ElementBitset::FromList(
+              binding->domain,
+              binding->relations[rel]->column_index(col).values);
+          if (g == 0) {
+            surviving = column_set;
+          } else {
+            surviving.AndWith(column_set);
+          }
+        }
+        surviving.AppendSetBits(cand.storage);
+        cand.values = &cand.storage;
+        break;
       }
-      surviving.AppendSetBits(cand.storage);
-      cand.values = &cand.storage;
     }
   }
   return binding;
@@ -526,6 +607,57 @@ const std::vector<std::string>& CompiledFormula::free_variables() const {
 }
 
 std::size_t CompiledFormula::slot_count() const { return plan_->slot_count; }
+
+const std::vector<QuantifierGuard>& CompiledFormula::guards() const {
+  return plan_->guards;
+}
+
+const char* GuardKindName(GuardKind kind) {
+  static const char* const kNames[] = {"none", "static", "correlated"};
+  return kNames[static_cast<std::size_t>(kind)];
+}
+
+FanoutEstimate EstimateFanout(const CompiledFormula& compiled,
+                              const Structure& structure) {
+  const Plan& plan = *compiled.plan_;
+  FanoutEstimate est;
+  const auto distinct = [&](std::uint32_t rel, std::uint32_t col) {
+    return static_cast<double>(
+        structure.relation(rel).column_index(col).values.size());
+  };
+  est.fanout.reserve(plan.guards.size());
+  for (const QuantifierGuard& guard : plan.guards) {
+    double fanout = static_cast<double>(structure.domain_size());
+    if (guard.kind == GuardKind::kStatic) {
+      for (const auto& [rel, col] : guard.columns) {
+        fanout = std::min(fanout, distinct(rel, col));
+      }
+    } else if (guard.kind == GuardKind::kCorrelated) {
+      const std::uint32_t rel = guard.columns[0].first;
+      const double rows = static_cast<double>(structure.relation(rel).size());
+      const double keys = distinct(rel, guard.bound_column);
+      fanout = keys == 0.0 ? 0.0 : rows / keys;
+    }
+    est.fanout.push_back(fanout);
+  }
+  // visits(node) = the product of its enclosing quantifiers' fan-outs.
+  std::vector<std::pair<std::uint32_t, double>> stack = {{plan.root, 1.0}};
+  while (!stack.empty()) {
+    const auto [idx, weight] = stack.back();
+    stack.pop_back();
+    est.node_visits += weight;
+    const PlanNode& node = plan.nodes[idx];
+    double inner = weight;
+    if (internal_eval::IsQuantifier(node.kind)) {
+      inner *= est.fanout[node.guard];
+      est.instantiations += inner;
+    }
+    for (std::uint32_t child : node.children) {
+      stack.emplace_back(child, inner);
+    }
+  }
+  return est;
+}
 
 Result<CompiledEvaluator> CompiledEvaluator::Bind(CompiledFormula plan,
                                                   const Structure& structure,
@@ -622,7 +754,10 @@ Result<bool> CompiledEvaluator::Run(std::vector<Element> env,
       workers.reserve(threads);
       for (std::size_t t = 0; t < threads; ++t) {
         workers.emplace_back([&, t] {
-          EvalState st{&plan, &binding, env, has_value, {}, {}};
+          EvalState st{&plan, &binding, env, has_value, {}, {}, {}};
+          if (plan.has_correlated) {
+            st.buffers.resize(plan.nodes.size());
+          }
           const std::size_t begin = t * chunk;
           const std::size_t end = std::min(begin + chunk, candidate_count);
           for (std::size_t k = begin; k < end; ++k) {
@@ -668,8 +803,18 @@ Result<bool> CompiledEvaluator::Run(std::vector<Element> env,
     }
   }
 
-  EvalState st{&plan, &binding, std::move(env), std::move(has_value), {}, {}};
+  if (plan.has_correlated && buffers_.empty()) {
+    buffers_.resize(plan.nodes.size());
+  }
+  EvalState st{&plan,
+               &binding,
+               std::move(env),
+               std::move(has_value),
+               std::move(buffers_),
+               {},
+               {}};
   Result<bool> result = internal_eval::EvalNode(st, plan.root);
+  buffers_ = std::move(st.buffers);
   stats_ += st.stats;
   return result;
 }

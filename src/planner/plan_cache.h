@@ -1,7 +1,6 @@
 #ifndef FMTK_PLANNER_PLAN_CACHE_H_
 #define FMTK_PLANNER_PLAN_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -213,24 +212,6 @@ struct CachedFormulaPlan {
   mutable bool datalog_attempted = false;
   mutable std::vector<BoundDatalogEngine> datalog_engines;
 
-  /// Short-circuit scan feedback (PR 9). The static cost model prices the
-  /// compiled route as a full nodes * n^qr scan, but the engine
-  /// short-circuits ∃/∨/→ and prunes quantifiers through posting guards
-  /// (EvalStats::short_circuits / index_hits), often visiting a tiny
-  /// fraction of that. After every *router-chosen* compiled evaluation the
-  /// planner records the measured EvalStats::node_visits here; the next
-  /// routing of this plan prices the compiled scan from the measurement
-  /// (exactly, when (structure uid, generation, output arity) match — the
-  /// key below — and as a dimensionless visited/static ratio prior on
-  /// other structures). Forced-engine runs do not record: they are oracle
-  /// paths and must not perturb routing. Writers store the key last
-  /// (release) and readers load it first (acquire), so a key match
-  /// guarantees the visit counters belong to that run; a stale mismatched
-  /// triple at worst mis-prices one routing decision.
-  mutable std::atomic<std::uint64_t> scan_feedback_key{0};
-  mutable std::atomic<std::uint64_t> scan_feedback_visits{0};
-  mutable std::atomic<std::uint64_t> scan_feedback_short_circuits{0};
-  mutable std::atomic<double> scan_feedback_ratio{0.0};
 };
 
 /// Per cached Datalog program: the canonical program (stable address — the

@@ -234,69 +234,28 @@ BdParams BoundedDegreeParams(const CachedFormulaPlan& plan,
   return p;
 }
 
+// The histogram pass walks each element's r-ball edges (at most ball *
+// degree of them) to key it in the type index: 2 units per ball edge, plus
+// a fixed 2e5 for the evaluator and type index the route keeps on the
+// cached plan (about 300 KB each), which keeps small structures off it.
+// It is gated against the fan-out-priced compiled route, so it is priced
+// as honestly: warm passes measured on cycles and grids cost 0.03-0.3 of
+// the per-edge term.
 double BdHistogramCost(const StructureStats& stats, double ball) {
-  return Cap(static_cast<double>(stats.domain_size) * ball * ball * 8.0 +
-             64.0);
+  const double degree = static_cast<double>(
+      stats.max_degree == 0 ? 1 : stats.max_degree);
+  return Cap(2.0 * static_cast<double>(stats.domain_size) * ball * degree +
+             2e5);
 }
 
 const char* kEngineNames[] = {"naive",      "compiled", "parallel",
                               "relational", "datalog",  "bounded-degree"};
 
-// --------------------------------------------------------------------------
-// Short-circuit scan feedback (PR 9): see CachedFormulaPlan's feedback
-// fields. The static model prices a full scan; the engine short-circuits.
-
-// Identity of one measured configuration. `output_count` distinguishes
-// sentence checks (0) from query enumerations, whose work scales with the
-// output arity.
-std::uint64_t ScanFeedbackKey(const Structure& s, std::size_t output_count) {
-  std::size_t seed = 0;
-  HashCombine(seed, s.uid());
-  HashCombine(seed, s.generation());
-  HashCombine(seed, output_count + 1);  // never 0: 0 = "no measurement"
-  const std::uint64_t key = Mix64(seed);
-  return key == 0 ? 1 : key;
-}
-
-// The static full-scan estimate in node-visit units — the denominator the
-// measured visits are normalized against (must match the pricing below).
-double StaticScanUnits(const CachedFormulaPlan& plan, double n,
-                       bool query_mode, std::size_t output_count) {
-  const double nodes = static_cast<double>(
-      plan.analysis.node_count == 0 ? 1 : plan.analysis.node_count);
-  const std::size_t exp = plan.analysis.quantifier_rank +
-                          (query_mode ? output_count : 0);
-  return Cap(nodes * PowCap(n, exp));
-}
-
-// Records a router-chosen compiled run's measured work on the plan.
-void RecordScanFeedback(const CachedFormulaPlan& plan, const Structure& s,
-                        bool query_mode, std::size_t output_count,
-                        const EvalStats& stats) {
-  const double n =
-      static_cast<double>(s.domain_size() == 0 ? 1 : s.domain_size());
-  const double scan = StaticScanUnits(plan, n, query_mode, output_count);
-  const std::uint64_t visits =
-      stats.node_visits == 0 ? 1 : stats.node_visits;
-  double ratio = static_cast<double>(visits) / scan;
-  if (ratio > 1.0) {
-    ratio = 1.0;  // the model underestimated; never inflate other routes
-  }
-  plan.scan_feedback_visits.store(visits, std::memory_order_relaxed);
-  plan.scan_feedback_short_circuits.store(stats.short_circuits,
-                                          std::memory_order_relaxed);
-  plan.scan_feedback_ratio.store(ratio, std::memory_order_relaxed);
-  plan.scan_feedback_key.store(ScanFeedbackKey(s, query_mode ? output_count : 0),
-                               std::memory_order_release);
-}
-
 struct RouteResult {
   EngineKind chosen = EngineKind::kCompiled;
   std::vector<EngineCost> costs;
-  /// "static" / "measured" / "prior" — see PlanExplanation::scan_estimate.
-  const char* scan_estimate = "static";
-  double scan_ratio = 1.0;
-  std::uint64_t observed_short_circuits = 0;
+  /// See PlanExplanation::estimated_instantiations.
+  double estimated_instantiations = 0.0;
 };
 
 EngineCost MakeCost(EngineKind k, bool eligible, double cost,
@@ -322,51 +281,19 @@ RouteResult Route(const Structure& s, const CachedFormulaPlan& plan,
   const std::size_t qr = plan.analysis.quantifier_rank;
   const double scan = Cap(nodes * PowCap(n, qr));
 
-  // Serial compiled evaluation: the default. Queries enumerate domain^m
-  // candidate rows over the cached plan. The full-scan estimate is
-  // discounted by short-circuit feedback when this plan has a measured run
-  // (PR 8's "remaining headroom": the model priced full scans even when
-  // the engine short-circuits after a handful of node visits).
-  double compiled_units = StaticScanUnits(plan, n, query_mode, output_count);
-  std::string compiled_note;
-  {
-    const std::uint64_t key =
-        ScanFeedbackKey(s, query_mode ? output_count : 0);
-    const std::uint64_t seen =
-        plan.scan_feedback_key.load(std::memory_order_acquire);
-    if (seen == key) {
-      const double visits = static_cast<double>(
-          plan.scan_feedback_visits.load(std::memory_order_relaxed));
-      result.scan_estimate = "measured";
-      result.scan_ratio = visits / compiled_units;
-      result.observed_short_circuits =
-          plan.scan_feedback_short_circuits.load(std::memory_order_relaxed);
-      compiled_units = visits < 1.0 ? 1.0 : visits;
-      compiled_note = "measured node visits";
-    } else if (seen != 0) {
-      double ratio = plan.scan_feedback_ratio.load(std::memory_order_relaxed);
-      if (ratio > 0.0 && ratio < 1.0) {
-        // Another structure's measurement: apply the dimensionless ratio,
-        // hedged toward the static model (a different structure may
-        // short-circuit later, so a prior never discounts past 10x).
-        if (ratio < 0.1) {
-          ratio = 0.1;
-        }
-        result.scan_estimate = "prior";
-        result.scan_ratio = ratio;
-        result.observed_short_circuits =
-            plan.scan_feedback_short_circuits.load(std::memory_order_relaxed);
-        compiled_units = Cap(compiled_units * ratio);
-        compiled_note = "short-circuit ratio prior";
-      }
-    }
-  }
-  const double compiled_cost = Cap(0.3 * compiled_units);
-  result.costs.push_back(MakeCost(EngineKind::kCompiled, true, compiled_cost,
-                                  std::move(compiled_note)));
+  // Serial compiled evaluation: the default, priced from the guard fan-out
+  // estimate of the plan it runs (eval/compiled_eval.h EstimateFanout) at
+  // 0.3 units per node visit. Queries evaluate the plan once per domain^m
+  // candidate row.
+  const FanoutEstimate fanout = EstimateFanout(plan.plan, s);
+  const double rows = query_mode ? PowCap(n, output_count) : 1.0;
+  result.estimated_instantiations = Cap(rows * fanout.instantiations);
+  const double compiled_cost = Cap(0.3 * Cap(rows * fanout.node_visits));
+  result.costs.push_back(MakeCost(EngineKind::kCompiled, true, compiled_cost));
 
-  // The interpreter: same exploration, measured 3-4x slower per node
-  // (PR 1); queries additionally recompile per call.
+  // The interpreter: no pruning guards, so the full nodes * n^qr scan,
+  // measured 3-4x slower per node; queries additionally recompile per
+  // call.
   result.costs.push_back(MakeCost(
       EngineKind::kNaive, true,
       Cap((query_mode ? 1.05 * compiled_cost : scan) + 1000.0),
@@ -558,11 +485,43 @@ std::string FormatCost(double cost) {
   return buf;
 }
 
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 8);
-  JsonAppendEscaped(out, in);
-  return out;
+// JSON object members, written through base/json_out.h. The caller opens
+// the object; each member adds its own separating comma.
+void JsonKey(std::string& out, std::string_view key) {
+  if (out.back() != '{') {
+    out += ',';
+  }
+  JsonAppendString(out, key);
+  out += ':';
+}
+
+void JsonStringMember(std::string& out, std::string_view key,
+                      std::string_view value) {
+  JsonKey(out, key);
+  JsonAppendString(out, value);
+}
+
+void JsonBoolMember(std::string& out, std::string_view key, bool value) {
+  JsonKey(out, key);
+  out += value ? "true" : "false";
+}
+
+void JsonNumberMember(std::string& out, std::string_view key, double value) {
+  JsonKey(out, key);
+  out += JsonNumber(value);
+}
+
+void JsonStringsMember(std::string& out, std::string_view key,
+                       const std::vector<std::string>& values) {
+  JsonKey(out, key);
+  out += '[';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) {
+      out += ',';
+    }
+    JsonAppendString(out, values[i]);
+  }
+  out += ']';
 }
 
 // ---------------------------------------------------------------------------
@@ -571,8 +530,7 @@ std::string JsonEscape(const std::string& in) {
 Result<bool> RunSentence(EngineKind kind, const Structure& s,
                          const CachedFormulaPlan& plan,
                          const StructureStats& stats,
-                         const PlannerOptions& opts,
-                         bool record_feedback) {
+                         const PlannerOptions& opts) {
   switch (kind) {
     case EngineKind::kNaive: {
       ModelChecker checker(s);
@@ -581,12 +539,7 @@ Result<bool> RunSentence(EngineKind kind, const Structure& s,
     case EngineKind::kCompiled: {
       FMTK_ASSIGN_OR_RETURN(CompiledEvaluator evaluator,
                             CompiledEvaluator::Bind(plan.plan, s));
-      Result<bool> verdict = evaluator.Evaluate();
-      if (verdict.ok() && record_feedback) {
-        RecordScanFeedback(plan, s, /*query_mode=*/false, 0,
-                           evaluator.stats());
-      }
-      return verdict;
+      return evaluator.Evaluate();
     }
     case EngineKind::kParallel: {
       ParallelPolicy policy;
@@ -649,19 +602,9 @@ Result<bool> RunSentence(EngineKind kind, const Structure& s,
 // order and verdicts as EvaluateQueryNaive, minus the recompilation.
 Result<Relation> EnumerateWithPlan(
     const Structure& s, const CachedFormulaPlan& plan,
-    const std::vector<std::string>& output_variables,
-    bool record_feedback) {
+    const std::vector<std::string>& output_variables) {
   FMTK_ASSIGN_OR_RETURN(CompiledEvaluator evaluator,
                         CompiledEvaluator::Bind(plan.plan, s));
-  // The evaluator accumulates EvalStats across every enumerated row, so
-  // the total is exactly what the routing formula estimates; record it on
-  // the way out of each successful return path.
-  const auto record = [&] {
-    if (record_feedback) {
-      RecordScanFeedback(plan, s, /*query_mode=*/true,
-                         output_variables.size(), evaluator.stats());
-    }
-  };
   const std::vector<std::string>& free_vars = evaluator.free_variables();
   std::vector<std::size_t> source(free_vars.size(), 0);
   for (std::size_t i = 0; i < free_vars.size(); ++i) {
@@ -686,7 +629,6 @@ Result<Relation> EnumerateWithPlan(
     if (holds) {
       answers.Add({});
     }
-    record();
     return answers;
   }
   if (n == 0) {
@@ -710,7 +652,6 @@ Result<Relation> EnumerateWithPlan(
       }
       tuple[pos] = 0;
       if (pos == 0) {
-        record();
         return answers;
       }
     }
@@ -720,13 +661,13 @@ Result<Relation> EnumerateWithPlan(
 Result<Relation> RunQuery(EngineKind kind, const Structure& s,
                           const CachedFormulaPlan& plan,
                           const std::vector<std::string>& output_variables,
-                          const PlannerOptions& opts, bool record_feedback) {
+                          const PlannerOptions& opts) {
   (void)opts;
   switch (kind) {
     case EngineKind::kNaive:
       return EvaluateQueryNaive(s, plan.canonical.formula, output_variables);
     case EngineKind::kCompiled:
-      return EnumerateWithPlan(s, plan, output_variables, record_feedback);
+      return EnumerateWithPlan(s, plan, output_variables);
     case EngineKind::kRelational:
       return EvaluateQuery(s, plan.canonical.formula, output_variables);
     case EngineKind::kDatalog: {
@@ -799,11 +740,7 @@ struct AutoContext {
   StructureStats stats;
   EngineKind chosen = EngineKind::kCompiled;
   std::vector<EngineCost> costs;
-  const char* scan_estimate = "static";
-  double scan_ratio = 1.0;
-  std::uint64_t observed_short_circuits = 0;
-  /// Feedback is recorded only for router-chosen runs, never forced ones.
-  bool record_feedback = false;
+  double estimated_instantiations = 0.0;
 };
 
 Result<AutoContext> PrepareAuto(const Structure& s, const Formula* formula,
@@ -858,10 +795,7 @@ Result<AutoContext> PrepareAuto(const Structure& s, const Formula* formula,
         Route(s, *ctx.plan, ctx.stats, query_mode, output_count, opts);
     ctx.chosen = route.chosen;
     ctx.costs = std::move(route.costs);
-    ctx.scan_estimate = route.scan_estimate;
-    ctx.scan_ratio = route.scan_ratio;
-    ctx.observed_short_circuits = route.observed_short_circuits;
-    ctx.record_feedback = true;
+    ctx.estimated_instantiations = route.estimated_instantiations;
   }
   return ctx;
 }
@@ -882,9 +816,13 @@ void FillExplanation(const AutoContext& ctx, PlanExplanation* explain) {
   explain->free_variable_count = ctx.plan->analysis.free_variables.size();
   explain->safe_range = ctx.plan->analysis.safe_range;
   explain->existential_positive = ctx.plan->existential_positive;
-  explain->scan_estimate = ctx.scan_estimate;
-  explain->scan_ratio = ctx.scan_ratio;
-  explain->observed_short_circuits = ctx.observed_short_circuits;
+  explain->estimated_instantiations = ctx.estimated_instantiations;
+  explain->guards.clear();
+  for (const QuantifierGuard& guard : ctx.plan->plan.guards()) {
+    std::string& entry = explain->guards.emplace_back(guard.variable);
+    entry += ':';
+    entry += GuardKindName(guard.kind);
+  }
   explain->structure = ctx.stats;
   explain->costs = ctx.costs;
 }
@@ -927,12 +865,13 @@ std::string PlanExplanation::ToString() const {
          " free=" + std::to_string(free_variable_count) +
          " safe_range=" + (safe_range ? "yes" : "no") +
          " ep=" + (existential_positive ? "yes" : "no");
-  if (scan_estimate != "static") {
-    out += "\n  scan estimate: " + scan_estimate +
-           " (ratio=" + FormatCost(scan_ratio) +
-           " short_circuits=" + std::to_string(observed_short_circuits) +
-           ")";
+  out += "\n  estimated instantiations: " +
+         FormatCost(estimated_instantiations) + " (guards:";
+  for (const std::string& guard : guards) {
+    out += ' ';
+    out += guard;
   }
+  out += ")";
   out += "\n  structure: " + structure.ToString();
   out += "\n  rule: " + rule;
   out += "\n  theorem: " + theorem;
@@ -954,52 +893,46 @@ std::string PlanExplanation::ToString() const {
 }
 
 std::string PlanExplanation::ToJson() const {
-  std::string out = "{\"engine\":\"";
-  out += EngineKindName(chosen);
-  out += "\",\"cache_hit\":";
-  out += cache_hit ? "true" : "false";
-  out += ",\"text_cache_hit\":";
-  out += text_cache_hit ? "true" : "false";
-  out += ",\"canonical\":\"" + JsonEscape(canonical_text) + "\"";
+  std::string out = "{";
+  JsonStringMember(out, "engine", EngineKindName(chosen));
+  JsonBoolMember(out, "cache_hit", cache_hit);
+  JsonBoolMember(out, "text_cache_hit", text_cache_hit);
+  JsonStringMember(out, "canonical", canonical_text);
   char fp[32];
   std::snprintf(fp, sizeof(fp), "0x%016llx",
                 static_cast<unsigned long long>(signature_fingerprint));
-  out += ",\"signature_fingerprint\":\"";
-  out += fp;
-  out += "\",\"measures\":{\"quantifier_rank\":" +
-         std::to_string(quantifier_rank) +
-         ",\"variable_width\":" + std::to_string(variable_width) +
-         ",\"node_count\":" + std::to_string(node_count) +
-         ",\"free_variables\":" + std::to_string(free_variable_count) +
-         ",\"safe_range\":" + (safe_range ? "true" : "false") +
-         ",\"existential_positive\":" +
-         (existential_positive ? "true" : "false") + "}";
-  out += ",\"scan_estimate\":\"" + JsonEscape(scan_estimate) +
-         "\",\"scan_ratio\":" + FormatCost(scan_ratio) +
-         ",\"observed_short_circuits\":" +
-         std::to_string(observed_short_circuits);
-  out += ",\"structure\":{\"domain_size\":" +
-         std::to_string(structure.domain_size) +
-         ",\"tuple_count\":" + std::to_string(structure.tuple_count) +
-         ",\"max_degree\":" + std::to_string(structure.max_degree) +
-         ",\"avg_degree\":" + FormatCost(structure.avg_degree) +
-         ",\"components\":" + std::to_string(structure.component_count) +
-         ",\"diameter_bound\":" + std::to_string(structure.diameter_bound) +
-         "}";
-  out += ",\"rule\":\"" + JsonEscape(rule) + "\"";
-  out += ",\"theorem\":\"" + JsonEscape(theorem) + "\"";
-  out += ",\"costs\":[";
+  JsonStringMember(out, "signature_fingerprint", fp);
+  JsonKey(out, "measures");
+  out += "{";
+  JsonNumberMember(out, "quantifier_rank", quantifier_rank);
+  JsonNumberMember(out, "variable_width", variable_width);
+  JsonNumberMember(out, "node_count", node_count);
+  JsonNumberMember(out, "free_variables", free_variable_count);
+  JsonBoolMember(out, "safe_range", safe_range);
+  JsonBoolMember(out, "existential_positive", existential_positive);
+  out += "}";
+  JsonNumberMember(out, "estimated_instantiations", estimated_instantiations);
+  JsonStringsMember(out, "guards", guards);
+  JsonKey(out, "structure");
+  out += "{";
+  JsonNumberMember(out, "domain_size", structure.domain_size);
+  JsonNumberMember(out, "tuple_count", structure.tuple_count);
+  JsonNumberMember(out, "max_degree", structure.max_degree);
+  JsonNumberMember(out, "avg_degree", structure.avg_degree);
+  JsonNumberMember(out, "components", structure.component_count);
+  JsonNumberMember(out, "diameter_bound", structure.diameter_bound);
+  out += "}";
+  JsonStringMember(out, "rule", rule);
+  JsonStringMember(out, "theorem", theorem);
+  JsonKey(out, "costs");
+  out += "[";
   for (std::size_t i = 0; i < costs.size(); ++i) {
-    if (i > 0) {
-      out += ",";
-    }
-    out += "{\"engine\":\"";
-    out += EngineKindName(costs[i].engine);
-    out += "\",\"eligible\":";
-    out += costs[i].eligible ? "true" : "false";
-    out += ",\"cost\":" + FormatCost(costs[i].cost);
+    out += i > 0 ? ",{" : "{";
+    JsonStringMember(out, "engine", EngineKindName(costs[i].engine));
+    JsonBoolMember(out, "eligible", costs[i].eligible);
+    JsonNumberMember(out, "cost", costs[i].cost);
     if (!costs[i].note.empty()) {
-      out += ",\"note\":\"" + JsonEscape(costs[i].note) + "\"";
+      JsonStringMember(out, "note", costs[i].note);
     }
     out += "}";
   }
@@ -1033,8 +966,7 @@ Result<bool> EvaluateAuto(const Structure& structure, const Formula& sentence,
         "formulas with free variables");
   }
   FillExplanation(ctx, explain);
-  return RunSentence(ctx.chosen, structure, *ctx.plan, ctx.stats, options,
-                     ctx.record_feedback);
+  return RunSentence(ctx.chosen, structure, *ctx.plan, ctx.stats, options);
 }
 
 Result<bool> EvaluateAuto(const Structure& structure,
@@ -1051,8 +983,7 @@ Result<bool> EvaluateAuto(const Structure& structure,
         "formulas with free variables");
   }
   FillExplanation(ctx, explain);
-  return RunSentence(ctx.chosen, structure, *ctx.plan, ctx.stats, options,
-                     ctx.record_feedback);
+  return RunSentence(ctx.chosen, structure, *ctx.plan, ctx.stats, options);
 }
 
 namespace {
@@ -1090,7 +1021,7 @@ Result<Relation> EvaluateQueryAuto(
   }
   FillExplanation(ctx, explain);
   return RunQuery(ctx.chosen, structure, *ctx.plan, output_variables,
-                  options, ctx.record_feedback);
+                  options);
 }
 
 Result<Relation> EvaluateQueryAuto(
@@ -1107,7 +1038,7 @@ Result<Relation> EvaluateQueryAuto(
   }
   FillExplanation(ctx, explain);
   return RunQuery(ctx.chosen, structure, *ctx.plan, output_variables,
-                  options, ctx.record_feedback);
+                  options);
 }
 
 std::string DatalogPlanExplanation::ToString() const {
@@ -1135,27 +1066,16 @@ std::string DatalogPlanExplanation::ToString() const {
 }
 
 std::string DatalogPlanExplanation::ToJson() const {
-  auto string_array = [](const std::vector<std::string>& lines) {
-    std::string out = "[";
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      out += (i > 0 ? ",\"" : "\"") + JsonEscape(lines[i]) + "\"";
-    }
-    return out + "]";
-  };
-  std::string out = "{\"route\":\"" + JsonEscape(route) + "\"";
-  out += ",\"cache_hit\":";
-  out += cache_hit ? "true" : "false";
-  out += ",\"text_cache_hit\":";
-  out += text_cache_hit ? "true" : "false";
-  out += ",\"optimized\":";
-  out += optimized ? "true" : "false";
-  out += ",\"magic_applied\":";
-  out += magic_applied ? "true" : "false";
-  out += ",\"fo_expressible\":";
-  out += fo_expressible ? "true" : "false";
-  out += ",\"strata\":" + string_array(strata);
-  out += ",\"boundedness\":" + string_array(boundedness);
-  out += ",\"rewrites\":" + string_array(rewrites);
+  std::string out = "{";
+  JsonStringMember(out, "route", route);
+  JsonBoolMember(out, "cache_hit", cache_hit);
+  JsonBoolMember(out, "text_cache_hit", text_cache_hit);
+  JsonBoolMember(out, "optimized", optimized);
+  JsonBoolMember(out, "magic_applied", magic_applied);
+  JsonBoolMember(out, "fo_expressible", fo_expressible);
+  JsonStringsMember(out, "strata", strata);
+  JsonStringsMember(out, "boundedness", boundedness);
+  JsonStringsMember(out, "rewrites", rewrites);
   out += "}";
   return out;
 }

@@ -114,17 +114,13 @@ struct PlanExplanation {
   bool safe_range = false;
   bool existential_positive = false;
 
-  /// How the compiled-scan estimate was priced (PR 9 short-circuit
-  /// feedback): "static" = full nodes * n^qr scan model, "measured" = this
-  /// exact (structure, generation) had a recorded compiled run and its
-  /// EvalStats::node_visits priced the route, "prior" = another
-  /// structure's observed visited/static ratio discounted the scan.
-  std::string scan_estimate = "static";
-  /// The effective discount applied to the static full-scan estimate
-  /// (1.0 = no discount; "measured" runs report visits / static scan).
-  double scan_ratio = 1.0;
-  /// EvalStats::short_circuits of the recorded run ("measured"/"prior").
-  std::uint64_t observed_short_circuits = 0;
+  /// The compiled route's fan-out estimate (eval/compiled_eval.h
+  /// EstimateFanout): quantifier instantiations over the whole evaluation
+  /// (every output row in query mode; 0 when an engine is forced), and
+  /// each quantifier's guard, outermost first, as
+  /// "<variable>:<none|static|correlated>".
+  double estimated_instantiations = 0.0;
+  std::vector<std::string> guards;
 
   StructureStats structure;
   std::vector<EngineCost> costs;

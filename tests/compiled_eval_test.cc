@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -243,6 +245,202 @@ TEST(CompiledDifferentialTest, AgreesWithInterpreterOn500RandomPairs) {
   }
   // The sweep must actually exercise the error paths, not just verdicts.
   EXPECT_GE(error_pairs, 10u);
+}
+
+// A guard-shaped sentence for the correlated-guard differential: a chain of
+// two or three quantifiers over x1..x3 whose bodies lead with a guard atom
+// tying the quantified variable to the enclosing one, at any column of E/2
+// or T/3 (T's spare column repeats one of the two, so ∃^{≥k} over T meets
+// duplicate candidates), then a random tail. The innermost body may hold a
+// constant c the structure leaves uninterpreted or a free variable w the
+// assignment leaves unbound, mostly after the guard and sometimes before
+// it. Names are sometimes reused, shadowing an enclosing binding.
+Formula GuardShapedFormula(const Signature& sig, std::mt19937_64& rng) {
+  auto pick = [&](std::size_t k) {
+    return std::uniform_int_distribution<std::size_t>(0, k - 1)(rng);
+  };
+  const std::size_t depth = 2 + pick(2);
+  std::vector<std::string> names = {"x1", "x2", "x3"};
+  if (pick(5) == 0) {
+    names[depth - 1] = names[pick(depth - 1)];  // Shadow an outer name.
+  }
+  RandomFormulaOptions tail_options;
+  tail_options.max_depth = 3;
+  tail_options.variable_pool = 3;
+  tail_options.counting = true;
+  Formula body = MakeRandomFormula(sig, tail_options, rng);
+  std::optional<Formula> hazard;
+  switch (pick(3)) {
+    case 0:
+      hazard = Formula::Atom("P", {C("c")});
+      break;
+    case 1:
+      hazard = Formula::Atom("E", {V(names[depth - 1]), V("w")});
+      break;
+    default:
+      break;
+  }
+  // Usually after the innermost guard; sometimes before it, where it must
+  // stop guard collection (a skipped element would hide its error).
+  const bool hazard_first = pick(3) == 0;
+  if (hazard.has_value() && !hazard_first) {
+    body = Formula::And(*hazard, std::move(body));
+  }
+  for (std::size_t level = depth; level-- > 0;) {
+    const std::string& v = names[level];
+    std::optional<Formula> guard;
+    if (level > 0) {
+      const std::string& outer = names[level - 1];
+      if (pick(2) == 0) {
+        guard = pick(2) == 0 ? Formula::Atom("E", {V(outer), V(v)})
+                             : Formula::Atom("E", {V(v), V(outer)});
+      } else {
+        std::vector<Term> terms(3, V(pick(2) == 0 ? v : outer));
+        const std::size_t at_v = pick(3);
+        const std::size_t at_outer = (at_v + 1 + pick(2)) % 3;
+        terms[at_v] = V(v);
+        terms[at_outer] = V(outer);
+        guard = Formula::Atom("T", std::move(terms));
+      }
+    } else if (pick(2) == 0) {
+      guard = Formula::Atom("P", {V(v)});
+    }
+    if (guard.has_value() && pick(6) == 0) {
+      guard = Formula::And(Formula::True(), *std::move(guard));
+    }
+    if (level + 1 == depth && hazard.has_value() && hazard_first) {
+      guard = Formula::And(*hazard, *std::move(guard));
+    }
+    switch (pick(4)) {
+      case 0:
+        body = Formula::Forall(
+            v, guard.has_value() ? Formula::Implies(*guard, std::move(body))
+                                 : std::move(body));
+        break;
+      case 1:
+        body = Formula::CountExists(
+            1 + pick(3), v,
+            guard.has_value() ? Formula::And(*guard, std::move(body))
+                              : std::move(body));
+        break;
+      default:
+        body = Formula::Exists(
+            v, guard.has_value() ? Formula::And(*guard, std::move(body))
+                                 : std::move(body));
+        break;
+    }
+  }
+  return body;
+}
+
+// A structure whose relations are stored three ways: Add-built in
+// generation order, Add-built in shuffled order (tail postings out of
+// ascending order) and bulk-built (CSR postings).
+Structure GuardTestStructure(const std::shared_ptr<Signature>& sig,
+                             std::size_t n, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> density(0.05, 0.6);
+  Structure s = MakeRandomStructure(sig, n, density(rng), rng);
+  const std::size_t storage = std::uniform_int_distribution<int>(0, 3)(rng);
+  const bool interpret_constant = storage != 3;
+  if (storage == 0) {
+    return s;
+  }
+  Structure rebuilt(sig, n);
+  for (std::size_t r = 0; r < sig->relation_count(); ++r) {
+    std::vector<Tuple> tuples = s.relation(r).tuples();
+    if (storage == 1 && !tuples.empty() && tuples[0].size() > 0) {
+      std::sort(tuples.begin(), tuples.end());
+      std::vector<Element> rows;
+      for (const Tuple& t : tuples) {
+        rows.insert(rows.end(), t.begin(), t.end());
+      }
+      rebuilt.SetRelation(
+          r, Relation::FromSortedRows(tuples[0].size(), std::move(rows)));
+      continue;
+    }
+    std::shuffle(tuples.begin(), tuples.end(), rng);
+    for (const Tuple& t : tuples) {
+      rebuilt.AddTuple(r, t);
+    }
+  }
+  if (interpret_constant && n > 0) {
+    rebuilt.SetConstant(0, *s.constant(0));
+  }
+  return rebuilt;
+}
+
+// The correlated-guard acceptance gate: on guard-shaped formulas the
+// compiled evaluator (enumerating from posting lists at the outer
+// variable's value) and the interpreting ModelChecker return the same
+// verdict or the same error, code and message.
+TEST(CompiledDifferentialTest, CorrelatedGuardsAgreeWithInterpreter) {
+  auto sig = std::make_shared<Signature>();
+  sig->AddRelation("E", 2).AddRelation("T", 3).AddRelation("P", 1);
+  sig->AddConstant("c");
+
+  std::mt19937_64 rng(20261017);
+  std::size_t correlated = 0;
+  std::size_t over_t = 0;
+  std::size_t error_pairs = 0;
+  for (std::size_t pair = 0; pair < 600; ++pair) {
+    const std::size_t n = std::uniform_int_distribution<std::size_t>(0, 6)(rng);
+    const Structure s = GuardTestStructure(sig, n, rng);
+    const Formula f = GuardShapedFormula(*sig, rng);
+    VarAssignment assignment;
+    if (n > 0 && std::bernoulli_distribution(0.5)(rng)) {
+      assignment["w"] = static_cast<Element>(n - 1);
+    }
+
+    Result<CompiledFormula> plan = CompiledFormula::Compile(f, *sig);
+    ASSERT_TRUE(plan.ok()) << f.ToString();
+    for (const QuantifierGuard& guard : plan->guards()) {
+      if (guard.kind != GuardKind::kCorrelated) continue;
+      ++correlated;
+      if (guard.columns[0].first == 1) ++over_t;
+    }
+
+    ModelChecker oracle(s);
+    Result<bool> expected = oracle.Check(f, assignment);
+    Result<bool> actual = CompiledVerdict(s, f, assignment);
+    ASSERT_EQ(expected.ok(), actual.ok())
+        << f.ToString() << "\nn=" << n
+        << "\ninterpreter: " << expected.status().ToString()
+        << "\ncompiled:    " << actual.status().ToString();
+    if (expected.ok()) {
+      ASSERT_EQ(*expected, *actual) << f.ToString() << "\nn=" << n;
+    } else {
+      ASSERT_EQ(expected.status().code(), actual.status().code())
+          << f.ToString();
+      ASSERT_EQ(expected.status().message(), actual.status().message())
+          << f.ToString();
+      ++error_pairs;
+    }
+  }
+  // The sweep must exercise what it is for: correlated guards (over T
+  // too, where candidates repeat) and errors raised after a guard.
+  EXPECT_GE(correlated, 500u);
+  EXPECT_GE(over_t, 100u);
+  EXPECT_GE(error_pairs, 50u);
+}
+
+// ∀x∃y E(x,y) on a directed cycle: the inner quantifier enumerates x's one
+// successor from E's postings, so the sentence costs 2n instantiations
+// instead of the n^2/2 a static column scan makes.
+TEST(CompiledEvalTest, CorrelatedGuardMakesForallExistsLinear) {
+  const Structure cycle = MakeDirectedCycle(1024);
+  Result<CompiledEvaluator> eval =
+      CompiledEvaluator::Compile(cycle, Parse("forall x. exists y. E(x,y)"));
+  ASSERT_TRUE(eval.ok());
+  EXPECT_TRUE(*eval->Evaluate());
+  EXPECT_LE(eval->stats().quantifier_instantiations, 2u * 1024u);
+  EXPECT_EQ(eval->stats().index_hits, 1024u);
+
+  // The predecessor form probes E's second column.
+  Result<CompiledEvaluator> pred =
+      CompiledEvaluator::Compile(cycle, Parse("forall x. exists y. E(y,x)"));
+  ASSERT_TRUE(pred.ok());
+  EXPECT_TRUE(*pred->Evaluate());
+  EXPECT_LE(pred->stats().quantifier_instantiations, 2u * 1024u);
 }
 
 // Unknown symbols classify identically through both pipelines.

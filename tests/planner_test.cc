@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "datalog/evaluator.h"
+#include "eval/compiled_eval.h"
 #include "eval/model_check.h"
 #include "eval/query_eval.h"
 #include "logic/parser.h"
@@ -364,10 +365,12 @@ TEST(EvaluateAutoTest, BoundedDegreeRouteFiresOnLargeSparseCycles) {
   opts.cache = &cache;
   // Rank 3 with an inner negation: the relational route would materialize
   // an n^2 complement extended over a third variable, the compiled scan is
-  // n^3 — on a degree-2 structure the Hanf histogram pass wins.
+  // n^2 (y is correlated to x, z is unguarded) — on a degree-2 structure
+  // large enough for that to dwarf the linear Hanf histogram pass, the
+  // histogram wins.
   const std::string sentence =
       "forall x. exists y. E(x,y) & (forall z. ~E(y,z) | E(z,x))";
-  const Structure big = MakeDirectedCycle(256);
+  const Structure big = MakeDirectedCycle(2048);
 
   PlannerOptions compiled_opts = opts;
   compiled_opts.force_engine = EngineKind::kCompiled;
@@ -383,7 +386,7 @@ TEST(EvaluateAutoTest, BoundedDegreeRouteFiresOnLargeSparseCycles) {
 
   // A second cycle of a different size: the Hanf verdict cache amortizes,
   // and the verdict must stay correct.
-  const Structure other = MakeDirectedCycle(280);
+  const Structure other = MakeDirectedCycle(2072);
   auto other_expected = EvaluateAuto(other, sentence, compiled_opts);
   ASSERT_TRUE(other_expected.ok());
   auto again = EvaluateAuto(other, sentence, opts);
@@ -576,93 +579,117 @@ TEST(EvaluateDatalogAutoTest, UnstratifiableProgramFailsFromEveryDoor) {
 }
 
 // ---------------------------------------------------------------------------
-// Short-circuit-aware scan estimates (PR 9): a router-chosen compiled run
-// records its measured EvalStats on the cached plan, and later routing of
-// the same (structure, generation) prices the compiled scan from the
-// measurement instead of the static full-scan model.
+// Fan-out pricing: the compiled route is priced from the same per-quantifier
+// guard description the evaluator runs (eval/compiled_eval.h
+// EstimateFanout), so a correlated guard makes guarded ∀∃ chains linear in
+// the estimate exactly when it makes them linear in the engine.
 
-TEST(ScanFeedbackTest, MeasuredRunDiscountsCompiledEstimate) {
-  PlanCache cache;
-  PlannerOptions options;
-  options.cache = &cache;
-  const Structure cycle = MakeDirectedCycle(16);
-  const std::string q = "forall x. exists y. E(x,y)";
-
-  auto before = PlanAuto(cycle, q, /*query_mode=*/false, 0, options);
-  ASSERT_TRUE(before.ok());
-  EXPECT_EQ(before->scan_estimate, "static");
-  EXPECT_DOUBLE_EQ(before->scan_ratio, 1.0);
-  double static_cost = 0.0;
-  for (const EngineCost& c : before->costs) {
-    if (c.engine == EngineKind::kCompiled) static_cost = c.cost;
+double CostOf(const PlanExplanation& explain, EngineKind engine) {
+  for (const EngineCost& c : explain.costs) {
+    if (c.engine == engine && c.eligible) return c.cost;
   }
-  ASSERT_GT(static_cost, 0.0);
-
-  // A routed (non-forced) evaluation records the measurement.
-  PlanExplanation explain;
-  auto verdict = EvaluateAuto(cycle, q, options, &explain);
-  ASSERT_TRUE(verdict.ok());
-  EXPECT_TRUE(*verdict);
-  ASSERT_EQ(explain.chosen, EngineKind::kCompiled);
-
-  auto after = PlanAuto(cycle, q, /*query_mode=*/false, 0, options);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->scan_estimate, "measured");
-  EXPECT_LT(after->scan_ratio, 1.0);
-  double measured_cost = 0.0;
-  for (const EngineCost& c : after->costs) {
-    if (c.engine == EngineKind::kCompiled) measured_cost = c.cost;
-  }
-  // The inner "exists" short-circuits on the cycle's single successor, so
-  // the measured scan is a fraction of the static n^qr model.
-  EXPECT_LT(measured_cost, static_cost);
-
-  // A different structure sharing the plan gets the cross-structure ratio
-  // prior, never the other structure's raw measurement.
-  const Structure other = MakeDirectedCycle(24);
-  auto prior = PlanAuto(other, q, /*query_mode=*/false, 0, options);
-  ASSERT_TRUE(prior.ok());
-  EXPECT_EQ(prior->scan_estimate, "prior");
-  EXPECT_LT(prior->scan_ratio, 1.0);
-  EXPECT_GE(prior->scan_ratio, 0.1);  // The prior is floored, not trusted.
+  return -1.0;
 }
 
-TEST(ScanFeedbackTest, ForcedRunsDoNotRecordFeedback) {
+TEST(FanoutPricingTest, GuardedForallExistsOnCycleRoutesCompiled) {
   PlanCache cache;
   PlannerOptions options;
   options.cache = &cache;
-  const Structure cycle = MakeDirectedCycle(16);
+  const Structure cycle = MakeDirectedCycle(1024);
   const std::string q = "forall x. exists y. E(x,y)";
 
-  PlannerOptions forced = options;
-  forced.force_engine = EngineKind::kCompiled;
-  ASSERT_TRUE(EvaluateAuto(cycle, q, forced).ok());
-
-  // Forced runs bypass the cost model, so pricing must stay static: a
-  // forced measurement would perturb later routing decisions (e.g. the
-  // bounded-degree gate) that the user never asked to train.
   auto explain = PlanAuto(cycle, q, /*query_mode=*/false, 0, options);
   ASSERT_TRUE(explain.ok());
-  EXPECT_EQ(explain->scan_estimate, "static");
+  EXPECT_EQ(explain->chosen, EngineKind::kCompiled);
+  EXPECT_EQ(explain->guards,
+            (std::vector<std::string>{"%0:none", "%1:correlated"}));
+  // n instantiations of x, one successor each: 2n, not n^2.
+  EXPECT_DOUBLE_EQ(explain->estimated_instantiations, 2048.0);
+  EXPECT_NE(explain->ToString().find("estimated instantiations: 2.05e+03 "
+                                     "(guards: %0:none %1:correlated)"),
+            std::string::npos)
+      << explain->ToString();
+  EXPECT_NE(explain->ToJson().find(
+                "\"guards\":[\"%0:none\",\"%1:correlated\"]"),
+            std::string::npos)
+      << explain->ToJson();
+  auto verdict = EvaluateAuto(cycle, q, options);
+  ASSERT_TRUE(verdict.ok());
+  EXPECT_TRUE(*verdict);
 }
 
-TEST(ScanFeedbackTest, QueryEnumerationRecordsFeedbackToo) {
+TEST(FanoutPricingTest, TriangleStaysOnDatalog) {
+  // E19's ep_triangle: only the innermost quantifier is guarded (hoisting
+  // through nested ∃ bodies is not done), so the compiled estimate stays
+  // quadratic and the Datalog join still wins.
+  PlannerOptions options;
+  options.use_cache = false;
+  auto explain = PlanAuto(
+      MakeDirectedCycle(128),
+      "exists x. exists y. exists z. E(x,y) & E(y,z) & E(z,x)",
+      /*query_mode=*/false, 0, options);
+  ASSERT_TRUE(explain.ok());
+  EXPECT_EQ(explain->chosen, EngineKind::kDatalog);
+  EXPECT_EQ(explain->guards, (std::vector<std::string>{
+                                 "%0:none", "%1:none", "%2:correlated"}));
+}
+
+TEST(FanoutPricingTest, BoundedDegreeAndDenseConfigsKeepTheirRoutes) {
+  PlannerOptions options;
+  options.use_cache = false;
+  options.threads = 1;  // The E19 table's single-core routes.
+  auto bd = PlanAuto(MakeDirectedCycle(4096),
+                     "forall x. forall y. ~E(x,y) | (exists z. E(y,z))",
+                     /*query_mode=*/false, 0, options);
+  ASSERT_TRUE(bd.ok());
+  EXPECT_EQ(bd->chosen, EngineKind::kBoundedDegree) << bd->ToString();
+
+  std::mt19937_64 rng(4242);  // bench_planner's dense_diam2 graph.
+  auto dense = PlanAuto(MakeRandomGraph(96, 0.6, rng),
+                        "forall x. forall y. (x = y) | E(x,y) | "
+                        "(exists z. E(x,z) & E(z,y))",
+                        /*query_mode=*/false, 0, options);
+  ASSERT_TRUE(dense.ok());
+  EXPECT_EQ(dense->chosen, EngineKind::kCompiled) << dense->ToString();
+}
+
+TEST(FanoutPricingTest, CompiledCostIsThePricedFanoutEstimate) {
   PlanCache cache;
   PlannerOptions options;
   options.cache = &cache;
-  const Structure cycle = MakeDirectedCycle(12);
-  const std::string q = "E(x,y)";
+  const Structure cycle = MakeDirectedCycle(64);
+  const std::string q = "forall x. exists y. E(x,y) & (exists z. E(y,z))";
+  auto explain = PlanAuto(cycle, q, /*query_mode=*/false, 0, options);
+  ASSERT_TRUE(explain.ok());
+  auto plan = cache.GetFormulaPlanFromText(q, cycle.signature());
+  ASSERT_TRUE(plan.ok());
+  const FanoutEstimate estimate = EstimateFanout((*plan)->plan, cycle);
+  EXPECT_EQ(estimate.fanout, (std::vector<double>{64.0, 1.0, 1.0}));
+  EXPECT_DOUBLE_EQ(CostOf(*explain, EngineKind::kCompiled),
+                   0.3 * estimate.node_visits);
+  EXPECT_DOUBLE_EQ(explain->estimated_instantiations,
+                   estimate.instantiations);
 
-  PlanExplanation explain;
-  auto rows = EvaluateQueryAuto(cycle, q, {"x", "y"}, options, &explain);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 12u);
-  if (explain.chosen != EngineKind::kCompiled) {
-    GTEST_SKIP() << "router sent the query elsewhere; nothing recorded";
-  }
-  auto after = PlanAuto(cycle, q, /*query_mode=*/true, 2, options);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->scan_estimate, "measured");
+  // Query mode evaluates the plan once per domain^m candidate row.
+  const std::string open = "exists y. E(x,y)";
+  auto query = PlanAuto(cycle, open, /*query_mode=*/true, 1, options);
+  ASSERT_TRUE(query.ok());
+  auto open_plan = cache.GetFormulaPlanFromText(open, cycle.signature());
+  ASSERT_TRUE(open_plan.ok());
+  const FanoutEstimate per_row = EstimateFanout((*open_plan)->plan, cycle);
+  // The guard atom holds the free x, so y is not guarded: a scan.
+  EXPECT_EQ(per_row.fanout, (std::vector<double>{64.0}));
+  EXPECT_DOUBLE_EQ(CostOf(*query, EngineKind::kCompiled),
+                   0.3 * 64.0 * per_row.node_visits);
+
+  // A static guard fans out to its column's distinct values: 63 sources
+  // on a 64-node path.
+  const Structure path = MakeDirectedPath(64);
+  auto loop = CompiledFormula::Compile(*ParseFormula("exists x. E(x,x)"),
+                                       path.signature());
+  ASSERT_TRUE(loop.ok());
+  EXPECT_EQ(loop->guards()[0].kind, GuardKind::kStatic);
+  EXPECT_EQ(EstimateFanout(*loop, path).fanout, (std::vector<double>{63.0}));
 }
 
 }  // namespace
