@@ -1,9 +1,10 @@
 #include "datalog/ivm.h"
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
-#include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,6 +41,27 @@ struct IncrementalDatalogSession::Impl {
       total += r.size();
     }
     return total;
+  }
+
+  // Checks a write batch for EDB relation `r` (named `relation`) before
+  // any side effect: every tuple must have the relation's arity and
+  // elements inside the structure's domain.
+  Status ValidateBatch(std::string_view relation, std::size_t r,
+                       const std::vector<Tuple>& tuples) const {
+    const std::size_t arity = edb.signature().relation(r).arity;
+    for (const Tuple& t : tuples) {
+      if (t.size() != arity) {
+        return Status::InvalidArgument("tuple arity mismatch for relation " +
+                                       std::string(relation));
+      }
+      for (const Element e : t) {
+        if (e >= edb.domain_size()) {
+          return Status::InvalidArgument("element " + std::to_string(e) +
+                                         " outside the structure's domain");
+        }
+      }
+    }
+    return Status::OK();
   }
 
   // Syncs the per-round ColumnIndex pointers for every probed column of
@@ -266,19 +288,7 @@ Status IncrementalDatalogSession::ApplyInsert(
     return Status::SignatureMismatch("unknown EDB relation " +
                                      std::string(relation));
   }
-  const std::size_t arity = impl.edb.signature().relation(*r).arity;
-  for (const Tuple& t : tuples) {
-    if (t.size() != arity) {
-      return Status::InvalidArgument("tuple arity mismatch for relation " +
-                                     std::string(relation));
-    }
-    for (const Element e : t) {
-      if (e >= impl.edb.domain_size()) {
-        return Status::InvalidArgument("element " + std::to_string(e) +
-                                       " outside the structure's domain");
-      }
-    }
-  }
+  FMTK_RETURN_IF_ERROR(impl.ValidateBatch(relation, *r, tuples));
   impl.stats = IvmStats{};
   const std::size_t idb_before = impl.IdbTupleCount();
   const std::size_t pre = impl.edb.relation(*r).size();
@@ -315,13 +325,7 @@ Status IncrementalDatalogSession::ApplyDelete(
     return Status::SignatureMismatch("unknown EDB relation " +
                                      std::string(relation));
   }
-  const std::size_t arity = impl.edb.signature().relation(*r).arity;
-  for (const Tuple& t : tuples) {
-    if (t.size() != arity) {
-      return Status::InvalidArgument("tuple arity mismatch for relation " +
-                                     std::string(relation));
-    }
-  }
+  FMTK_RETURN_IF_ERROR(impl.ValidateBatch(relation, *r, tuples));
   impl.stats = IvmStats{};
   const std::size_t idb_before = impl.IdbTupleCount();
 
@@ -378,7 +382,11 @@ Status IncrementalDatalogSession::ApplyDelete(
   // not with O(|IDB|) rebuild work.
   RunState& rs = impl.rs;
   impl.edb.MutableRelation(*r).EraseRows(del_edb[*r]);
-  std::vector<std::vector<Tuple>> candidates(rs.idb.size());
+  // The candidates of predicate p: candidate_count[p] pruned rows, kept
+  // arity-strided in doomed_rows[p] (empty at arity 0, where the only
+  // candidate is the empty tuple).
+  std::vector<std::vector<Element>> doomed_rows(rs.idb.size());
+  std::vector<std::size_t> candidate_count(rs.idb.size(), 0);
   for (std::size_t p = 0; p < rs.idb.size(); ++p) {
     if (del_idb[p].empty()) {
       continue;
@@ -386,7 +394,7 @@ Status IncrementalDatalogSession::ApplyDelete(
     const std::size_t parity = rs.idb[p].arity();
     if (parity == 0) {
       if (rs.idb[p].Contains({}) && !impl.facts[p].Contains({})) {
-        candidates[p].push_back({});
+        candidate_count[p] = 1;
         rs.idb[p] = Relation(0);
       }
       continue;
@@ -394,17 +402,16 @@ Status IncrementalDatalogSession::ApplyDelete(
     // The candidates are the overestimated tuples actually present (every
     // del_idb row normally is — it was derived from the pre-deletion
     // fixpoint) minus the protected fact schemas.
-    std::vector<Element> doomed_rows;
-    doomed_rows.reserve(del_idb[p].size() * parity);
+    doomed_rows[p].reserve(del_idb[p].size() * parity);
     for (std::size_t i = 0; i < del_idb[p].size(); ++i) {
       const Element* row = del_idb[p].TupleData(i);
       if (rs.idb[p].ContainsRow(row) && !impl.facts[p].ContainsRow(row)) {
-        candidates[p].emplace_back(row, row + parity);
-        doomed_rows.insert(doomed_rows.end(), row, row + parity);
+        doomed_rows[p].insert(doomed_rows[p].end(), row, row + parity);
+        ++candidate_count[p];
       }
     }
-    if (!candidates[p].empty()) {
-      rs.idb[p].EraseRows(Relation::FromRowsUnique(parity, doomed_rows));
+    if (candidate_count[p] > 0) {
+      rs.idb[p].EraseRows(Relation::FromRowsUnique(parity, doomed_rows[p]));
     }
   }
   // Phase 2b: rederive. Candidates with an alternative derivation among
@@ -416,8 +423,9 @@ Status IncrementalDatalogSession::ApplyDelete(
   for (std::size_t p = 0; p < rs.idb.size(); ++p) {
     pruned_size[p] = rs.idb[p].size();
   }
+  Tuple reinsert;
   for (std::size_t p = 0; p < rs.idb.size(); ++p) {
-    if (candidates[p].empty()) {
+    if (candidate_count[p] == 0) {
       continue;
     }
     // One find-first run per rule with this head, constructed once and
@@ -442,7 +450,9 @@ Status IncrementalDatalogSession::ApplyDelete(
       rr.run->set_find_first();
       runs.push_back(std::move(rr));
     }
-    for (const Tuple& t : candidates[p]) {
+    const std::size_t parity = rs.idb[p].arity();
+    for (std::size_t k = 0; k < candidate_count[p]; ++k) {
+      const Element* t = doomed_rows[p].data() + k * parity;
       bool rederived = false;
       for (RederiveRun& rr : runs) {
         const RuleExec& rule = *rr.rule;
@@ -477,7 +487,8 @@ Status IncrementalDatalogSession::ApplyDelete(
         }
       }
       if (rederived) {
-        rs.idb[p].AddCopy(t);
+        reinsert.assign(t, t + parity);
+        rs.idb[p].AddCopy(reinsert);
         ++impl.stats.rederived;
       }
     }

@@ -1,18 +1,32 @@
 #include "structures/relation.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "base/check.h"
 #include "structures/packed_rows.h"
 
 namespace fmtk {
+namespace {
+
+// Element-addressed arrays (CSR offsets, the sorted-prefix run directory)
+// are dense over [0, span). Structure elements are always an initial
+// segment of the naturals, so this holds for every relation an engine
+// builds; a pathological sparse one (span far above its row count) takes
+// the hash/binary-search fallback rather than allocating a huge array.
+bool DenseSpanFits(std::size_t span, std::size_t rows) {
+  return span <= 4 * rows + 1024;
+}
+
+}  // namespace
 
 Relation::Relation(const Relation& other)
     : arity_(other.arity_),
       flat_(other.flat_),
       row_count_(other.row_count_),
       sorted_upto_(other.sorted_upto_),
+      run_starts_(other.run_starts_),
       packed_index_(other.packed_index_),
       index_(other.index_),
       tuples_(other.tuples_) {
@@ -25,6 +39,7 @@ Relation& Relation::operator=(const Relation& other) {
     flat_ = other.flat_;
     row_count_ = other.row_count_;
     sorted_upto_ = other.sorted_upto_;
+    run_starts_ = other.run_starts_;
     packed_index_ = other.packed_index_;
     index_ = other.index_;
     tuples_ = other.tuples_;
@@ -40,6 +55,7 @@ Relation::Relation(Relation&& other) noexcept
       flat_(std::move(other.flat_)),
       row_count_(other.row_count_),
       sorted_upto_(other.sorted_upto_),
+      run_starts_(std::move(other.run_starts_)),
       packed_index_(std::move(other.packed_index_)),
       index_(std::move(other.index_)),
       tuples_(std::move(other.tuples_)),
@@ -47,6 +63,7 @@ Relation::Relation(Relation&& other) noexcept
   rows_synced_.store(tuples_.size(), std::memory_order_relaxed);
   other.row_count_ = 0;
   other.sorted_upto_ = 0;
+  other.run_starts_.clear();
   other.rows_synced_.store(0, std::memory_order_relaxed);
 }
 
@@ -56,12 +73,14 @@ Relation& Relation::operator=(Relation&& other) noexcept {
     flat_ = std::move(other.flat_);
     row_count_ = other.row_count_;
     sorted_upto_ = other.sorted_upto_;
+    run_starts_ = std::move(other.run_starts_);
     packed_index_ = std::move(other.packed_index_);
     index_ = std::move(other.index_);
     tuples_ = std::move(other.tuples_);
     rows_synced_.store(tuples_.size(), std::memory_order_relaxed);
     other.row_count_ = 0;
     other.sorted_upto_ = 0;
+    other.run_starts_.clear();
     other.rows_synced_.store(0, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(column_mutex_);
     column_indexes_ = std::move(other.column_indexes_);
@@ -78,6 +97,7 @@ Relation Relation::FromSortedRows(std::size_t arity, std::vector<Element> rows,
   r.flat_ = std::move(rows);
   r.row_count_ = r.flat_.size() / arity;
   r.sorted_upto_ = r.row_count_;
+  r.BuildRunDirectory();
   if (build_column_indexes) {
     r.BuildColumnIndexesBulk();
   }
@@ -90,72 +110,19 @@ Relation Relation::FromSortedPackedRows(std::size_t arity,
   FMTK_CHECK(arity == 1 || arity == 2)
       << "packed rows hold at most two 32-bit columns, got arity " << arity;
   Relation r(arity);
-  const std::size_t n = keys.size();
-  r.flat_.resize(n * arity);
-  r.row_count_ = n;
-  r.sorted_upto_ = n;
+  r.flat_.resize(keys.size() * arity);
+  r.row_count_ = keys.size();
+  r.sorted_upto_ = keys.size();
   Element* dst = r.flat_.data();
-  if (!build_column_indexes || n == 0) {
-    for (const std::uint64_t key : keys) {
-      if (arity == 2) {
-        *dst++ = static_cast<Element>(key >> 32);
-      }
-      *dst++ = static_cast<Element>(key);
+  for (const std::uint64_t key : keys) {
+    if (arity == 2) {
+      *dst++ = static_cast<Element>(key >> 32);
     }
-    return r;
+    *dst++ = static_cast<Element>(key);
   }
-  auto col0 = std::make_shared<ColumnIndex>();
-  if (arity == 1) {
-    // Unique rows make every column-0 run a singleton: values are the keys
-    // themselves and the offsets are the identity ramp.
-    col0->bulk_values.resize(n);
-    col0->offsets.resize(n + 1);
-    col0->offsets[0] = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Element e = static_cast<Element>(keys[i]);
-      dst[i] = e;
-      col0->bulk_values[i] = e;
-      col0->offsets[i + 1] = static_cast<std::uint32_t>(i + 1);
-    }
-  } else {
-    // One fused pass: unpack both columns and close a column-0 run whenever
-    // the high half changes. The run pre-count keeps the output arrays at
-    // exact capacity.
-    std::size_t distinct = 1;
-    for (std::size_t i = 1; i < n; ++i) {
-      distinct += (keys[i] >> 32) != (keys[i - 1] >> 32);
-    }
-    col0->bulk_values.reserve(distinct);
-    col0->offsets.reserve(distinct + 1);
-    col0->offsets.push_back(0);
-    Element run_value = static_cast<Element>(keys[0] >> 32);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t key = keys[i];
-      const Element hi = static_cast<Element>(key >> 32);
-      *dst++ = hi;
-      *dst++ = static_cast<Element>(key);
-      if (hi != run_value) {
-        col0->bulk_values.push_back(run_value);
-        col0->offsets.push_back(static_cast<std::uint32_t>(i));
-        run_value = hi;
-      }
-    }
-    col0->bulk_values.push_back(run_value);
-    col0->offsets.push_back(static_cast<std::uint32_t>(n));
-  }
-  col0->positions.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    col0->positions[i] = static_cast<std::uint32_t>(i);
-  }
-  col0->bulk_rows = n;
-  col0->values = col0->bulk_values;
-  col0->indexed_upto = n;
-  r.column_indexes_.assign(arity, nullptr);
-  r.column_indexes_[0] = std::move(col0);
-  if (arity == 2) {
-    auto col1 = std::make_shared<ColumnIndex>();
-    r.BuildColumnIndexBulk(1, col1.get());
-    r.column_indexes_[1] = std::move(col1);
+  r.BuildRunDirectory();
+  if (build_column_indexes) {
+    r.BuildColumnIndexesBulk();
   }
   return r;
 }
@@ -189,12 +156,45 @@ Relation Relation::FromRowsUnique(std::size_t arity,
   return r;
 }
 
+void Relation::BuildRunDirectory() {
+  run_starts_.clear();
+  if (sorted_upto_ == 0) {
+    return;
+  }
+  // The prefix is sorted, so its last row holds the largest column-0 value.
+  const std::size_t span =
+      static_cast<std::size_t>(flat_[(sorted_upto_ - 1) * arity_]) + 1;
+  if (!DenseSpanFits(span, sorted_upto_)) {
+    return;
+  }
+  run_starts_.resize(span + 1);
+  std::size_t row = 0;
+  for (std::size_t v = 0; v <= span; ++v) {
+    while (row < sorted_upto_ && flat_[row * arity_] < v) {
+      ++row;
+    }
+    run_starts_[v] = static_cast<std::uint32_t>(row);
+  }
+}
+
 std::size_t Relation::SortedPrefixFind(const Element* row) const {
   constexpr std::size_t kMiss = static_cast<std::size_t>(-1);
+  std::size_t lo = 0;
+  std::size_t hi = sorted_upto_;
+  if (!run_starts_.empty()) {
+    const std::size_t v = row[0];
+    if (v + 1 >= run_starts_.size()) {
+      return kMiss;
+    }
+    lo = run_starts_[v];
+    hi = run_starts_[v + 1];
+    if (arity_ == 1) {
+      return lo < hi ? lo : kMiss;  // Unique rows: the run is the row.
+    }
+  }
+  const std::size_t end = hi;
   if (arity_ <= 2) {
     const std::uint64_t key = PackedKey(row, arity_);
-    std::size_t lo = 0;
-    std::size_t hi = sorted_upto_;
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
       if (PackedKey(flat_.data() + mid * arity_, arity_) < key) {
@@ -203,13 +203,10 @@ std::size_t Relation::SortedPrefixFind(const Element* row) const {
         hi = mid;
       }
     }
-    return lo < sorted_upto_ &&
-                   PackedKey(flat_.data() + lo * arity_, arity_) == key
+    return lo < end && PackedKey(flat_.data() + lo * arity_, arity_) == key
                ? lo
                : kMiss;
   }
-  std::size_t lo = 0;
-  std::size_t hi = sorted_upto_;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
     const Element* at = flat_.data() + mid * arity_;
@@ -219,8 +216,7 @@ std::size_t Relation::SortedPrefixFind(const Element* row) const {
       hi = mid;
     }
   }
-  return lo < sorted_upto_ &&
-                 std::equal(row, row + arity_, flat_.data() + lo * arity_)
+  return lo < end && std::equal(row, row + arity_, flat_.data() + lo * arity_)
              ? lo
              : kMiss;
 }
@@ -306,17 +302,13 @@ void Relation::MaterializeTuples() const {
 
 Relation::ColumnIndex::View Relation::ColumnIndex::Find(Element e) const {
   View view;
-  if (!bulk_values.empty()) {
-    const auto it =
-        std::lower_bound(bulk_values.begin(), bulk_values.end(), e);
-    if (it != bulk_values.end() && *it == e) {
-      const std::size_t k =
-          static_cast<std::size_t>(it - bulk_values.begin());
-      view.bulk = positions.data() + offsets[k];
-      view.bulk_size = offsets[k + 1] - offsets[k];
-    }
+  if (std::size_t{e} + 1 < offsets.size()) {
+    view.bulk = positions.data() + offsets[e];
+    view.bulk_size = offsets[e + 1] - offsets[e];
   }
-  view.tail = postings.Find(e);
+  if (!postings.empty()) {
+    view.tail = postings.Find(e);
+  }
   return view;
 }
 
@@ -326,48 +318,12 @@ void Relation::BuildColumnIndexBulk(std::size_t column,
     out->indexed_upto = 0;
     return;
   }
-  if (column == 0 && sorted_upto_ == row_count_) {
-    // A store that is lexicographically sorted end to end is already
-    // ordered by column 0: the CSR falls out of one sequential scan —
-    // positions are the identity permutation and offsets are the run
-    // boundaries. No count array, no scatter pass. A pre-count of the runs
-    // sizes the output arrays exactly, so the scan never reallocates.
-    std::size_t distinct = 1;
-    for (std::size_t i = 1; i < row_count_; ++i) {
-      distinct += flat_[i * arity_] != flat_[(i - 1) * arity_];
-    }
-    out->bulk_values.reserve(distinct);
-    out->offsets.reserve(distinct + 1);
-    out->offsets.push_back(0);
-    for (std::size_t i = 0; i < row_count_;) {
-      const Element e = flat_[i * arity_];
-      std::size_t j = i;
-      while (j < row_count_ && flat_[j * arity_] == e) {
-        ++j;
-      }
-      out->bulk_values.push_back(e);
-      out->offsets.push_back(static_cast<std::uint32_t>(j));
-      i = j;
-    }
-    out->positions.resize(row_count_);
-    for (std::size_t i = 0; i < row_count_; ++i) {
-      out->positions[i] = static_cast<std::uint32_t>(i);
-    }
-    out->bulk_rows = row_count_;
-    out->values = out->bulk_values;
-    out->indexed_upto = row_count_;
-    return;
-  }
   Element max_value = 0;
   for (std::size_t i = 0; i < row_count_; ++i) {
     max_value = std::max(max_value, flat_[i * arity_ + column]);
   }
-  // Counting sort wants a dense value range. Structure elements are always
-  // an initial segment of the naturals, so this holds for every relation an
-  // engine builds; a pathological sparse relation falls back to the
-  // hash-tail path below rather than allocating a huge count array.
   const std::size_t span = static_cast<std::size_t>(max_value) + 1;
-  if (span > 4 * row_count_ + 1024) {
+  if (!DenseSpanFits(span, row_count_)) {
     std::vector<Element> fresh;
     for (std::size_t i = 0; i < row_count_; ++i) {
       const Element e = flat_[i * arity_ + column];
@@ -382,40 +338,47 @@ void Relation::BuildColumnIndexBulk(std::size_t column,
     out->indexed_upto = row_count_;
     return;
   }
-  // Count pass -> prefix sums -> scatter pass: three flat arrays, no
-  // per-value allocation no matter how many distinct values the column has.
-  // 32-bit counts (row positions fit u32 by the membership-index layout)
-  // halve the count array's footprint, which is what keeps the scatter's
-  // random reads cache-resident on million-row relations.
-  std::vector<std::uint32_t> counts(span, 0);
+  // Count pass -> prefix sums -> scatter pass. The counts turn into the
+  // element-addressed offsets in place, so no per-value allocation no
+  // matter how many distinct values the column has. 32-bit counts (row
+  // positions fit u32 by the membership-index layout) halve the array's
+  // footprint, which is what keeps the scatter's random reads
+  // cache-resident on million-row relations.
+  std::vector<std::uint32_t>& offsets = out->offsets;
+  offsets.assign(span + 1, 0);
   for (std::size_t i = 0; i < row_count_; ++i) {
-    ++counts[flat_[i * arity_ + column]];
+    ++offsets[flat_[i * arity_ + column]];
   }
   std::size_t distinct = 0;
-  for (const std::uint32_t n : counts) {
-    distinct += n != 0;
-  }
-  out->bulk_values.reserve(distinct);
-  out->offsets.reserve(distinct + 1);
-  out->offsets.push_back(0);
-  // Repurpose counts[v] as the running write cursor for value v.
-  std::size_t running = 0;
   for (std::size_t v = 0; v < span; ++v) {
-    if (counts[v] != 0) {
-      out->bulk_values.push_back(static_cast<Element>(v));
-      const std::uint32_t n = counts[v];
-      counts[v] = static_cast<std::uint32_t>(running);
-      running += n;
-      out->offsets.push_back(static_cast<std::uint32_t>(running));
+    distinct += offsets[v] != 0;
+  }
+  out->values.reserve(distinct);
+  // Inclusive prefix sums: offsets[v] becomes the end of v's run, and
+  // offsets[span] (count 0) the row count.
+  std::uint32_t running = 0;
+  for (std::size_t v = 0; v <= span; ++v) {
+    if (offsets[v] != 0) {
+      out->values.push_back(static_cast<Element>(v));
     }
+    running += offsets[v];
+    offsets[v] = running;
   }
   out->positions.resize(row_count_);
-  for (std::size_t i = 0; i < row_count_; ++i) {
-    out->positions[counts[flat_[i * arity_ + column]]++] =
-        static_cast<std::uint32_t>(i);
+  if (column == 0 && sorted_upto_ == row_count_) {
+    // Already ordered by column 0: positions are the identity, and run v
+    // starts where run v-1 ends.
+    std::iota(out->positions.begin(), out->positions.end(), 0u);
+    std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
+    offsets[0] = 0;
+  } else {
+    // Filling each run from its end, rows in descending order, leaves the
+    // run's ids ascending and offsets[v] at the run's start.
+    for (std::size_t i = row_count_; i-- > 0;) {
+      out->positions[--offsets[flat_[i * arity_ + column]]] =
+          static_cast<std::uint32_t>(i);
+    }
   }
-  out->bulk_rows = row_count_;
-  out->values = out->bulk_values;
   out->indexed_upto = row_count_;
 }
 
@@ -424,7 +387,6 @@ void Relation::BuildColumnIndexesBulk() {
   for (std::size_t c = 0; c < arity_; ++c) {
     auto built = std::make_shared<ColumnIndex>();
     BuildColumnIndexBulk(c, built.get());
-    built->indexed_upto = row_count_;
     column_indexes_[c] = std::move(built);
   }
 }
@@ -454,9 +416,8 @@ const Relation::ColumnIndex& Relation::column_index(std::size_t column) const {
     for (std::size_t i = built.indexed_upto; i < row_count_; ++i) {
       const Element e = flat_[i * arity_ + column];
       std::vector<std::uint32_t>& list = built.postings[e];
-      if (list.empty() &&
-          !std::binary_search(built.bulk_values.begin(),
-                              built.bulk_values.end(), e)) {
+      if (list.empty() && (std::size_t{e} + 1 >= built.offsets.size() ||
+                           built.offsets[e] == built.offsets[e + 1])) {
         fresh.push_back(e);
       }
       list.push_back(static_cast<std::uint32_t>(i));
@@ -592,8 +553,11 @@ std::size_t Relation::EraseRows(const Relation& doomed) {
       write += gap_end - gap_begin;
     }
     row_count_ = write;
-    sorted_upto_ -= doomed_sorted;
     flat_.resize(row_count_ * arity_);
+    if (doomed_sorted > 0) {
+      sorted_upto_ -= doomed_sorted;
+      BuildRunDirectory();
+    }
     for (std::size_t i = sorted_upto_; i < row_count_; ++i) {
       store_position(flat_.data() + i * arity_, i);
     }
@@ -650,6 +614,7 @@ void Relation::Consolidate() {
     index_.clear();
   }
   sorted_upto_ = row_count_;
+  BuildRunDirectory();
   tuples_.clear();
   rows_synced_.store(0, std::memory_order_release);
   std::lock_guard<std::mutex> lock(column_mutex_);

@@ -43,22 +43,24 @@ class Relation {
     /// Distinct elements occurring at the column, ascending.
     std::vector<Element> values;
 
-    /// Bulk (CSR) part: the postings for rows [0, bulk_rows), produced by
-    /// one counting-sort pass. bulk_values[k]'s row ids live at
-    /// positions[offsets[k], offsets[k+1]), ascending. Three flat arrays
-    /// total — no per-value vector, which is what makes indexing a
-    /// million-edge relation allocation-free. Row ids are 32-bit (the
-    /// membership index already caps row counts at 2^32): half the memory
-    /// traffic of size_t per probe, twice the ids per SIMD lane in the
-    /// intersection kernels.
-    std::vector<Element> bulk_values;
+    /// Bulk (CSR) part: the postings for the rows indexed by one
+    /// counting-sort pass, addressed by element. Element e's row ids live at
+    /// positions[offsets[e], offsets[e+1]), ascending; offsets spans
+    /// [0, max element + 1], so a lookup is a bounds check and two loads.
+    /// Two flat arrays total — no per-value vector, which is what makes
+    /// indexing a million-edge relation allocation-free. The counting sort's
+    /// span guard (max element < 4·rows + 1024) bounds offsets to
+    /// 4 bytes × (4·rows + 1025); a sparser column leaves both arrays empty
+    /// and indexes everything in the tail map instead. Row ids are 32-bit
+    /// (the membership index already caps row counts at 2^32): half the
+    /// memory traffic of size_t per probe, twice the ids per SIMD lane in
+    /// the intersection kernels.
     std::vector<std::uint32_t> offsets;
     std::vector<std::uint32_t> positions;
-    std::size_t bulk_rows = 0;
 
     /// Tail part: element -> row ids appended after the bulk build (all
-    /// >= bulk_rows), ascending. Relations grown purely through Add() put
-    /// everything here. Flat open-addressing map: a probe is one
+    /// past the CSR rows), ascending. Relations grown purely through Add()
+    /// put everything here. Flat open-addressing map: a probe is one
     /// cache-line walk, no bucket-node chase.
     FlatHashMap<Element, std::vector<std::uint32_t>> postings;
 
@@ -69,8 +71,8 @@ class Relation {
     std::size_t indexed_upto = 0;
 
     /// The posting list of `e` as up to two sorted pieces: the CSR slice
-    /// (row ids < bulk_rows) and the tail vector (row ids >= bulk_rows).
-    /// Concatenated they are ascending. Both empty when `e` never occurs.
+    /// and the tail vector (row ids past every CSR row). Concatenated they
+    /// are ascending. Both empty when `e` never occurs.
     struct View {
       const std::uint32_t* bulk = nullptr;
       std::size_t bulk_size = 0;
@@ -95,8 +97,8 @@ class Relation {
 
   /// Bulk construction from `rows` (arity-strided, row-major),
   /// lexicographically sorted and duplicate-free — the RelationBuilder
-  /// merge output. Membership for the sorted prefix is a binary search over
-  /// the flat store itself (no hash table to build), and every ColumnIndex
+  /// merge output. Membership for the sorted prefix is a search over the
+  /// flat store itself (no hash table to build), and every ColumnIndex
   /// is materialized eagerly by counting sort: one count pass, one
   /// exact-capacity reservation, one fill pass — instead of size() hash-map
   /// appends with growth churn. arity 0 is not expressible as flat rows;
@@ -107,10 +109,7 @@ class Relation {
   /// Packed twin of FromSortedRows for arity 1 and 2: `keys` are whole rows
   /// packed into one u64 each (column-lexicographic by construction),
   /// sorted and duplicate-free — the RelationBuilder merge output before
-  /// unpacking. Unpacking and the column-0 CSR build fuse into a single
-  /// pass: the key's high-half run boundaries ARE the column-0 offsets, so
-  /// the index costs no extra scan over the store (positions are the
-  /// identity). Column 1 (arity 2) still takes its counting-sort pass.
+  /// unpacking.
   static Relation FromSortedPackedRows(std::size_t arity,
                                        const std::vector<std::uint64_t>& keys,
                                        bool build_column_indexes = true);
@@ -188,7 +187,7 @@ class Relation {
 
   /// Removes every row of this relation that `doomed` contains (same
   /// arity). Each doomed row is resolved to its position (stored hash
-  /// value or sorted-prefix binary search), then removed by swap-with-last
+  /// value or sorted-prefix lookup), then removed by swap-with-last
   /// (fully hashed store, O(batch) total, insertion order not preserved)
   /// or by an order-preserving compaction of the gaps between doomed
   /// positions (sorted-prefix store) — either way the cost scales with the
@@ -202,9 +201,10 @@ class Relation {
   /// Re-sorts the whole store so every row joins the sorted prefix and the
   /// hash maps empty out. A long-lived relation that interleaves bulk loads
   /// with Add() churn calls this at a quiet point: membership returns to
-  /// pure binary search, and — decisively for incremental deletion — later
-  /// EraseRows calls take the order-preserving path whose hash fix-ups
-  /// touch only the (empty or tiny) tail map instead of a full-size one.
+  /// the sorted-prefix lookup, and — decisively for incremental deletion —
+  /// later EraseRows calls take the order-preserving path whose hash
+  /// fix-ups touch only the (empty or tiny) tail map instead of a full-size
+  /// one.
   /// Column indexes are discarded (positions shift) and rebuilt lazily.
   void Consolidate();
 
@@ -239,11 +239,16 @@ class Relation {
     return key;
   }
 
-  // Membership in the sorted prefix rows [0, sorted_upto_), by binary
-  // search over the flat store. SortedPrefixFind returns the row's
+  // Membership in the sorted prefix rows [0, sorted_upto_): run_starts_
+  // narrows the probe to the row's column-0 run, then a binary search over
+  // the flat store runs inside it. SortedPrefixFind returns the row's
   // position, or size_t(-1) on a miss.
   bool SortedPrefixContains(const Element* row) const;
   std::size_t SortedPrefixFind(const Element* row) const;
+
+  // Recomputes run_starts_ for the current sorted prefix. Every operation
+  // that moves sorted_upto_ calls it.
+  void BuildRunDirectory();
 
   void MaterializeTuples() const;
 
@@ -252,8 +257,11 @@ class Relation {
   void BuildColumnIndexesBulk();
 
   // Counting-sort build of one column's CSR part covering rows
-  // [0, row_count_): count pass, prefix sums, scatter pass — three flat
-  // allocations regardless of how many distinct values the column holds.
+  // [0, row_count_): count pass, prefix sums, scatter pass — the count
+  // array becomes the offsets, so two flat allocations plus `values`
+  // regardless of how many distinct values the column holds. Column 0 of
+  // a fully sorted store skips the scatter: its positions are the
+  // identity.
   void BuildColumnIndexBulk(std::size_t column, ColumnIndex* out) const;
 
   std::size_t arity_;
@@ -262,10 +270,16 @@ class Relation {
   std::vector<Element> flat_;
   std::size_t row_count_ = 0;
   // Rows [0, sorted_upto_) are lexicographically sorted and unique: bulk
-  // construction leaves membership to a binary search over them, and only
-  // rows appended afterwards go through the hash maps below. 0 for
-  // Add-built relations.
+  // construction leaves membership to a search over them, and only rows
+  // appended afterwards go through the hash maps below. 0 for Add-built
+  // relations.
   std::size_t sorted_upto_ = 0;
+  // Column-0 run directory of the sorted prefix, addressed by element:
+  // the prefix rows whose column 0 is v are [run_starts_[v],
+  // run_starts_[v+1]). Same span guard as the counting sort (max column-0
+  // element < 4·sorted_upto_ + 1024); empty above it, and then the search
+  // covers the whole prefix.
+  std::vector<std::uint32_t> run_starts_;
   // Membership index for rows >= sorted_upto_; the value is the row's
   // position. At most one of the two maps is populated: packed_index_ for
   // arity <= 2, index_ otherwise.

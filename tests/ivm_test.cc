@@ -203,6 +203,30 @@ TEST(IvmTest, ErrorPaths) {
   ExpectMatchesScratch(program, *session, "after rejected batches");
 }
 
+// Elements at or past domain_size() are rejected by both write calls with
+// InvalidArgument, before any side effect — even when the rest of the batch
+// is valid and the out-of-domain tuple comes last.
+TEST(IvmTest, OutOfDomainElementsRejectedWithoutSideEffects) {
+  const DatalogProgram program = DatalogProgram::TransitiveClosure();
+  Structure g = MakeDirectedPath(4);
+  Result<IncrementalDatalogSession> session =
+      IncrementalDatalogSession::Create(program, g);
+  ASSERT_TRUE(session.ok());
+  const std::size_t edges = session->edb().relation(0).size();
+  const std::size_t closure = session->Materialized().at("tc")->size();
+  for (const Element bad : {Element{4}, Element{1} << 31}) {
+    const Status insert = session->ApplyInsert("E", {{3, 0}, {0, bad}});
+    EXPECT_EQ(insert.code(), StatusCode::kInvalidArgument) << bad;
+    const Status remove = session->ApplyDelete("E", {{0, 1}, {bad, 1}});
+    EXPECT_EQ(remove.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(session->edb().relation(0).size(), edges);
+    EXPECT_EQ(session->Materialized().at("tc")->size(), closure);
+    EXPECT_TRUE(session->edb().relation(0).Contains({0, 1}));
+    EXPECT_FALSE(session->edb().relation(0).Contains({3, 0}));
+  }
+  ExpectMatchesScratch(program, *session, "after out-of-domain batches");
+}
+
 TEST(IvmTest, StatsReflectWork) {
   const DatalogProgram program = DatalogProgram::TransitiveClosure();
   Structure g = MakeDirectedPath(5);  // tc = 10 tuples.
