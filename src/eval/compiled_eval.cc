@@ -612,6 +612,8 @@ const std::vector<QuantifierGuard>& CompiledFormula::guards() const {
   return plan_->guards;
 }
 
+const Signature& CompiledFormula::signature() const { return plan_->signature; }
+
 const char* GuardKindName(GuardKind kind) {
   static const char* const kNames[] = {"none", "static", "correlated"};
   return kNames[static_cast<std::size_t>(kind)];

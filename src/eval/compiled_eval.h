@@ -102,6 +102,10 @@ class CompiledFormula {
   /// One entry per quantifier, outermost first (pre-order).
   const std::vector<QuantifierGuard>& guards() const;
 
+  /// The signature the plan was compiled against (Bind requires an equal
+  /// one).
+  const Signature& signature() const;
+
  private:
   friend class CompiledEvaluator;
   friend FanoutEstimate EstimateFanout(const CompiledFormula& plan,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <string>
@@ -251,13 +252,6 @@ double BdHistogramCost(const StructureStats& stats, double ball) {
 const char* kEngineNames[] = {"naive",      "compiled", "parallel",
                               "relational", "datalog",  "bounded-degree"};
 
-struct RouteResult {
-  EngineKind chosen = EngineKind::kCompiled;
-  std::vector<EngineCost> costs;
-  /// See PlanExplanation::estimated_instantiations.
-  double estimated_instantiations = 0.0;
-};
-
 EngineCost MakeCost(EngineKind k, bool eligible, double cost,
                     std::string note = "") {
   EngineCost c;
@@ -269,11 +263,17 @@ EngineCost MakeCost(EngineKind k, bool eligible, double cost,
 }
 
 // The cost model: one table of (eligibility, estimated work units) per
-// engine, then argmin. `output_count` is meaningful in query mode only.
-RouteResult Route(const Structure& s, const CachedFormulaPlan& plan,
-                  const StructureStats& stats, bool query_mode,
-                  std::size_t output_count, const PlannerOptions& opts) {
-  RouteResult result;
+// engine, priced from out->structure and written to out->costs, then
+// argmin. A row that is not eligible for routing but that a forced run
+// still executes carries that run's price, which is what admission checks
+// a forced engine against. `output_count` is meaningful in query mode
+// only.
+EngineKind Route(const Structure& s, const CachedFormulaPlan& plan,
+                 bool query_mode, std::size_t output_count,
+                 const PlannerOptions& opts, PlanExplanation* out) {
+  const StructureStats& stats = out->structure;
+  std::vector<EngineCost>& costs = out->costs;
+  costs.clear();
   const double n = static_cast<double>(
       stats.domain_size == 0 ? 1 : stats.domain_size);
   const double nodes = static_cast<double>(
@@ -287,14 +287,14 @@ RouteResult Route(const Structure& s, const CachedFormulaPlan& plan,
   // candidate row.
   const FanoutEstimate fanout = EstimateFanout(plan.plan, s);
   const double rows = query_mode ? PowCap(n, output_count) : 1.0;
-  result.estimated_instantiations = Cap(rows * fanout.instantiations);
+  out->estimated_instantiations = Cap(rows * fanout.instantiations);
   const double compiled_cost = Cap(0.3 * Cap(rows * fanout.node_visits));
-  result.costs.push_back(MakeCost(EngineKind::kCompiled, true, compiled_cost));
+  costs.push_back(MakeCost(EngineKind::kCompiled, true, compiled_cost));
 
   // The interpreter: no pruning guards, so the full nodes * n^qr scan,
   // measured 3-4x slower per node; queries additionally recompile per
   // call.
-  result.costs.push_back(MakeCost(
+  costs.push_back(MakeCost(
       EngineKind::kNaive, true,
       Cap((query_mode ? 1.05 * compiled_cost : scan) + 1000.0),
       "reference oracle"));
@@ -307,80 +307,63 @@ RouteResult Route(const Structure& s, const CachedFormulaPlan& plan,
     if (threads == 0) {
       threads = 1;
     }
+    const double fan = static_cast<double>(std::max<std::size_t>(
+        1, std::min<std::size_t>(threads, stats.domain_size)));
+    const double parallel_cost = Cap(compiled_cost / fan + 5e4);
     if (query_mode) {
-      result.costs.push_back(MakeCost(EngineKind::kParallel, false, 0.0,
-                                      "sentences only"));
+      costs.push_back(MakeCost(EngineKind::kParallel, false, 0.0,
+                               "sentences only"));
     } else if (threads < 2) {
-      result.costs.push_back(
-          MakeCost(EngineKind::kParallel, false, 0.0, "threads<2"));
+      costs.push_back(MakeCost(EngineKind::kParallel, false, parallel_cost,
+                               "threads<2"));
     } else if (stats.domain_size < 64 || compiled_cost < 1e6 || qr == 0) {
-      result.costs.push_back(MakeCost(EngineKind::kParallel, false, 0.0,
-                                      "too little work to fan out"));
+      costs.push_back(MakeCost(EngineKind::kParallel, false, parallel_cost,
+                               "too little work to fan out"));
     } else {
-      const double fan = static_cast<double>(
-          std::min<std::size_t>(threads, stats.domain_size));
-      result.costs.push_back(MakeCost(EngineKind::kParallel, true,
-                                      Cap(compiled_cost / fan + 5e4)));
+      costs.push_back(MakeCost(EngineKind::kParallel, true, parallel_cost));
     }
   }
 
-  // Bottom-up relational algebra.
-  double relational_cost = 0.0;
-  bool relational_eligible = false;
-  if (plan.has_counting) {
-    result.costs.push_back(MakeCost(EngineKind::kRelational, false, 0.0,
-                                    "counting quantifier"));
-  } else {
-    const RelEst est = EstimateRelational(plan.canonical.formula, s, n);
-    double cost = est.cost;
-    if (query_mode) {
-      const std::size_t extra =
-          output_count - plan.analysis.free_variables.size();
-      cost = Cap(cost + est.rows * PowCap(n, extra));
-    }
-    relational_cost = Cap(kRelationalRowCost * cost);
-    relational_eligible = true;
-    result.costs.push_back(
-        MakeCost(EngineKind::kRelational, true, relational_cost));
+  // Bottom-up relational algebra. The engine evaluates counting
+  // quantifiers, but the estimate does not model them, so they are never
+  // routed there.
+  const RelEst est = EstimateRelational(plan.canonical.formula, s, n);
+  double relational_rows = est.cost;
+  const std::size_t free_count = plan.analysis.free_variables.size();
+  if (query_mode && output_count >= free_count) {
+    // Too few outputs is an error reported after routing; price it as none.
+    const std::size_t extra = output_count - free_count;
+    relational_rows = Cap(relational_rows + est.rows * PowCap(n, extra));
   }
+  const double relational_cost = Cap(kRelationalRowCost * relational_rows);
+  costs.push_back(MakeCost(EngineKind::kRelational, !plan.has_counting,
+                           relational_cost,
+                           plan.has_counting ? "counting quantifier" : ""));
 
   // Nonrecursive-Datalog lowering onto the compiled semi-naive engine.
   {
     std::string why;
-    bool eligible = true;
     if (!plan.existential_positive) {
-      eligible = false;
       why = "outside the existential-positive fragment";
     } else if (plan.has_constant_terms) {
-      eligible = false;
       why = "constant terms";
     } else if (stats.domain_size == 0) {
-      eligible = false;
       why = "empty domain";
-    }
-    const FoDatalogTranslation* translation = nullptr;
-    if (eligible) {
+    } else {
       std::lock_guard<std::mutex> lock(plan.engines_mu);
-      translation = EnsureTranslationLocked(plan, s.signature());
-      if (translation == nullptr) {
-        eligible = false;
+      if (EnsureTranslationLocked(plan, s.signature()) == nullptr) {
         why = "not range-restrictable as Datalog";
       }
     }
-    if (eligible && !relational_eligible) {
-      eligible = false;
-      why = "no relational estimate to price the lowering";
-    }
-    if (eligible) {
+    if (why.empty()) {
       // Semi-naive with posting-list indexes touches roughly half what the
       // generic algebra evaluator does on the same joins (PR 6 bench), and
       // engine binding amortizes away via the per-structure memo — only a
       // small per-call constant remains.
-      result.costs.push_back(MakeCost(EngineKind::kDatalog, true,
-                                      Cap(0.5 * relational_cost + 100.0)));
+      costs.push_back(MakeCost(EngineKind::kDatalog, true,
+                               Cap(0.5 * relational_cost + 100.0)));
     } else {
-      result.costs.push_back(
-          MakeCost(EngineKind::kDatalog, false, 0.0, why));
+      costs.push_back(MakeCost(EngineKind::kDatalog, false, 0.0, why));
     }
   }
 
@@ -390,43 +373,38 @@ RouteResult Route(const Structure& s, const CachedFormulaPlan& plan,
   // the compiled route), and every later evaluation over the same
   // bounded-degree class answers in the linear histogram pass alone.
   if (query_mode) {
-    result.costs.push_back(MakeCost(EngineKind::kBoundedDegree, false, 0.0,
-                                    "sentences only"));
+    costs.push_back(MakeCost(EngineKind::kBoundedDegree, false, 0.0,
+                             "sentences only"));
   } else {
     const BdParams bd = BoundedDegreeParams(plan, s, stats);
+    const double hist = BdHistogramCost(stats, bd.ball);
     if (!bd.structurally_eligible) {
-      result.costs.push_back(
+      costs.push_back(
           MakeCost(EngineKind::kBoundedDegree, false, 0.0, bd.reason));
     } else if (bd.ball > static_cast<double>(opts.bounded_degree_max_ball)) {
-      result.costs.push_back(MakeCost(EngineKind::kBoundedDegree, false, 0.0,
-                                      "estimated ball too large"));
+      costs.push_back(MakeCost(EngineKind::kBoundedDegree, false, hist,
+                               "estimated ball too large"));
+    } else if (hist <= opts.bounded_degree_safety * compiled_cost) {
+      costs.push_back(MakeCost(EngineKind::kBoundedDegree, true, hist));
     } else {
-      const double hist = BdHistogramCost(stats, bd.ball);
-      if (hist <= opts.bounded_degree_safety * compiled_cost) {
-        result.costs.push_back(
-            MakeCost(EngineKind::kBoundedDegree, true, hist));
-      } else {
-        result.costs.push_back(MakeCost(
-            EngineKind::kBoundedDegree, false, hist,
-            "histogram pass not clearly cheaper than the compiled scan"));
-      }
+      costs.push_back(MakeCost(
+          EngineKind::kBoundedDegree, false, hist,
+          "histogram pass not clearly cheaper than the compiled scan"));
     }
   }
 
   // Argmin over the eligible rows.
-  bool have = false;
+  EngineKind chosen = EngineKind::kCompiled;
   double best = 0.0;
-  for (const EngineCost& c : result.costs) {
-    if (!c.eligible) {
-      continue;
-    }
-    if (!have || c.cost < best) {
+  bool have = false;
+  for (const EngineCost& c : costs) {
+    if (c.eligible && (!have || c.cost < best)) {
       have = true;
       best = c.cost;
-      result.chosen = c.engine;
+      chosen = c.engine;
     }
   }
-  return result;
+  return chosen;
 }
 
 void RuleFor(EngineKind kind, bool cache_hit, std::string* rule,
@@ -529,7 +507,6 @@ void JsonStringsMember(std::string& out, std::string_view key,
 
 Result<bool> RunSentence(EngineKind kind, const Structure& s,
                          const CachedFormulaPlan& plan,
-                         const StructureStats& stats,
                          const PlannerOptions& opts) {
   switch (kind) {
     case EngineKind::kNaive: {
@@ -577,7 +554,7 @@ Result<bool> RunSentence(EngineKind kind, const Structure& s,
               "planner: bounded-degree evaluator unavailable for this "
               "sentence");
         }
-        const BdParams bd = BoundedDegreeParams(plan, s, stats);
+        const BdParams bd = BoundedDegreeParams(plan, s, s.Stats());
         if (!bd.structurally_eligible) {
           return Status::Unsupported(
               "planner: bounded-degree route ineligible: " + bd.reason);
@@ -660,9 +637,7 @@ Result<Relation> EnumerateWithPlan(
 
 Result<Relation> RunQuery(EngineKind kind, const Structure& s,
                           const CachedFormulaPlan& plan,
-                          const std::vector<std::string>& output_variables,
-                          const PlannerOptions& opts) {
-  (void)opts;
+                          const std::vector<std::string>& output_variables) {
   switch (kind) {
     case EngineKind::kNaive:
       return EvaluateQueryNaive(s, plan.canonical.formula, output_variables);
@@ -732,99 +707,96 @@ Result<Relation> RunQuery(EngineKind kind, const Structure& s,
   return Status::Internal("planner: unknown engine");
 }
 
-// Shared front half of EvaluateAuto / EvaluateQueryAuto: plan acquisition
-// (cache or throwaway), routing, explanation fill-in.
-struct AutoContext {
-  std::shared_ptr<const CachedFormulaPlan> plan;
-  PlanCacheLookup lookup;
-  StructureStats stats;
-  EngineKind chosen = EngineKind::kCompiled;
-  std::vector<EngineCost> costs;
-  double estimated_instantiations = 0.0;
-};
-
-Result<AutoContext> PrepareAuto(const Structure& s, const Formula* formula,
-                                const std::string_view* text, bool query_mode,
-                                std::size_t output_count,
-                                const PlannerOptions& opts) {
-  AutoContext ctx;
+// The cache a call plans against: the caller's, the process default, or,
+// when use_cache is off, a throwaway that lives only for the call (the
+// returned plan outlives it; its lookups are reported as misses).
+template <typename Get>
+auto WithPlanCache(const PlannerOptions& opts, PlanCacheLookup* lookup,
+                   const Get& get) {
   if (opts.use_cache) {
-    PlanCache& cache =
-        opts.cache != nullptr ? *opts.cache : DefaultPlanCache();
-    if (formula != nullptr) {
-      // Error parity with the direct engines: the *original* formula is
-      // checked against the vocabulary (folding could erase an invalid
-      // dead branch before the canonical-formula analysis sees it).
-      Status check = CheckAgainstSignature(*formula, s.signature());
-      if (!check.ok()) {
-        return check;
-      }
-      FMTK_ASSIGN_OR_RETURN(
-          ctx.plan, cache.GetFormulaPlan(*formula, s.signature(),
-                                         &ctx.lookup));
-    } else {
-      FMTK_ASSIGN_OR_RETURN(
-          ctx.plan, cache.GetFormulaPlanFromText(*text, s.signature(),
-                                                 &ctx.lookup));
-    }
-  } else {
-    PlanCache throwaway(PlanCache::Config{1, 2});
-    if (formula != nullptr) {
-      Status check = CheckAgainstSignature(*formula, s.signature());
-      if (!check.ok()) {
-        return check;
-      }
-      FMTK_ASSIGN_OR_RETURN(
-          ctx.plan, throwaway.GetFormulaPlan(*formula, s.signature(),
-                                             &ctx.lookup));
-    } else {
-      FMTK_ASSIGN_OR_RETURN(
-          ctx.plan, throwaway.GetFormulaPlanFromText(*text, s.signature(),
-                                                     &ctx.lookup));
-    }
-    ctx.lookup.hit = false;
-    ctx.lookup.text_hit = false;
+    return get(opts.cache != nullptr ? *opts.cache : DefaultPlanCache());
   }
-
-  ctx.stats = s.Stats();
-  if (opts.force_engine.has_value()) {
-    ctx.chosen = *opts.force_engine;
-    ctx.costs.push_back(MakeCost(ctx.chosen, true, 0.0, "forced"));
-  } else {
-    RouteResult route =
-        Route(s, *ctx.plan, ctx.stats, query_mode, output_count, opts);
-    ctx.chosen = route.chosen;
-    ctx.costs = std::move(route.costs);
-    ctx.estimated_instantiations = route.estimated_instantiations;
-  }
-  return ctx;
+  PlanCache throwaway(PlanCache::Config{1, 2});
+  auto plan = get(throwaway);
+  lookup->hit = false;
+  lookup->text_hit = false;
+  return plan;
 }
 
-void FillExplanation(const AutoContext& ctx, PlanExplanation* explain) {
-  if (explain == nullptr) {
-    return;
+// The one planning step behind PlanAuto and every EvaluateAuto /
+// EvaluateQueryAuto front door: one cache probe (of `formula`, or of
+// `text` when it is null), one Route, and the explanation that carries the
+// routed plan.
+Status Plan(const Structure& s, const Formula* formula, std::string_view text,
+            bool query_mode, std::size_t output_count,
+            const PlannerOptions& opts, PlanExplanation* out) {
+  if (formula != nullptr) {
+    // Error parity with the direct engines: the *original* formula is
+    // checked against the vocabulary (folding could erase an invalid dead
+    // branch before the canonical-formula analysis sees it).
+    FMTK_RETURN_IF_ERROR(CheckAgainstSignature(*formula, s.signature()));
   }
-  explain->chosen = ctx.chosen;
-  RuleFor(ctx.chosen, ctx.lookup.hit, &explain->rule, &explain->theorem);
-  explain->cache_hit = ctx.lookup.hit;
-  explain->text_cache_hit = ctx.lookup.text_hit;
-  explain->canonical_text = ctx.plan->canonical.text;
-  explain->signature_fingerprint = ctx.plan->canonical.fingerprint;
-  explain->quantifier_rank = ctx.plan->analysis.quantifier_rank;
-  explain->variable_width = ctx.plan->analysis.variable_width;
-  explain->node_count = ctx.plan->analysis.node_count;
-  explain->free_variable_count = ctx.plan->analysis.free_variables.size();
-  explain->safe_range = ctx.plan->analysis.safe_range;
-  explain->existential_positive = ctx.plan->existential_positive;
-  explain->estimated_instantiations = ctx.estimated_instantiations;
-  explain->guards.clear();
-  for (const QuantifierGuard& guard : ctx.plan->plan.guards()) {
-    std::string& entry = explain->guards.emplace_back(guard.variable);
+  PlanCacheLookup lookup;
+  const auto probe = [&](PlanCache& cache) {
+    return formula != nullptr
+               ? cache.GetFormulaPlan(*formula, s.signature(), &lookup)
+               : cache.GetFormulaPlanFromText(text, s.signature(), &lookup);
+  };
+  FMTK_ASSIGN_OR_RETURN(out->plan, WithPlanCache(opts, &lookup, probe));
+  const CachedFormulaPlan& plan = *out->plan;
+  out->structure = s.Stats();
+  const EngineKind routed =
+      Route(s, plan, query_mode, output_count, opts, out);
+  out->chosen = opts.force_engine.value_or(routed);
+  RuleFor(out->chosen, lookup.hit, &out->rule, &out->theorem);
+  out->cache_hit = lookup.hit;
+  out->text_cache_hit = lookup.text_hit;
+  out->canonical_text = plan.canonical.text;
+  out->signature_fingerprint = plan.canonical.fingerprint;
+  out->quantifier_rank = plan.analysis.quantifier_rank;
+  out->variable_width = plan.analysis.variable_width;
+  out->node_count = plan.analysis.node_count;
+  out->free_variable_count = plan.analysis.free_variables.size();
+  out->safe_range = plan.analysis.safe_range;
+  out->existential_positive = plan.existential_positive;
+  out->guards.clear();
+  for (const QuantifierGuard& guard : plan.plan.guards()) {
+    std::string& entry = out->guards.emplace_back(guard.variable);
     entry += ':';
     entry += GuardKindName(guard.kind);
   }
-  explain->structure = ctx.stats;
-  explain->costs = ctx.costs;
+  return Status::OK();
+}
+
+// A PlanExplanation runs only on a structure over the signature it was
+// planned against.
+Status CheckPlanned(const Structure& s, const PlanExplanation& planned) {
+  if (planned.plan == nullptr) {
+    return Status::InvalidArgument("explanation carries no plan to run");
+  }
+  if (!(s.signature() == planned.plan->plan.signature())) {
+    return Status::SignatureMismatch(
+        "structure signature differs from the signature the plan was "
+        "built for");
+  }
+  return Status::OK();
+}
+
+Status ValidateOutputs(const CachedFormulaPlan& plan,
+                       const std::vector<std::string>& output_variables) {
+  std::set<std::string> seen;
+  for (const std::string& v : output_variables) {
+    if (!seen.insert(v).second) {
+      return Status::InvalidArgument("duplicate output variable: " + v);
+    }
+  }
+  for (const std::string& v : plan.analysis.free_variables) {
+    if (seen.find(v) == seen.end()) {
+      return Status::InvalidArgument(
+          "output variables must cover free variable " + v);
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -834,7 +806,7 @@ const char* EngineKindName(EngineKind kind) {
 }
 
 std::optional<EngineKind> ParseEngineKind(std::string_view name) {
-  for (std::size_t i = 0; i < 6; ++i) {
+  for (std::size_t i = 0; i < std::size(kEngineNames); ++i) {
     if (name == kEngineNames[i]) {
       return static_cast<EngineKind>(i);
     }
@@ -940,105 +912,87 @@ std::string PlanExplanation::ToJson() const {
   return out;
 }
 
+double PlanExplanation::chosen_cost() const {
+  for (const EngineCost& c : costs) {
+    if (c.engine == chosen) {
+      return c.cost;
+    }
+  }
+  return 0.0;
+}
+
 Result<PlanExplanation> PlanAuto(const Structure& structure,
                                  std::string_view text, bool query_mode,
                                  std::size_t output_count,
                                  const PlannerOptions& options) {
-  FMTK_ASSIGN_OR_RETURN(
-      AutoContext ctx,
-      PrepareAuto(structure, nullptr, &text, query_mode, output_count,
-                  options));
   PlanExplanation explain;
-  FillExplanation(ctx, &explain);
+  FMTK_RETURN_IF_ERROR(Plan(structure, nullptr, text, query_mode,
+                            output_count, options, &explain));
   return explain;
+}
+
+Result<bool> EvaluateAuto(const Structure& structure,
+                          const PlanExplanation& planned,
+                          const PlannerOptions& options) {
+  FMTK_RETURN_IF_ERROR(CheckPlanned(structure, planned));
+  if (!planned.plan->analysis.free_variables.empty()) {
+    return Status::InvalidArgument(
+        "EvaluateAuto requires a sentence; use EvaluateQueryAuto for "
+        "formulas with free variables");
+  }
+  return RunSentence(planned.chosen, structure, *planned.plan, options);
 }
 
 Result<bool> EvaluateAuto(const Structure& structure, const Formula& sentence,
                           const PlannerOptions& options,
                           PlanExplanation* explain) {
-  FMTK_ASSIGN_OR_RETURN(
-      AutoContext ctx,
-      PrepareAuto(structure, &sentence, nullptr, /*query_mode=*/false, 0,
-                  options));
-  if (!ctx.plan->analysis.free_variables.empty()) {
-    return Status::InvalidArgument(
-        "EvaluateAuto requires a sentence; use EvaluateQueryAuto for "
-        "formulas with free variables");
-  }
-  FillExplanation(ctx, explain);
-  return RunSentence(ctx.chosen, structure, *ctx.plan, ctx.stats, options);
+  PlanExplanation local;
+  PlanExplanation& planned = explain != nullptr ? *explain : local;
+  FMTK_RETURN_IF_ERROR(Plan(structure, &sentence, {}, /*query_mode=*/false,
+                            0, options, &planned));
+  return EvaluateAuto(structure, planned, options);
 }
 
 Result<bool> EvaluateAuto(const Structure& structure,
                           std::string_view sentence_text,
                           const PlannerOptions& options,
                           PlanExplanation* explain) {
-  FMTK_ASSIGN_OR_RETURN(
-      AutoContext ctx,
-      PrepareAuto(structure, nullptr, &sentence_text, /*query_mode=*/false,
-                  0, options));
-  if (!ctx.plan->analysis.free_variables.empty()) {
-    return Status::InvalidArgument(
-        "EvaluateAuto requires a sentence; use EvaluateQueryAuto for "
-        "formulas with free variables");
-  }
-  FillExplanation(ctx, explain);
-  return RunSentence(ctx.chosen, structure, *ctx.plan, ctx.stats, options);
+  PlanExplanation local;
+  PlanExplanation& planned = explain != nullptr ? *explain : local;
+  FMTK_RETURN_IF_ERROR(Plan(structure, nullptr, sentence_text,
+                            /*query_mode=*/false, 0, options, &planned));
+  return EvaluateAuto(structure, planned, options);
 }
 
-namespace {
-
-Status ValidateOutputs(const CachedFormulaPlan& plan,
-                       const std::vector<std::string>& output_variables) {
-  std::set<std::string> seen;
-  for (const std::string& v : output_variables) {
-    if (!seen.insert(v).second) {
-      return Status::InvalidArgument("duplicate output variable: " + v);
-    }
-  }
-  for (const std::string& v : plan.analysis.free_variables) {
-    if (seen.find(v) == seen.end()) {
-      return Status::InvalidArgument(
-          "output variables must cover free variable " + v);
-    }
-  }
-  return Status::OK();
+Result<Relation> EvaluateQueryAuto(
+    const Structure& structure, const PlanExplanation& planned,
+    const std::vector<std::string>& output_variables) {
+  FMTK_RETURN_IF_ERROR(CheckPlanned(structure, planned));
+  FMTK_RETURN_IF_ERROR(ValidateOutputs(*planned.plan, output_variables));
+  return RunQuery(planned.chosen, structure, *planned.plan, output_variables);
 }
-
-}  // namespace
 
 Result<Relation> EvaluateQueryAuto(
     const Structure& structure, const Formula& f,
     const std::vector<std::string>& output_variables,
     const PlannerOptions& options, PlanExplanation* explain) {
-  FMTK_ASSIGN_OR_RETURN(
-      AutoContext ctx,
-      PrepareAuto(structure, &f, nullptr, /*query_mode=*/true,
-                  output_variables.size(), options));
-  Status valid = ValidateOutputs(*ctx.plan, output_variables);
-  if (!valid.ok()) {
-    return valid;
-  }
-  FillExplanation(ctx, explain);
-  return RunQuery(ctx.chosen, structure, *ctx.plan, output_variables,
-                  options);
+  PlanExplanation local;
+  PlanExplanation& planned = explain != nullptr ? *explain : local;
+  FMTK_RETURN_IF_ERROR(Plan(structure, &f, {}, /*query_mode=*/true,
+                            output_variables.size(), options, &planned));
+  return EvaluateQueryAuto(structure, planned, output_variables);
 }
 
 Result<Relation> EvaluateQueryAuto(
     const Structure& structure, std::string_view query_text,
     const std::vector<std::string>& output_variables,
     const PlannerOptions& options, PlanExplanation* explain) {
-  FMTK_ASSIGN_OR_RETURN(
-      AutoContext ctx,
-      PrepareAuto(structure, nullptr, &query_text, /*query_mode=*/true,
-                  output_variables.size(), options));
-  Status valid = ValidateOutputs(*ctx.plan, output_variables);
-  if (!valid.ok()) {
-    return valid;
-  }
-  FillExplanation(ctx, explain);
-  return RunQuery(ctx.chosen, structure, *ctx.plan, output_variables,
-                  options);
+  PlanExplanation local;
+  PlanExplanation& planned = explain != nullptr ? *explain : local;
+  FMTK_RETURN_IF_ERROR(Plan(structure, nullptr, query_text,
+                            /*query_mode=*/true, output_variables.size(),
+                            options, &planned));
+  return EvaluateQueryAuto(structure, planned, output_variables);
 }
 
 std::string DatalogPlanExplanation::ToString() const {
@@ -1204,22 +1158,12 @@ Result<std::map<std::string, Relation>> EvaluateDatalogAuto(
     PlanCacheLookup* lookup, DatalogPlanExplanation* explain) {
   PlanCacheLookup local_lookup;
   PlanCacheLookup* lk = lookup != nullptr ? lookup : &local_lookup;
-  const DatalogPlanOptions plan_options =
-      DatalogPlanOptionsFrom(options);
-  std::shared_ptr<const CachedDatalogPlan> plan;
-  if (options.use_cache) {
-    PlanCache& cache =
-        options.cache != nullptr ? *options.cache : DefaultPlanCache();
-    FMTK_ASSIGN_OR_RETURN(
-        plan, cache.GetDatalogPlan(program, edb.signature(), plan_options,
-                                   lk));
-  } else {
-    PlanCache throwaway(PlanCache::Config{1, 2});
-    FMTK_ASSIGN_OR_RETURN(
-        plan, throwaway.GetDatalogPlan(program, edb.signature(), plan_options,
-                                       lk));
-    lk->hit = false;
-  }
+  const DatalogPlanOptions plan_options = DatalogPlanOptionsFrom(options);
+  const auto probe = [&](PlanCache& cache) {
+    return cache.GetDatalogPlan(program, edb.signature(), plan_options, lk);
+  };
+  FMTK_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDatalogPlan> plan,
+                        WithPlanCache(options, lk, probe));
   return RunDatalogPlan(edb, plan, options, stats, *lk, explain);
 }
 
@@ -1229,22 +1173,13 @@ Result<std::map<std::string, Relation>> EvaluateDatalogAuto(
     PlanCacheLookup* lookup, DatalogPlanExplanation* explain) {
   PlanCacheLookup local_lookup;
   PlanCacheLookup* lk = lookup != nullptr ? lookup : &local_lookup;
-  const DatalogPlanOptions plan_options =
-      DatalogPlanOptionsFrom(options);
-  std::shared_ptr<const CachedDatalogPlan> plan;
-  if (options.use_cache) {
-    PlanCache& cache =
-        options.cache != nullptr ? *options.cache : DefaultPlanCache();
-    FMTK_ASSIGN_OR_RETURN(
-        plan, cache.GetDatalogPlanFromText(program_text, edb.signature(),
-                                           plan_options, lk));
-  } else {
-    PlanCache throwaway(PlanCache::Config{1, 2});
-    FMTK_ASSIGN_OR_RETURN(
-        plan, throwaway.GetDatalogPlanFromText(program_text, edb.signature(),
-                                               plan_options, lk));
-    lk->hit = false;
-  }
+  const DatalogPlanOptions plan_options = DatalogPlanOptionsFrom(options);
+  const auto probe = [&](PlanCache& cache) {
+    return cache.GetDatalogPlanFromText(program_text, edb.signature(),
+                                        plan_options, lk);
+  };
+  FMTK_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDatalogPlan> plan,
+                        WithPlanCache(options, lk, probe));
   return RunDatalogPlan(edb, plan, options, stats, *lk, explain);
 }
 

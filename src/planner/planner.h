@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -49,9 +50,10 @@ const char* EngineKindName(EngineKind kind);
 std::optional<EngineKind> ParseEngineKind(std::string_view name);
 
 struct PlannerOptions {
-  /// Bypass the cost model and run this engine (Unsupported when the
-  /// engine cannot evaluate the query, e.g. Datalog outside the
-  /// existential-positive fragment).
+  /// Run this engine instead of the cost model's choice (Unsupported when
+  /// the engine cannot evaluate the query, e.g. Datalog outside the
+  /// existential-positive fragment). The cost table is still computed, so
+  /// the forced engine is priced by its own row.
   std::optional<EngineKind> force_engine;
   /// Use (and fill) the plan cache. Off = canonicalize + compile fresh.
   bool use_cache = true;
@@ -116,14 +118,20 @@ struct PlanExplanation {
 
   /// The compiled route's fan-out estimate (eval/compiled_eval.h
   /// EstimateFanout): quantifier instantiations over the whole evaluation
-  /// (every output row in query mode; 0 when an engine is forced), and
-  /// each quantifier's guard, outermost first, as
-  /// "<variable>:<none|static|correlated>".
+  /// (every output row in query mode), and each quantifier's guard,
+  /// outermost first, as "<variable>:<none|static|correlated>".
   double estimated_instantiations = 0.0;
   std::vector<std::string> guards;
 
   StructureStats structure;
   std::vector<EngineCost> costs;
+
+  /// The cache entry `chosen` runs on. The handle keeps it alive, so the
+  /// explanation stays executable after the cache evicts or clears it.
+  std::shared_ptr<const CachedFormulaPlan> plan;
+
+  /// The cost-table row of `chosen` (a forced engine's own row).
+  double chosen_cost() const;
 
   /// Multi-line, human-readable --explain block.
   std::string ToString() const;
@@ -131,18 +139,31 @@ struct PlanExplanation {
   std::string ToJson() const;
 };
 
-/// Cost-estimate export (PR 9): plan acquisition + routing WITHOUT
-/// execution. The query server's admission control calls this to price a
-/// request against its budgets before committing a worker to it; repeat
-/// texts hit the plan cache, so admission adds no parse/analyze/compile
-/// work to admitted requests. `query_mode` prices EvaluateQueryAuto's
-/// domain^m enumeration with `output_count` output columns; sentences pass
-/// query_mode = false. The returned explanation's `costs` row for `chosen`
-/// carries the work estimate in compiled-slot-op units.
+/// Plan acquisition + routing WITHOUT execution: one plan-cache probe and
+/// one routing decision. The query server's admission control prices a
+/// request with this before committing a worker to it, then runs the
+/// result through the planned overloads below, so a request is planned
+/// once. `query_mode` prices EvaluateQueryAuto's domain^m enumeration with
+/// `output_count` output columns; sentences pass query_mode = false.
+/// chosen_cost() is the work estimate in compiled-slot-op units.
 Result<PlanExplanation> PlanAuto(const Structure& structure,
                                  std::string_view text, bool query_mode,
                                  std::size_t output_count,
                                  const PlannerOptions& options = {});
+
+/// Runs a planned sentence: `planned.chosen` on `planned.plan`, with no
+/// cache probe and no routing. SignatureMismatch when `structure`'s
+/// signature differs from the one the plan was built for. The plain front
+/// doors below are PlanAuto's planning step followed by this.
+Result<bool> EvaluateAuto(const Structure& structure,
+                          const PlanExplanation& planned,
+                          const PlannerOptions& options = {});
+
+/// Runs a planned query (same checks as EvaluateQueryAuto's front doors on
+/// `output_variables`).
+Result<Relation> EvaluateQueryAuto(
+    const Structure& structure, const PlanExplanation& planned,
+    const std::vector<std::string>& output_variables);
 
 /// Decides structure ⊨ sentence, routing to the estimated-fastest engine.
 /// Verdicts are identical to every engine's direct invocation (the engines

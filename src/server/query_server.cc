@@ -312,8 +312,9 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
     return JsonError(404, "no structure named '" + *structure_name + "'");
   }
 
-  // Admission: price the request (plan-cache backed, no execution) and
-  // check the budgets before committing a worker's engine time.
+  // Plan once: one plan-cache probe and one route price the request (a
+  // named engine by its own cost row) before any engine time is committed,
+  // and the same plan is what executes below.
   auto plan = PlanAuto(*structure, *query_text, query_mode, outputs.size(),
                        planner);
   if (!plan.ok()) {
@@ -321,25 +322,7 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
                      FoDiagnosticsJson(*query_text, *structure, query_mode));
   }
   const AdmissionPolicy& policy = options_.admission;
-  double cost_units = 0.0;
-  for (const EngineCost& cost : plan->costs) {
-    if (cost.engine == plan->chosen) cost_units = cost.cost;
-  }
-  if (planner.force_engine.has_value()) {
-    // A forced engine carries a 0-cost sentinel row ("forced"), which
-    // would let clients dodge every cost budget by naming an engine.
-    // Price it off the unforced scoring instead (plan-cache backed, so
-    // this second probe is a lookup, not a recompile).
-    PlannerOptions unforced = planner;
-    unforced.force_engine.reset();
-    if (auto priced = PlanAuto(*structure, *query_text, query_mode,
-                               outputs.size(), unforced);
-        priced.ok()) {
-      for (const EngineCost& cost : priced->costs) {
-        if (cost.engine == *planner.force_engine) cost_units = cost.cost;
-      }
-    }
-  }
+  const double cost_units = plan->chosen_cost();
   const double estimated_rows =
       query_mode ? std::pow(static_cast<double>(structure->domain_size()),
                             static_cast<double>(outputs.size()))
@@ -395,9 +378,6 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
     ++stats_.heavy_lane_entries;
   }
 
-  // Execute through the router (plan-cache warm by now: the admission probe
-  // either hit or populated it).
-  PlanExplanation explain;
   const std::int64_t started = NowMicros();
   std::string body_out = "{";
   body_out += "\"structure\":";
@@ -405,7 +385,7 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
   body_out += ",\"query\":";
   JsonAppendString(body_out, *query_text);
   if (!query_mode) {
-    auto verdict = EvaluateAuto(*structure, *query_text, planner, &explain);
+    auto verdict = EvaluateAuto(*structure, *plan, planner);
     if (!verdict.ok()) {
       return JsonError(HttpStatusFor(verdict.status()),
                        verdict.status().message(),
@@ -414,8 +394,7 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
     body_out += ",\"result\":";
     body_out += *verdict ? "true" : "false";
   } else {
-    auto rows = EvaluateQueryAuto(*structure, *query_text, outputs, planner,
-                                  &explain);
+    auto rows = EvaluateQueryAuto(*structure, *plan, outputs);
     if (!rows.ok()) {
       return JsonError(HttpStatusFor(rows.status()), rows.status().message(),
                        FoDiagnosticsJson(*query_text, *structure, query_mode));
@@ -431,9 +410,9 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
   const std::int64_t wall_us = NowMicros() - started;
 
   body_out += ",\"engine\":";
-  JsonAppendString(body_out, EngineKindName(explain.chosen));
+  JsonAppendString(body_out, EngineKindName(plan->chosen));
   body_out += ",\"cache_hit\":";
-  body_out += explain.cache_hit ? "true" : "false";
+  body_out += plan->cache_hit ? "true" : "false";
   body_out += ",\"wall_us\":" + std::to_string(wall_us);
   body_out += ",\"admission\":{\"cost_units\":" + JsonNumber(cost_units);
   body_out += ",\"lane\":\"";
@@ -441,7 +420,7 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
   body_out += "\"}";
   if (want_explain) {
     body_out += ",\"explain\":";
-    body_out += explain.ToJson();
+    body_out += plan->ToJson();
   }
   body_out += "}\n";
   return HttpResponse::Json(200, std::move(body_out));
@@ -588,11 +567,6 @@ HttpResponse QueryServer::HandleDatalog(const HttpRequest& request) {
   body_out += ",\"relations\":{";
   bool first = true;
   for (const auto& [predicate, relation] : *relations) {
-    if (!outputs.empty() &&
-        std::find(outputs.begin(), outputs.end(), predicate) ==
-            outputs.end()) {
-      continue;
-    }
     if (!first) body_out += ',';
     first = false;
     JsonAppendString(body_out, predicate);

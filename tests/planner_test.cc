@@ -692,5 +692,120 @@ TEST(FanoutPricingTest, CompiledCostIsThePricedFanoutEstimate) {
   EXPECT_EQ(EstimateFanout(*loop, path).fanout, (std::vector<double>{63.0}));
 }
 
+// ---------------------------------------------------------------------------
+// Plan once, execute once: a PlanAuto result is the executable plan.
+
+TEST(PlannedExecutionTest, ForcedEnginesArePricedFromTheSameTable) {
+  PlanCache cache;
+  PlannerOptions options;
+  options.cache = &cache;
+  options.threads = 1;
+  const Structure cycle = MakeDirectedCycle(64);
+  const std::string q = "forall x. exists y. E(x,y) & (exists z. E(y,z))";
+  auto unforced = PlanAuto(cycle, q, /*query_mode=*/false, 0, options);
+  ASSERT_TRUE(unforced.ok());
+  for (EngineKind engine : kAllEngines) {
+    PlannerOptions forced = options;
+    forced.force_engine = engine;
+    auto plan = PlanAuto(cycle, q, /*query_mode=*/false, 0, forced);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(plan->chosen, engine);
+    ASSERT_EQ(plan->costs.size(), 6u) << plan->ToString();
+    double row = -1.0;
+    for (const EngineCost& c : unforced->costs) {
+      if (c.engine == engine) row = c.cost;
+    }
+    EXPECT_DOUBLE_EQ(plan->chosen_cost(), row) << EngineKindName(engine);
+    EXPECT_DOUBLE_EQ(plan->estimated_instantiations,
+                     unforced->estimated_instantiations);
+  }
+  // A single thread makes the parallel route ineligible, but a forced
+  // parallel run still executes, so its row carries that run's price.
+  PlannerOptions parallel = options;
+  parallel.force_engine = EngineKind::kParallel;
+  auto forced = PlanAuto(cycle, q, /*query_mode=*/false, 0, parallel);
+  ASSERT_TRUE(forced.ok());
+  EXPECT_GE(forced->chosen_cost(), CostOf(*unforced, EngineKind::kCompiled));
+}
+
+TEST(PlannedExecutionTest, PlannedOverloadsRunWithoutAProbe) {
+  PlanCache cache;
+  PlannerOptions options;
+  options.cache = &cache;
+  const Structure cycle = MakeDirectedCycle(8);
+  auto sentence = PlanAuto(cycle, "forall x. exists y. E(x,y)",
+                           /*query_mode=*/false, 0, options);
+  auto query = PlanAuto(cycle, "exists y. E(x,y) & E(y,x)",
+                        /*query_mode=*/true, 1, options);
+  ASSERT_TRUE(sentence.ok());
+  ASSERT_TRUE(query.ok());
+  const PlanCacheStats before = cache.formula_stats();
+  auto verdict = EvaluateAuto(cycle, *sentence, options);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  EXPECT_TRUE(*verdict);
+  auto rows = EvaluateQueryAuto(cycle, *query, {"x"});
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 0u);
+  const PlanCacheStats after = cache.formula_stats();
+  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
+
+  // The query overload validates its outputs like the front doors do.
+  EXPECT_FALSE(EvaluateQueryAuto(cycle, *query, {}).ok());
+  EXPECT_FALSE(EvaluateQueryAuto(cycle, *query, {"x", "x"}).ok());
+  // A sentence plan refuses an open formula's explanation.
+  EXPECT_FALSE(EvaluateAuto(cycle, *query, options).ok());
+}
+
+TEST(PlannedExecutionTest, TooFewOutputsFailFastOnASingletonDomain) {
+  // Pricing the extra output columns must not wrap around when the outputs
+  // miss a free variable (a domain of one made that a 2^64-step loop).
+  const Structure one = MakeDirectedCycle(1);
+  auto rows = EvaluateQueryAuto(one, "E(x,y)", {"x"});
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PlannedExecutionTest, PlanRejectsAStructureOverAnotherSignature) {
+  PlannerOptions options;
+  options.use_cache = false;
+  auto plan = PlanAuto(MakeDirectedCycle(5), "exists x. exists y. E(x,y)",
+                       /*query_mode=*/false, 0, options);
+  ASSERT_TRUE(plan.ok());
+  const Structure order = MakeLinearOrder(5);
+  ASSERT_FALSE(order.signature() == MakeDirectedCycle(5).signature());
+  auto verdict = EvaluateAuto(order, *plan, options);
+  ASSERT_FALSE(verdict.ok());
+  EXPECT_EQ(verdict.status().code(), StatusCode::kSignatureMismatch);
+  auto rows = EvaluateQueryAuto(order, *plan, {});
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kSignatureMismatch);
+  EXPECT_FALSE(EvaluateAuto(order, PlanExplanation{}, options).ok());
+}
+
+TEST(PlannedExecutionTest, PlanOutlivesItsCacheEntry) {
+  PlanCache cache;
+  PlannerOptions options;
+  options.cache = &cache;
+  const Structure cycle = MakeDirectedCycle(6);
+  for (EngineKind engine : {EngineKind::kCompiled, EngineKind::kDatalog,
+                            EngineKind::kRelational}) {
+    options.force_engine = engine;
+    auto sentence = PlanAuto(cycle, "exists x. exists y. E(x,y) & E(y,x)",
+                             /*query_mode=*/false, 0, options);
+    auto query = PlanAuto(cycle, "exists z. E(x,z) & E(z,y)",
+                          /*query_mode=*/true, 2, options);
+    ASSERT_TRUE(sentence.ok());
+    ASSERT_TRUE(query.ok());
+    cache.Clear();
+    auto verdict = EvaluateAuto(cycle, *sentence, options);
+    ASSERT_TRUE(verdict.ok()) << EngineKindName(engine);
+    EXPECT_FALSE(*verdict);
+    auto rows = EvaluateQueryAuto(cycle, *query, {"x", "y"});
+    ASSERT_TRUE(rows.ok()) << EngineKindName(engine);
+    EXPECT_EQ(rows->size(), 6u);
+    EXPECT_TRUE(rows->Contains({0, 2}));
+  }
+}
+
 }  // namespace
 }  // namespace fmtk

@@ -234,6 +234,29 @@ TEST_F(QueryServerTest, RepeatQueryHitsPlanCache) {
   EXPECT_NE(warm.body.find("\"cache_hit\":true"), std::string::npos)
       << warm.body;
   EXPECT_NE(warm.body.find("\"text_cache_hit\":true"), std::string::npos);
+
+  // Plan once, execute once: a warm request probes the formula cache
+  // exactly once, whether or not it names an engine.
+  const std::string forced =
+      R"js({"structure":"ring","query":"exists x. E(x,x)",)js"
+      R"js("engine":"compiled"})js";
+  for (const std::string& request : {body, forced}) {
+    const PlanCacheStats before = cache_.formula_stats();
+    ASSERT_EQ(server_->Handle(MakeRequest("POST", "/query", request)).status,
+              200);
+    const PlanCacheStats after = cache_.formula_stats();
+    EXPECT_EQ(after.hits + after.misses, before.hits + before.misses + 1)
+        << request;
+  }
+}
+
+TEST_F(QueryServerTest, ColdQueryReportsItsOwnCacheMiss) {
+  const HttpResponse cold = server_->Handle(MakeRequest(
+      "POST", "/query",
+      R"js({"structure":"ring","query":"exists x. exists y. E(x,y)"})js"));
+  ASSERT_EQ(cold.status, 200) << cold.body;
+  EXPECT_NE(cold.body.find("\"cache_hit\":false"), std::string::npos)
+      << cold.body;
 }
 
 TEST_F(QueryServerTest, UnknownStructureIs404AndBadBodyIs400) {
@@ -300,9 +323,8 @@ TEST_F(QueryServerTest, AdmissionRejectsOverCostBudget) {
 }
 
 TEST_F(QueryServerTest, ForcedEngineCannotDodgeCostBudget) {
-  // The planner prices a forced engine with a 0-cost sentinel row; the
-  // server must re-price it off the unforced scoring or "engine" in the
-  // request body would bypass every cost budget.
+  // A forced engine is priced by its own row of the cost table, so naming
+  // an engine in the request body cannot bypass a cost budget.
   QueryServerOptions options;
   options.planner.cache = &cache_;
   options.admission.max_cost_units = 0.5;
@@ -361,6 +383,9 @@ TEST_F(QueryServerTest, DatalogResponseCarriesPlanAnalysis) {
   // A ring reaches everything from 0, so the complement is empty — but the
   // predicate must still appear (arity known, zero rows), not vanish.
   EXPECT_NE(r.body.find("\"unreach\""), std::string::npos) << r.body;
+  // Only the requested outputs are returned.
+  EXPECT_EQ(r.body.find("\"node\":{"), std::string::npos) << r.body;
+  EXPECT_EQ(r.body.find("\"reach\":{"), std::string::npos) << r.body;
 }
 
 TEST_F(QueryServerTest, UnstratifiableProgramIsRejectedWithDiagnostics) {
