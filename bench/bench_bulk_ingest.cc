@@ -6,7 +6,7 @@
 // tuple-at-a-time Add(), because run sorts + one k-way merge replace per
 // tuple hash-map growth and posting appends; (2) maintaining a materialized
 // Datalog fixpoint under a 1k-edge batch with the incremental session
-// (delta rules for inserts, DRed for deletes) costs a small fraction of
+// (delta rules for inserts, Backward/Forward for deletes) costs a small fraction of
 // recomputing the fixpoint from scratch — the classic IVM win.
 //
 // The workload graph is a fixed-seed chain forest (chains of 8 edges), so
@@ -149,8 +149,8 @@ std::vector<Tuple> FreshChainBatch(const ChainForest& f, std::size_t edges) {
   return batch;
 }
 
-// Mid-chain cuts in `count` distinct chains: every cut forces DRed to
-// retract the chain's downstream closure (nothing is rederivable).
+// Mid-chain cuts in `count` distinct chains: every cut retracts the pairs
+// that reach across it (nothing is rederivable).
 std::vector<Tuple> MidChainCuts(const ChainForest& f, std::size_t count) {
   std::vector<Tuple> batch;
   const std::size_t step = std::max<std::size_t>(1, f.chains / count);
@@ -314,7 +314,7 @@ std::vector<Measurement> RunIvmSuite(std::size_t ivm_edges,
                    static_cast<std::size_t>(
                        session->last_stats().idb_inserted)});
 
-    // Detach one bottom-level leaf per tree: localized churn whose DRed
+    // Detach one bottom-level leaf per tree: localized churn whose delete
     // cascade is bounded by the leaf's generation (its cousins keep their
     // same-generation pairs through the surviving arms).
     std::vector<Tuple> cuts;

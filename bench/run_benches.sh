@@ -1,25 +1,26 @@
 #!/usr/bin/env bash
 # Runs every bench binary that speaks --json and collects their output into
-# one JSONL file, tagging each line with its suite. The result is the
-# before/after artifact the perf work tracks (BENCH_pr10.json at the
-# repo root); CI uploads it from the Release bench-smoke job.
+# one JSONL file, tagging each line with its suite. CI uploads the file from
+# the Release bench-smoke job; the committed BENCH_pr*.json files are
+# earlier sweeps kept as history.
 #
-# Usage: bench/run_benches.sh [BUILD_DIR] [OUT_FILE]
-#   BUILD_DIR  build tree containing bench/ binaries (default: build-rel,
-#              falling back to build if build-rel does not exist)
-#   OUT_FILE   output path (default: BENCH_pr10.json in the repo root)
+# Usage: bench/run_benches.sh BUILD_DIR OUT_FILE
+#   BUILD_DIR  build tree containing bench/ binaries (e.g. build-rel)
+#   OUT_FILE   output path (e.g. bench-sweep.json)
 set -euo pipefail
 
-REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-BUILD_DIR="${1:-}"
-if [[ -z "${BUILD_DIR}" ]]; then
-  if [[ -d "${REPO_ROOT}/build-rel" ]]; then
-    BUILD_DIR="${REPO_ROOT}/build-rel"
-  else
-    BUILD_DIR="${REPO_ROOT}/build"
-  fi
+usage() {
+  echo "usage: $0 BUILD_DIR OUT_FILE" >&2
+  echo "  BUILD_DIR  build tree containing bench/ binaries (e.g. build-rel)" >&2
+  echo "  OUT_FILE   output path (e.g. bench-sweep.json)" >&2
+}
+
+if [[ $# -ne 2 || -z "$1" || -z "$2" ]]; then
+  usage
+  exit 2
 fi
-OUT="${2:-${REPO_ROOT}/BENCH_pr10.json}"
+BUILD_DIR="$1"
+OUT="$2"
 
 # The suites with a --json mode (one {"bench":...,"n":...,"wall_ms":...}
 # line per configuration).

@@ -328,9 +328,9 @@ Status EngineImpl::CompileRule(const DlRule& rule) {
         compile_variant(delta_at, nullptr, /*all_full=*/false, tag));
   }
   if (incremental) {
-    // DRed rederivation plan: head slots arrive pre-bound from the deleted
-    // candidate, every atom reads the full (pruned) store, and the join
-    // order exploits the head bindings as probe columns.
+    // B/F check plan: head slots arrive pre-bound from the deletion
+    // candidate, every atom reads the full store, and the join order
+    // exploits the head bindings as probe columns.
     std::vector<bool> head_bound(slot_of.size(), false);
     for (const SlotTerm& t : exec.head) {
       if (!t.is_const) {
@@ -484,12 +484,28 @@ Status SeedFacts(const EngineImpl& impl, std::vector<Relation>& idb) {
 
 // ---- Join execution ------------------------------------------------------
 
+Status VariantRun::Execute() { return Step<false>(0); }
+
+Status VariantRun::ExecuteCheck(const std::vector<Element>& env,
+                                CheckHooks& hooks) {
+  env_.assign(env.begin(), env.end());
+  hooks_ = &hooks;
+  found_ = false;
+  return Step<true>(0);
+}
+
+template <bool kCheck>
 Status VariantRun::Step(std::size_t depth) {
   if (found_) {
     return Status::OK();
   }
   if (depth == variant_.steps.size()) {
-    return Derive();
+    if constexpr (kCheck) {
+      found_ = hooks_->OnInstance();
+      return Status::OK();
+    } else {
+      return Derive();
+    }
   }
   const JoinStep& s = variant_.steps[depth];
   // A chunked worker runs one slice of the variant's single delta scan;
@@ -577,7 +593,25 @@ Status VariantRun::Step(std::size_t depth) {
     if (rel->Contains(probe_)) {
       return Status::OK();
     }
-    return Step(depth + 1);
+    return Step<kCheck>(depth + 1);
+  }
+  if constexpr (kCheck) {
+    // A check run reads whole stores that stay put while it runs, so a
+    // step with every column bound is one membership probe.
+    if (s.probe_cols.size() == s.actions.size()) {
+      probe_.clear();
+      for (const PosAction& a : s.actions) {
+        probe_.push_back(a.kind == PosAction::kCheckConst ? a.value
+                                                          : env_[a.slot]);
+      }
+      ++acc_.index_probes;
+      const std::size_t position = rel->Position(probe_.data());
+      if (position == Relation::kNoPosition ||
+          (s.is_idb && !hooks_->AcceptIdb(depth, s.pred, position))) {
+        return Status::OK();
+      }
+      return Step<kCheck>(depth + 1);
+    }
   }
   if (depth == 0 && step0_range_.has_value()) {
     begin = step0_range_->first;
@@ -675,7 +709,7 @@ Status VariantRun::Step(std::size_t depth) {
     const std::uint32_t* b_end = view.bulk + view.bulk_size;
     b = std::lower_bound(b, b_end, begin);
     for (; b != b_end && *b < end; ++b) {
-      FMTK_RETURN_IF_ERROR(TryTuple(depth, s, *rel, *b));
+      FMTK_RETURN_IF_ERROR(TryTuple<kCheck>(depth, s, *rel, *b));
       if (found_) {
         return Status::OK();
       }
@@ -683,7 +717,7 @@ Status VariantRun::Step(std::size_t depth) {
     if (view.tail != nullptr) {
       auto it = std::lower_bound(view.tail->begin(), view.tail->end(), begin);
       for (; it != view.tail->end() && *it < end; ++it) {
-        FMTK_RETURN_IF_ERROR(TryTuple(depth, s, *rel, *it));
+        FMTK_RETURN_IF_ERROR(TryTuple<kCheck>(depth, s, *rel, *it));
         if (found_) {
           return Status::OK();
         }
@@ -692,7 +726,7 @@ Status VariantRun::Step(std::size_t depth) {
   } else if (best_list != nullptr) {
     auto it = std::lower_bound(best_list->begin(), best_list->end(), begin);
     for (; it != best_list->end() && *it < end; ++it) {
-      FMTK_RETURN_IF_ERROR(TryTuple(depth, s, *rel, *it));
+      FMTK_RETURN_IF_ERROR(TryTuple<kCheck>(depth, s, *rel, *it));
       if (found_) {
         return Status::OK();
       }
@@ -703,7 +737,7 @@ Status VariantRun::Step(std::size_t depth) {
     // tuple buffer — so re-fetch tuples() each step, never hold
     // iterators.
     for (std::size_t i = begin; i < end; ++i) {
-      FMTK_RETURN_IF_ERROR(TryTuple(depth, s, *rel, i));
+      FMTK_RETURN_IF_ERROR(TryTuple<kCheck>(depth, s, *rel, i));
       if (found_) {
         return Status::OK();
       }
@@ -712,6 +746,7 @@ Status VariantRun::Step(std::size_t depth) {
   return Status::OK();
 }
 
+template <bool kCheck>
 Status VariantRun::TryTuple(std::size_t depth, const JoinStep& s,
                             const Relation& rel, std::size_t tuple_index) {
   ++acc_.tuples_scanned;
@@ -737,17 +772,17 @@ Status VariantRun::TryTuple(std::size_t depth, const JoinStep& s,
           break;
       }
     }
+    if constexpr (kCheck) {
+      if (s.is_idb && !hooks_->AcceptIdb(depth, s.pred, tuple_index)) {
+        return Status::OK();
+      }
+    }
   }
-  return Step(depth + 1);
+  return Step<kCheck>(depth + 1);
 }
 
 Status VariantRun::Derive() {
   ++acc_.tuples_derived;
-  if (find_first_) {
-    // Rederivation probe: one surviving body instantiation is the answer.
-    found_ = true;
-    return Status::OK();
-  }
   // Build the head into a reused scratch: most derivations in a recursive
   // fixpoint are duplicates, and AddCopy() only copies on actual insert,
   // so the reject path allocates nothing.
@@ -766,9 +801,9 @@ Status VariantRun::Derive() {
   if (buffer_ != nullptr) {
     buffer_->push_back(out_);
   } else {
-    // DRed overestimate rounds collect deleted candidates in the side
-    // stores; everything else inserts straight into the IDB.
-    Relation& target = rs_.deletion_mode ? (*rs_.del_idb)[rule_.head_pred]
+    // The B/F forward pass collects deletion candidates in a side store;
+    // everything else inserts straight into the IDB.
+    Relation& target = rs_.deletion_mode ? (*rs_.candidates)[rule_.head_pred]
                                          : rs_.idb[rule_.head_pred];
     if (target.AddCopy(out_)) {
       changed_ = true;

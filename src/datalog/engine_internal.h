@@ -92,10 +92,10 @@ struct RuleExec {
   std::vector<Variant> variants;
   // Distinct head-variable slots of a fact rule, first-occurrence order.
   std::vector<int> fact_slots;
-  // Incremental mode: the DRed rederivation plan — all-full roles, join
-  // order chosen with the head slots pre-bound. The deletion driver seeds
-  // the environment from a deleted-candidate head tuple and asks whether
-  // any body instantiation survives in the pruned database.
+  // Incremental mode: the head-bound plan of B/F's backward check — all-
+  // full roles, join order chosen with the head slots pre-bound. A
+  // deletion check seeds the environment from a candidate's head tuple
+  // and enumerates the body instances that still support it.
   std::optional<Variant> rederive;
 };
 
@@ -169,9 +169,9 @@ Status SeedFacts(const EngineImpl& impl, std::vector<Relation>& idb);
 // at indices >= delta_end and stay invisible until the next promotion.
 //
 // Incremental mode adds the same prefix bookkeeping for the EDB relations
-// (append-only within a batch) and, for DRed deletion, redirects kDelta
+// (append-only within a batch) and, for B/F deletion, redirects kDelta
 // reads to side stores of deleted tuples while the main ranges are pinned
-// to the full pre-deletion extent.
+// to the full extent.
 struct RunState {
   std::vector<Relation> idb;
   std::vector<std::size_t> delta_begin;
@@ -186,10 +186,12 @@ struct RunState {
   std::vector<std::size_t> edb_delta_end;
   std::vector<std::vector<const Relation::ColumnIndex*>> edb_index;
 
-  // DRed overestimate mode: kDelta steps read the deletion side stores
-  // below (whose delta ranges grow across rounds like the IDB's), and
-  // derivations land in del_idb instead of idb.
+  // B/F forward pass: kDelta steps read the deletion side stores below
+  // (whose delta ranges grow across rounds like the IDB's: del_idb holds
+  // the facts disproved so far, del_edb the deleted EDB batch), and
+  // derivations land in `candidates` instead of idb.
   bool deletion_mode = false;
+  std::vector<Relation>* candidates = nullptr;
   std::vector<Relation>* del_idb = nullptr;
   std::vector<Relation>* del_edb = nullptr;
   std::vector<std::size_t> del_idb_begin;
@@ -200,10 +202,24 @@ struct RunState {
   std::vector<std::vector<const Relation::ColumnIndex*>> del_edb_index;
 };
 
+// The backward half of B/F deletion (ivm.cc) drives check runs through
+// these hooks: the IDB body tuple a plan step matched (row `position` of
+// IDB relation `pred`) must pass AcceptIdb before the join continues
+// through it, and every complete body instance goes to OnInstance, which
+// returns true to end the search.
+class CheckHooks {
+ public:
+  virtual bool AcceptIdb(std::size_t step, std::size_t pred,
+                         std::size_t position) = 0;
+  virtual bool OnInstance() = 0;
+
+ protected:
+  ~CheckHooks() = default;
+};
+
 // One in-flight execution of a rule variant: inserting directly into the
 // derive target (sequential), buffering derivations (parallel worker), or
-// probing for a single surviving derivation (find-first, the DRed
-// rederivation check).
+// enumerating the instances that support one head tuple (a B/F check run).
 class VariantRun {
  public:
   VariantRun(const EngineImpl& impl, const RuleExec& rule,
@@ -220,29 +236,23 @@ class VariantRun {
   void set_step0_range(std::size_t begin, std::size_t end) {
     step0_range_ = {begin, end};
   }
-  // Pre-binds slots (the rederive driver seeds head variables from the
-  // candidate tuple). `env` must have rule.slot_count entries.
-  void set_initial_env(const std::vector<Element>& env) { env_ = env; }
-  // Stop at the first complete derivation instead of inserting; poll
-  // found().
-  void set_find_first() { find_first_ = true; }
-  // Rearms a find-first run for the next candidate: rebinds the
-  // environment and clears the found flag while the probe scratch keeps
-  // its capacity — the rederivation driver reuses one run per rule across
-  // thousands of candidates instead of reconstructing it.
-  void ResetFindFirst(const std::vector<Element>& env) {
-    env_.assign(env.begin(), env.end());
-    found_ = false;
-  }
 
   bool changed() const { return changed_; }
-  bool found() const { return found_; }
   std::uint64_t tuples_new() const { return tuples_new_; }
 
-  Status Execute() { return Step(0); }
+  Status Execute();
+  // Runs the plan as a check from `env` (the head-bound slots, one entry
+  // per rule slot): nothing is derived, and `hooks` vets IDB body tuples
+  // and receives the complete instances. The run object is reusable: its
+  // probe scratch keeps its capacity across checks.
+  Status ExecuteCheck(const std::vector<Element>& env, CheckHooks& hooks);
 
  private:
+  // kCheck selects the check-run instantiation; the derive instantiation
+  // is the batch and insertion hot path and pays nothing for it.
+  template <bool kCheck>
   Status Step(std::size_t depth);
+  template <bool kCheck>
   Status TryTuple(std::size_t depth, const JoinStep& s, const Relation& rel,
                   std::size_t tuple_index);
   Status Derive();
@@ -257,8 +267,8 @@ class VariantRun {
   Tuple probe_;  // Scratch for negated-step membership probes.
   std::vector<Tuple>* buffer_ = nullptr;
   std::optional<std::pair<std::size_t, std::size_t>> step0_range_;
-  bool find_first_ = false;
-  bool found_ = false;
+  CheckHooks* hooks_ = nullptr;
+  bool found_ = false;  // A check run's OnInstance asked to stop.
   bool changed_ = false;
   std::uint64_t tuples_new_ = 0;
   // Probe scratch, reused across Step() calls. spans_, mat_, and tmp_ are

@@ -19,12 +19,20 @@ namespace fmtk {
 
 /// Counters for the last ApplyInsert / ApplyDelete call.
 struct IvmStats {
-  std::size_t rounds = 0;          // Fixpoint rounds run.
+  std::size_t rounds = 0;          // Fixpoint / forward-pass rounds run.
   std::uint64_t edb_changed = 0;   // EDB tuples actually added / removed.
   std::uint64_t idb_inserted = 0;  // Net new IDB tuples.
   std::uint64_t idb_deleted = 0;   // Net IDB tuples removed.
-  std::uint64_t overestimate = 0;  // DRed deletion candidates.
-  std::uint64_t rederived = 0;     // Candidates saved by rederivation.
+  // Delete only. Candidates the B/F forward pass reached (distinct IDB
+  // facts derived through a deleted tuple or a disproved fact).
+  std::uint64_t overestimate = 0;
+  // Delete only. Candidates the backward check proved still derivable;
+  // they stay in the IDB and propagate nothing. Always
+  // overestimate - idb_deleted.
+  std::uint64_t rederived = 0;
+  // Delete only. Facts the backward check explored: the candidates plus
+  // the body facts it searched through (B/F's checked set).
+  std::uint64_t checked = 0;
 };
 
 /// Incremental view maintenance over the compiled semi-naive machinery:
@@ -41,19 +49,26 @@ struct IvmStats {
 ///    promote newly derived IDB tuples, exactly the semi-naive invariant.
 ///    Cost scales with the derivations the batch actually triggers, not
 ///    with the size of the materialized view.
-///  * ApplyDelete runs DRed (delete-and-rederive): an overestimate
-///    fixpoint collects everything with a derivation through a deleted
-///    tuple, the overestimate is pruned, then each candidate is checked
-///    for an alternative derivation via a head-bound join plan and the
-///    surviving reinsertions are propagated forward. Fact-schema tuples
-///    are never deleted (their support is the domain, not the EDB).
+///  * ApplyDelete runs Backward/Forward (B/F; Motik, Nenov, Piro,
+///    Horrocks, AAAI 2015). A forward pass joins the deleted tuples with
+///    the database round by round to find the facts that lose a
+///    derivation. Before such a candidate's deletion spreads, a backward
+///    check searches the head-bound join plans for another derivation
+///    from the remaining EDB, the fact schemas and facts already proved
+///    (never from facts still being checked, so self-support and cyclic
+///    support prove nothing). A proved candidate stays and propagates
+///    nothing; a disproved one feeds the next round. The disproved facts
+///    are erased once at the end. Fact-schema tuples are never deleted
+///    (their support is the domain, not the EDB).
 ///
-/// tests/ivm_test.cc differential-tests both paths against from-scratch
-/// re-evaluation on fixed-seed workloads.
+/// tests/ivm_test.cc and tests/ivm_model_test.cc differential-test both
+/// paths against from-scratch re-evaluation on fixed-seed workloads.
 class IncrementalDatalogSession {
  public:
   /// Compiles `program` against a private copy of `edb` and materializes
-  /// the initial IDB fixpoint. Fails like CompiledDatalogEngine::Create.
+  /// the initial IDB fixpoint. Fails like CompiledDatalogEngine::Create,
+  /// and with InvalidArgument when a rule head names a constant outside
+  /// the domain (the session's domain never changes).
   static Result<IncrementalDatalogSession> Create(
       const DatalogProgram& program, Structure edb);
 
@@ -64,7 +79,7 @@ class IncrementalDatalogSession {
                      const std::vector<Tuple>& tuples);
 
   /// Removes `tuples` from the named EDB relation (absent tuples are
-  /// ignored) and maintains the IDB via DRed.
+  /// ignored) and maintains the IDB via B/F.
   Status ApplyDelete(std::string_view relation,
                      const std::vector<Tuple>& tuples);
 

@@ -236,6 +236,19 @@ bool Relation::ContainsRow(const Element* row) const {
   return index_.Contains(Tuple(row, row + arity_));
 }
 
+std::size_t Relation::Position(const Element* row) const {
+  if (sorted_upto_ > 0) {
+    const std::size_t pos = SortedPrefixFind(row);
+    if (pos != kNoPosition) {
+      return pos;
+    }
+  }
+  const std::uint32_t* pos =
+      arity_ <= 2 ? packed_index_.Find(PackedKey(row, arity_))
+                  : index_.Find(Tuple(row, row + arity_));
+  return pos == nullptr ? kNoPosition : *pos;
+}
+
 bool Relation::Add(Tuple tuple) {
   FMTK_CHECK(tuple.size() == arity_)
       << "tuple of size " << tuple.size() << " added to relation of arity "

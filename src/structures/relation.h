@@ -147,6 +147,11 @@ class Relation {
   /// counterpart of Contains for loops that never build a Tuple.
   bool ContainsRow(const Element* row) const;
 
+  /// The row's position (the i of TupleData(i)), or kNoPosition when the
+  /// row is absent. Positions hold until the next EraseRows/Consolidate.
+  static constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);
+  std::size_t Position(const Element* row) const;
+
   /// Tuples in insertion order. Materialized from the flat store on first
   /// call (thread-safe); bulk-built relations that are only read through
   /// TupleData() never pay for it.

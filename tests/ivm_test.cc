@@ -80,8 +80,8 @@ TEST(IvmTest, SameGenerationMixedWorkload) {
 }
 
 TEST(IvmTest, NonlinearTransitiveClosureMixedWorkload) {
-  // Two recursive body atoms: the delta-at-every-position scheme and DRed
-  // both get exercised through multi-IDB-atom rules.
+  // Two recursive body atoms: the delta-at-every-position scheme and the
+  // deletion check both get exercised through multi-IDB-atom rules.
   RunMixedWorkload(DatalogProgram::NonlinearTransitiveClosure(), 20, 0.06,
                    303);
 }
@@ -239,6 +239,93 @@ TEST(IvmTest, StatsReflectWork) {
   EXPECT_EQ(stats.idb_inserted, 15u);  // 10 -> 25 (full cycle closure).
   EXPECT_GT(stats.rounds, 1u);
   ExpectMatchesScratch(program, *session, "cycle closed");
+}
+
+// A rule-head constant outside the domain is rejected when the session is
+// created: the domain never changes, so no later write could derive it.
+// (Previously the first write that fired the rule failed after appending
+// its batch, and a retry of the same insert then succeeded as a no-op.)
+TEST(IvmTest, OutOfDomainHeadConstantRejectedAtCreate) {
+  Result<DatalogProgram> program = ParseDatalogProgram("p(7) :- E(x, y).");
+  ASSERT_TRUE(program.ok());
+  Result<IncrementalDatalogSession> session =
+      IncrementalDatalogSession::Create(*program, MakeEmptyGraph(5));
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
+  // The largest in-domain constant is fine.
+  Result<DatalogProgram> in_domain = ParseDatalogProgram("p(4) :- E(x, y).");
+  ASSERT_TRUE(in_domain.ok());
+  session = IncrementalDatalogSession::Create(*in_domain, MakeEmptyGraph(5));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(session->ApplyInsert("E", {{0, 1}}).ok());
+  EXPECT_TRUE(session->Materialized().at("p")->Contains({4}));
+  ASSERT_TRUE(session->ApplyDelete("E", {{0, 1}}).ok());
+  EXPECT_TRUE(session->Materialized().at("p")->empty());
+}
+
+// Deleting a shortcut removes no closure pair. The forward pass reaches
+// only the pairs the shortcut derives directly, tc(8, 12..16); the
+// backward check proves each through the chain, so none spreads. (DRed
+// overdeleted all 45 pairs tc(0..8, 12..16) here and rederived them.)
+TEST(IvmTest, ShortcutDeleteReachesOnlyItsOwnConsequences) {
+  const DatalogProgram program = DatalogProgram::TransitiveClosure();
+  Structure g = MakeDirectedPath(17);
+  g.AddTuple(0, {8, 12});
+  Result<IncrementalDatalogSession> session =
+      IncrementalDatalogSession::Create(program, g);
+  ASSERT_TRUE(session.ok());
+  const std::size_t closure = session->Materialized().at("tc")->size();
+  ASSERT_TRUE(session->ApplyDelete("E", {{8, 12}}).ok());
+  const IvmStats& stats = session->last_stats();
+  EXPECT_EQ(stats.edb_changed, 1u);
+  EXPECT_EQ(stats.overestimate, 5u);
+  EXPECT_EQ(stats.rederived, 5u);
+  EXPECT_EQ(stats.idb_deleted, 0u);
+  EXPECT_EQ(stats.rounds, 1u);
+  // tc(8, y) proves through tc(9, y), ..., tc(y - 1, y) for y = 12..16.
+  EXPECT_EQ(stats.checked, 4u + 5 + 6 + 7 + 8);
+  EXPECT_EQ(session->Materialized().at("tc")->size(), closure);
+  ExpectMatchesScratch(program, *session, "shortcut deleted");
+}
+
+// A self-loop keeps tc(0, 0), but tc(0, 1) must not prove itself through
+// the instance E(0, 0), tc(0, 1).
+TEST(IvmTest, SelfLoopDoesNotSupportItsOwnPair) {
+  const DatalogProgram program = DatalogProgram::TransitiveClosure();
+  Structure g = MakeEmptyGraph(2);
+  g.AddTuple(0, {0, 0});
+  g.AddTuple(0, {0, 1});
+  Result<IncrementalDatalogSession> session =
+      IncrementalDatalogSession::Create(program, g);
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session->ApplyDelete("E", {{0, 1}}).ok());
+  const Relation* tc = session->Materialized().at("tc");
+  EXPECT_EQ(tc->size(), 1u);
+  EXPECT_TRUE(tc->Contains({0, 0}));
+  EXPECT_EQ(session->last_stats().idb_deleted, 1u);
+  EXPECT_EQ(session->last_stats().rederived, 0u);
+  ExpectMatchesScratch(program, *session, "self-loop");
+}
+
+// Nonlinear TC on the 2-cycle 1 <-> 2 entered from 0: once 0 -> 1 goes,
+// tc(0, 1) and tc(0, 2) hold each other up (tc(0,1) :- tc(0,2), tc(2,1)
+// and tc(0,2) :- tc(0,1), tc(1,2)) and nothing else does; both must go.
+TEST(IvmTest, NonlinearCycleDoesNotSupportItself) {
+  const DatalogProgram program = DatalogProgram::NonlinearTransitiveClosure();
+  Structure g = MakeEmptyGraph(3);
+  g.AddTuple(0, {1, 2});
+  g.AddTuple(0, {2, 1});
+  g.AddTuple(0, {0, 1});
+  Result<IncrementalDatalogSession> session =
+      IncrementalDatalogSession::Create(program, g);
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session->ApplyDelete("E", {{0, 1}}).ok());
+  const Relation* tc = session->Materialized().at("tc");
+  EXPECT_FALSE(tc->Contains({0, 1}));
+  EXPECT_FALSE(tc->Contains({0, 2}));
+  EXPECT_EQ(tc->size(), 4u);
+  EXPECT_EQ(session->last_stats().idb_deleted, 2u);
+  ExpectMatchesScratch(program, *session, "nonlinear 2-cycle");
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Model-based test of Relation: fixed-seed random operation sequences run
 // against a std::set<Tuple> model at arities 1, 2 and 3. After every
-// operation the relation's membership, column indexes and postings must
-// agree with the model, whichever store layout (sorted prefix, hashed
-// tail, both) the operation left behind.
+// operation the relation's membership, row positions, column indexes and
+// postings must agree with the model, whichever store layout (sorted
+// prefix, hashed tail, both) the operation left behind.
 
 #include <gtest/gtest.h>
 
@@ -85,9 +85,13 @@ void CheckAgainstModel(const Relation& r, const Model& model,
   for (std::size_t i = 0; i < r.size(); ++i) {
     const Element* row = r.TupleData(i);
     ASSERT_EQ(model.count(Tuple(row, row + arity)), 1u) << "stray row " << i;
+    ASSERT_EQ(r.Position(row), i);
   }
   for (const Tuple& t : universe) {
     ASSERT_EQ(r.Contains(t), model.count(t) == 1) << r.ToString();
+    if (model.count(t) == 0) {
+      ASSERT_EQ(r.Position(t.data()), Relation::kNoPosition);
+    }
   }
   // Membership probes past the dense span, in every column.
   for (std::size_t c = 0; c < arity; ++c) {
