@@ -24,7 +24,7 @@
 namespace {
 
 using fmtk::EfGameSolver;
-using fmtk::EfOptions;
+using fmtk::GameOptions;
 using fmtk::MakeDirectedCycle;
 using fmtk::MakeDirectedPath;
 using fmtk::MakeLinearOrder;
@@ -167,7 +167,7 @@ void RunJsonSuite() {
     const std::size_t n = 4;
     Structure a = MakeLinearOrder((std::size_t{1} << n) - 1);
     Structure b = MakeLinearOrder(std::size_t{1} << n);
-    EfOptions options;
+    GameOptions options;
     options.parallel.enabled = true;
     options.parallel.min_domain = 4;
     EfGameSolver solver(a, b, options);

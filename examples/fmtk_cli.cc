@@ -21,10 +21,14 @@
 // Structure files use the structures/io.h format (see the header or
 // `examples/` docs). Formulas use the logic/parser.h surface syntax.
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/string_util.h"
@@ -116,43 +120,68 @@ int RunQuery(const std::string& file, const std::string& formula_text,
   return 0;
 }
 
+// The two structures a game or a distinguishing sentence compares; they
+// must share a signature.
+Result<std::pair<Structure, Structure>> LoadPair(const std::string& file_a,
+                                                 const std::string& file_b) {
+  FMTK_ASSIGN_OR_RETURN(Structure a, LoadStructure(file_a));
+  FMTK_ASSIGN_OR_RETURN(Structure b, LoadStructure(file_b));
+  if (!(a.signature() == b.signature())) {
+    return Status::SignatureMismatch(file_a + " and " + file_b +
+                                     " have different signatures");
+  }
+  return std::make_pair(std::move(a), std::move(b));
+}
+
+// A round count or rank from the command line.
+Result<std::size_t> ParseCount(const std::string& text, const char* what) {
+  const std::optional<std::uint64_t> value =
+      fmtk::ParseDecimal(text, std::numeric_limits<std::uint32_t>::max());
+  if (!value.has_value()) {
+    return Status::InvalidArgument(
+        std::string(what) + " must be a decimal number of at most "
+        "4294967295, got '" + text + "'");
+  }
+  return static_cast<std::size_t>(*value);
+}
+
 int RunGame(const std::string& file_a, const std::string& file_b,
             const std::string& rounds_text) {
-  Result<Structure> a = LoadStructure(file_a);
-  Result<Structure> b = LoadStructure(file_b);
-  if (!a.ok()) {
-    return Fail(a.status());
+  Result<std::pair<Structure, Structure>> pair = LoadPair(file_a, file_b);
+  if (!pair.ok()) {
+    return Fail(pair.status());
   }
-  if (!b.ok()) {
-    return Fail(b.status());
+  Result<std::size_t> rounds = ParseCount(rounds_text, "rounds");
+  if (!rounds.ok()) {
+    return Fail(rounds.status());
   }
-  const std::size_t rounds = std::stoul(rounds_text);
-  fmtk::EfGameSolver solver(*a, *b);
-  Result<bool> wins = solver.DuplicatorWins(rounds);
+  const auto& [a, b] = *pair;
+  fmtk::EfGameSolver solver(a, b);
+  Result<bool> wins = solver.DuplicatorWins(*rounds);
   if (!wins.ok()) {
     return Fail(wins.status());
   }
   std::printf("%zu-round EF game: duplicator %s (%llu positions explored)\n",
-              rounds, *wins ? "wins" : "loses",
+              *rounds, *wins ? "wins" : "loses",
               static_cast<unsigned long long>(solver.nodes_explored()));
   return 0;
 }
 
 int RunDistinguish(const std::string& file_a, const std::string& file_b,
                    const std::string& rank_text) {
-  Result<Structure> a = LoadStructure(file_a);
-  Result<Structure> b = LoadStructure(file_b);
-  if (!a.ok()) {
-    return Fail(a.status());
+  Result<std::pair<Structure, Structure>> pair = LoadPair(file_a, file_b);
+  if (!pair.ok()) {
+    return Fail(pair.status());
   }
-  if (!b.ok()) {
-    return Fail(b.status());
+  Result<std::size_t> max_rank = ParseCount(rank_text, "max-rank");
+  if (!max_rank.ok()) {
+    return Fail(max_rank.status());
   }
-  const std::size_t max_rank = std::stoul(rank_text);
+  const auto& [a, b] = *pair;
   fmtk::RankTypeIndex index;
-  for (std::size_t rank = 0; rank <= max_rank; ++rank) {
+  for (std::size_t rank = 0; rank <= *max_rank; ++rank) {
     Result<std::optional<fmtk::Formula>> f =
-        fmtk::DistinguishingSentence(*a, *b, rank, index);
+        fmtk::DistinguishingSentence(a, b, rank, index);
     if (!f.ok()) {
       return Fail(f.status());
     }
@@ -162,7 +191,7 @@ int RunDistinguish(const std::string& file_a, const std::string& file_b,
       return 0;
     }
   }
-  std::printf("equivalent up to rank %zu\n", max_rank);
+  std::printf("equivalent up to rank %zu\n", *max_rank);
   return 0;
 }
 

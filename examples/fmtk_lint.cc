@@ -38,8 +38,10 @@
 // fine), 1 when any diagnostic of severity error was reported, 2 on usage,
 // I/O or parse failures.
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -159,12 +161,13 @@ Result<std::shared_ptr<const Signature>> ParseInlineSignature(
       return Status::InvalidArgument("duplicate relation '" + name +
                                      "' in signature");
     }
-    try {
-      signature->AddRelation(name, std::stoul(entry.substr(slash + 1)));
-    } catch (const std::exception&) {
+    const std::optional<std::uint64_t> arity = fmtk::ParseDecimal(
+        entry.substr(slash + 1), std::numeric_limits<std::uint32_t>::max());
+    if (!arity.has_value()) {
       return Status::InvalidArgument("bad arity in signature entry '" +
                                      entry + "'");
     }
+    signature->AddRelation(name, static_cast<std::size_t>(*arity));
   }
   if (semi != std::string::npos) {
     for (const std::string& part :

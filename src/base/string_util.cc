@@ -46,4 +46,24 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
+std::optional<std::uint64_t> ParseDecimal(std::string_view text,
+                                          std::uint64_t max) {
+  if (text.empty()) {
+    return std::nullopt;
+  }
+  std::uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') {
+      return std::nullopt;
+    }
+    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+    // value * 10 + digit <= max, checked without overflowing.
+    if (digit > max || value > (max - digit) / 10) {
+      return std::nullopt;
+    }
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
 }  // namespace fmtk

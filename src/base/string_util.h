@@ -1,6 +1,8 @@
 #ifndef FMTK_BASE_STRING_UTIL_H_
 #define FMTK_BASE_STRING_UTIL_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +20,12 @@ std::string_view StripWhitespace(std::string_view text);
 
 /// True when `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+/// Parses `text` as a decimal numeral with value at most `max`: one or more
+/// ASCII digits and nothing else (no sign, space or suffix). nullopt on any
+/// other text, including values past `max` however many digits they have.
+std::optional<std::uint64_t> ParseDecimal(std::string_view text,
+                                          std::uint64_t max);
 
 }  // namespace fmtk
 

@@ -1,12 +1,5 @@
 #include "core/games/ef_game.h"
 
-#include <algorithm>
-#include <memory>
-#include <string>
-#include <utility>
-
-#include "base/check.h"
-
 namespace fmtk {
 
 namespace {
@@ -23,248 +16,34 @@ bool Pinned(const PartialMap& map, bool in_a, Element e) {
 }  // namespace
 
 EfGameSolver::EfGameSolver(const Structure& a, const Structure& b,
-                           EfOptions options)
-    : a_(a),
-      b_(b),
-      options_(options),
-      occ_a_(game_engine::BuildOccurrenceLists(a)),
-      occ_b_(game_engine::BuildOccurrenceLists(b)),
-      sig_a_(game_engine::ElementSignatures(a)),
-      sig_b_(game_engine::ElementSignatures(b)),
-      sig_buckets_a_(game_engine::BuildSignatureBuckets(sig_a_)),
-      sig_buckets_b_(game_engine::BuildSignatureBuckets(sig_b_)),
-      zobrist_(a.domain_size(), b.domain_size()),
-      nullary_ok_(game_engine::NullaryRelationsAgree(a, b)) {
-  FMTK_CHECK(a.signature() == b.signature())
-      << "EF games require equal signatures";
-  // Assigned in the body: the class counts are out-parameters and their
-  // default member initializers would re-zero them after a mem-initializer.
-  swap_class_a_ = game_engine::SwapClasses(a, occ_a_, &num_classes_a_);
-  swap_class_b_ = game_engine::SwapClasses(b, occ_b_, &num_classes_b_);
+                           GameOptions options)
+    : a_(a), b_(b), core_(a, b, options, "EF game") {}
+
+Result<bool> EfGameSolver::Wins(Context& ctx, std::size_t rounds) {
+  return core_.Node(ctx, rounds, [&] {
+    return core_.ForEachSpoilerRepresentative(
+        ctx, [&](bool in_a, Element s) {
+          return MoveSurvivable(ctx, rounds - 1, in_a, s);
+        });
+  });
 }
 
-EfGameSolver::SearchContext EfGameSolver::MakeContext(FlatU64Map<bool>* table) {
-  return SearchContext{
-      game_engine::PositionState(a_, b_, &occ_a_, &occ_b_, &zobrist_), table,
-      GameStats{}};
-}
-
-void EfGameSolver::MergeStats(const SearchContext& ctx) {
-  stats_.table_hits += ctx.local.table_hits;
-  stats_.moves_pruned += ctx.local.moves_pruned;
-  stats_.nodes_explored = node_count_.load(std::memory_order_relaxed);
-}
-
-bool EfGameSolver::BuildPosition(SearchContext& ctx,
-                                 const PartialMap& initial) const {
-  // Constants count as always-played pairs (textbook convention); a
-  // mismatch, like any broken initial pair, loses for the duplicator
-  // outright since the final map extends the initial one.
-  for (std::size_t c = 0; c < a_.signature().constant_count(); ++c) {
-    std::optional<Element> ca = a_.constant(c);
-    std::optional<Element> cb = b_.constant(c);
-    if (ca.has_value() != cb.has_value()) {
-      return false;
-    }
-    if (ca.has_value() && !ctx.position.TryAdd(*ca, *cb)) {
-      return false;
-    }
-  }
-  for (const auto& [x, y] : initial) {
-    if (!ctx.position.TryAdd(x, y)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Result<bool> EfGameSolver::Wins(SearchContext& ctx, std::size_t rounds) {
-  if (rounds == 0) {
-    return true;  // ctx.position is maintained as a partial isomorphism.
-  }
-  const std::uint64_t key =
-      game_engine::TranspositionKey(ctx.position.hash(), rounds);
-  if (const bool* cached = ctx.table->Find(key)) {
-    ++ctx.local.table_hits;
-    return *cached;
-  }
-  if (node_count_.fetch_add(1, std::memory_order_relaxed) + 1 >
-      options_.max_nodes) {
-    return Status::ResourceExhausted("EF game search exceeded " +
-                                     std::to_string(options_.max_nodes) +
-                                     " positions");
-  }
-  bool duplicator_wins = true;
-  for (int side = 0; side < 2 && duplicator_wins; ++side) {
-    const bool in_a = side == 0;
-    const std::size_t n = in_a ? a_.domain_size() : b_.domain_size();
-    const std::vector<std::uint32_t>& cls =
-        in_a ? swap_class_a_ : swap_class_b_;
-    std::vector<bool> seen(in_a ? num_classes_a_ : num_classes_b_, false);
-    for (Element s = 0; s < n && duplicator_wins; ++s) {
-      // Replaying a pinned element changes nothing; and of any two unpinned
-      // elements swapped by an automorphism (which fixes every pinned
-      // element), one representative decides both moves.
-      if (in_a ? ctx.position.PinnedInA(s) : ctx.position.PinnedInB(s)) {
-        ++ctx.local.moves_pruned;
-        continue;
-      }
-      if (seen[cls[s]]) {
-        ++ctx.local.moves_pruned;
-        continue;
-      }
-      seen[cls[s]] = true;
-      FMTK_ASSIGN_OR_RETURN(bool survivable,
-                            MoveSurvivable(ctx, rounds - 1, in_a, s));
-      duplicator_wins = survivable;
-    }
-  }
-  ctx.table->TryEmplace(key, duplicator_wins);
-  return duplicator_wins;
-}
-
-Result<bool> EfGameSolver::MoveSurvivable(SearchContext& ctx,
+Result<bool> EfGameSolver::MoveSurvivable(Context& ctx,
                                           std::size_t rounds_left, bool in_a,
                                           Element s) {
-  const std::size_t n_to = in_a ? b_.domain_size() : a_.domain_size();
-  const std::vector<std::uint32_t>& cls_to =
-      in_a ? swap_class_b_ : swap_class_a_;
-  const std::size_t want = (in_a ? sig_a_ : sig_b_)[s];
-  // Bitset of the response-side elements sharing the spoiler element's
-  // signature; null when no element over there carries it.
-  const ElementBitset* match =
-      (in_a ? sig_buckets_b_ : sig_buckets_a_).Find(want);
-  std::vector<bool> seen(in_a ? num_classes_b_ : num_classes_a_, false);
-  std::optional<Result<bool>> decided;
-  // Returns true when the search is decided (winning response or error).
-  auto consider = [&](Element d) -> bool {
-    // A pinned response breaks injectivity; an already-seen class is
-    // decided by its representative (same automorphism argument as for
-    // spoiler moves); a TryAdd failure is a broken (losing) response.
-    if (in_a ? ctx.position.PinnedInB(d) : ctx.position.PinnedInA(d)) {
-      ++ctx.local.moves_pruned;
-      return false;
-    }
-    if (seen[cls_to[d]]) {
-      ++ctx.local.moves_pruned;
-      return false;
-    }
-    seen[cls_to[d]] = true;
-    const Element x = in_a ? s : d;
-    const Element y = in_a ? d : s;
-    if (!ctx.position.TryAdd(x, y)) {
-      ++ctx.local.moves_pruned;
-      return false;
-    }
-    Result<bool> wins = Wins(ctx, rounds_left);
-    ctx.position.Remove(x, y);
-    if (!wins.ok() || *wins) {
-      decided = std::move(wins);
-      return true;
-    }
-    return false;
-  };
-  // Signature-matching candidates first: when a winning response exists it
-  // usually looks like the spoiler's element, so it is found before the
-  // losing candidates burn nodes. Swap classes are signature-homogeneous,
-  // so the two passes never split a class. Both passes visit elements
-  // ascending — the exact order of the domain scans this replaces.
-  if (match != nullptr &&
-      match->ForEachSetBitUntil(
-          [&](std::size_t d) { return consider(static_cast<Element>(d)); })) {
-    return *std::move(decided);
-  }
-  for (Element d = 0; d < n_to; ++d) {
-    if (match != nullptr && match->Test(d)) {
-      continue;  // Pass 0 already considered it.
-    }
-    if (consider(d)) {
-      return *std::move(decided);
-    }
-  }
-  return false;
-}
-
-std::vector<std::pair<bool, Element>> EfGameSolver::SpoilerRepresentatives(
-    SearchContext& ctx) const {
-  std::vector<std::pair<bool, Element>> moves;
-  for (int side = 0; side < 2; ++side) {
-    const bool in_a = side == 0;
-    const std::size_t n = in_a ? a_.domain_size() : b_.domain_size();
-    const std::vector<std::uint32_t>& cls =
-        in_a ? swap_class_a_ : swap_class_b_;
-    std::vector<bool> seen(in_a ? num_classes_a_ : num_classes_b_, false);
-    for (Element s = 0; s < n; ++s) {
-      if (in_a ? ctx.position.PinnedInA(s) : ctx.position.PinnedInB(s)) {
-        ++ctx.local.moves_pruned;
-        continue;
-      }
-      if (seen[cls[s]]) {
-        ++ctx.local.moves_pruned;
-        continue;
-      }
-      seen[cls[s]] = true;
-      moves.emplace_back(in_a, s);
-    }
-  }
-  return moves;
-}
-
-Result<bool> EfGameSolver::SolveRoot(SearchContext& ctx, std::size_t rounds) {
-  if (rounds == 0 || !options_.parallel.enabled) {
-    return Wins(ctx, rounds);
-  }
-  const std::vector<std::pair<bool, Element>> moves =
-      SpoilerRepresentatives(ctx);
-  const std::size_t threads = game_engine::ResolveThreadCount(
-      options_.parallel.num_threads, moves.size());
-  if (moves.size() < options_.parallel.min_domain || threads <= 1) {
-    return Wins(ctx, rounds);
-  }
-  // Workers search against private tables (no lock on the hot path) and
-  // merge completed subgame results back on join; valid regardless of how
-  // a worker stopped.
-  struct WorkerContext {
-    FlatU64Map<bool> table;
-    SearchContext search;
-  };
-  FMTK_ASSIGN_OR_RETURN(
-      bool duplicator_wins,
-      (game_engine::FanOutFirstRound<std::unique_ptr<WorkerContext>>(
-          moves.size(), threads,
-          [&] {
-            auto worker = std::make_unique<WorkerContext>(WorkerContext{
-                {}, SearchContext{ctx.position, nullptr, GameStats{}}});
-            worker->search.table = &worker->table;
-            return worker;
-          },
-          [&](std::unique_ptr<WorkerContext>& worker, std::size_t j) {
-            return MoveSurvivable(worker->search, rounds - 1, moves[j].first,
-                                  moves[j].second);
-          },
-          [&](std::unique_ptr<WorkerContext>& worker) {
-            worker->table.ForEach([&](const std::uint64_t& key, bool& value) {
-              ctx.table->TryEmplace(key, value);
-            });
-            ctx.local.table_hits += worker->search.local.table_hits;
-            ctx.local.moves_pruned += worker->search.local.moves_pruned;
-          })));
-  ctx.table->TryEmplace(
-      game_engine::TranspositionKey(ctx.position.hash(), rounds),
-      duplicator_wins);
-  return duplicator_wins;
+  return core_.FindResponse(ctx, in_a, s, [&](Element, Element) {
+    return Wins(ctx, rounds_left);
+  });
 }
 
 Result<bool> EfGameSolver::DuplicatorWins(std::size_t rounds,
                                           const PartialMap& initial) {
-  SearchContext ctx = MakeContext(&table_);
-  if (!nullary_ok_ || !BuildPosition(ctx, initial)) {
-    MergeStats(ctx);
-    return false;
-  }
-  Result<bool> verdict = SolveRoot(ctx, rounds);
-  MergeStats(ctx);
-  return verdict;
+  return core_.SolveRoot(
+      initial, rounds, game_engine::NoState{},
+      [this](Context& ctx, std::size_t r) { return Wins(ctx, r); },
+      [this](Context& ctx, std::size_t rounds_left, bool in_a, Element s) {
+        return MoveSurvivable(ctx, rounds_left, in_a, s);
+      });
 }
 
 Result<std::optional<std::size_t>> EfGameSolver::SpoilerNeeds(
@@ -288,18 +67,11 @@ Result<EfGameSolver::BestResponse> EfGameSolver::RespondTo(
     PartialMap next = position;
     next.emplace_back(spoiler_in_a ? spoiler_element : d,
                       spoiler_in_a ? d : spoiler_element);
-    SearchContext ctx = MakeContext(&table_);
-    const bool survives = nullary_ok_ && BuildPosition(ctx, next);
+    const bool survives = IsPartialIsomorphism(a_, b_, next);
     bool wins = false;
     if (survives) {
-      Result<bool> sub = Wins(ctx, rounds_left);
-      if (!sub.ok()) {
-        MergeStats(ctx);
-        return sub.status();
-      }
-      wins = *sub;
+      FMTK_ASSIGN_OR_RETURN(wins, DuplicatorWins(rounds_left, next));
     }
-    MergeStats(ctx);
     if (wins) {
       return BestResponse{d, true};
     }
@@ -317,7 +89,7 @@ Result<std::vector<EfGameSolver::PlayStep>> EfGameSolver::AdversarialPlay(
     std::size_t rounds) {
   std::vector<PlayStep> transcript;
   PartialMap position;
-  if (!nullary_ok_) {
+  if (!game_engine::NullaryRelationsAgree(a_, b_)) {
     return transcript;  // Already broken before any move.
   }
   for (std::size_t c = 0; c < a_.signature().constant_count(); ++c) {

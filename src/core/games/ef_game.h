@@ -1,32 +1,17 @@
 #ifndef FMTK_CORE_GAMES_EF_GAME_H_
 #define FMTK_CORE_GAMES_EF_GAME_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "base/flat_hash.h"
-#include "base/parallel.h"
 #include "base/result.h"
 #include "core/games/game_engine.h"
 #include "structures/isomorphism.h"
 #include "structures/structure.h"
 
 namespace fmtk {
-
-/// Options bounding the exact game search.
-struct EfOptions {
-  /// Abort with ResourceExhausted after this many game positions.
-  std::uint64_t max_nodes = 20'000'000;
-  /// Optional fan-out of the first-round spoiler moves across threads.
-  /// Verdicts match the sequential search; per-thread transposition tables
-  /// are merged into the solver's shared table on join, and the node cap is
-  /// enforced globally via one shared counter. When the cap is hit in
-  /// parallel mode, ResourceExhausted may race a concurrently found
-  /// refutation — run sequentially for bit-exact error reproduction.
-  ParallelPolicy parallel;
-};
 
 /// The n-round Ehrenfeucht–Fraïssé game G_n(A, B) of the survey, solved
 /// exactly by memoized minimax search over game positions.
@@ -38,16 +23,13 @@ struct EfOptions {
 /// fundamental theorem equals A ≡n B (cross-validated against
 /// RankTypeIndex in the test suite).
 ///
-/// The search core (shared with PebbleGameSolver via game_engine.h):
-///  - a transposition table keyed by packed 64-bit (Zobrist position hash,
-///    rounds) keys, persistent across queries so SpoilerNeeds' iterative
-///    deepening reuses shallow results;
-///  - incremental partial-isomorphism maintenance — only the tuples touching
-///    the newly played pair are validated, and pinned-element lookup is O(1);
-///  - type-based pruning — spoiler moves that differ by an automorphism
-///    (swap classes) collapse to one representative, and duplicator
-///    responses are tried signature-matching candidates first;
-///  - optional first-round parallel fan-out (EfOptions::parallel).
+/// The search runs on game_engine::GameSearch, shared with
+/// PebbleGameSolver: a transposition table persistent across queries (so
+/// SpoilerNeeds' iterative deepening reuses shallow results), incremental
+/// partial-isomorphism maintenance, swap-class pruning of spoiler moves and
+/// duplicator responses, and optional first-round parallel fan-out
+/// (GameOptions::parallel). This class adds only the EF move rule: every
+/// unpinned spoiler representative must have a surviving response.
 ///
 /// Exact game solving is still exponential in the number of rounds — the
 /// "combinatorially heavy" cost the survey warns about; use
@@ -55,12 +37,13 @@ struct EfOptions {
 class EfGameSolver {
  public:
   /// The structures must outlive the solver and have equal signatures.
-  EfGameSolver(const Structure& a, const Structure& b, EfOptions options = {});
+  EfGameSolver(const Structure& a, const Structure& b,
+               GameOptions options = {});
 
   /// Temporaries would dangle — bind the structures to locals first.
-  EfGameSolver(Structure&&, const Structure&, EfOptions = {}) = delete;
-  EfGameSolver(const Structure&, Structure&&, EfOptions = {}) = delete;
-  EfGameSolver(Structure&&, Structure&&, EfOptions = {}) = delete;
+  EfGameSolver(Structure&&, const Structure&, GameOptions = {}) = delete;
+  EfGameSolver(const Structure&, Structure&&, GameOptions = {}) = delete;
+  EfGameSolver(Structure&&, Structure&&, GameOptions = {}) = delete;
 
   /// Does the duplicator have a winning strategy in the `rounds`-round game
   /// starting from `initial` (pairs already on the board)?
@@ -84,42 +67,19 @@ class EfGameSolver {
   /// winning responses are shown.
   Result<std::vector<PlayStep>> AdversarialPlay(std::size_t rounds);
 
-  std::uint64_t nodes_explored() const { return stats_.nodes_explored; }
+  std::uint64_t nodes_explored() const { return stats().nodes_explored; }
 
   /// Cumulative search counters (nodes, transposition hits, pruned moves).
-  const GameStats& stats() const { return stats_; }
+  const GameStats& stats() const { return core_.stats(); }
 
  private:
-  // Per-search mutable state: the incrementally maintained position, the
-  // transposition table to consult (the solver's own, or a thread-local one
-  // during parallel fan-out), and local prune/hit counters merged into
-  // stats_ when the search returns.
-  struct SearchContext {
-    game_engine::PositionState position;
-    FlatU64Map<bool>* table;
-    GameStats local;
-  };
-
-  SearchContext MakeContext(FlatU64Map<bool>* table);
-  // Folds a finished context's counters into stats_.
-  void MergeStats(const SearchContext& ctx);
-  // Seeds constants and the initial pairs into ctx.position; false when the
-  // resulting board is already broken (spoiler wins outright).
-  bool BuildPosition(SearchContext& ctx, const PartialMap& initial) const;
+  using Context = game_engine::SearchContext<>;
 
   // Decides the game value of ctx.position with `rounds` remaining.
-  Result<bool> Wins(SearchContext& ctx, std::size_t rounds);
+  Result<bool> Wins(Context& ctx, std::size_t rounds);
   // Can the duplicator answer the spoiler move (in_a, s) and win the rest?
-  Result<bool> MoveSurvivable(SearchContext& ctx, std::size_t rounds_left,
+  Result<bool> MoveSurvivable(Context& ctx, std::size_t rounds_left,
                               bool in_a, Element s);
-  // First-round fan-out across threads; falls back to Wins when the policy
-  // or move count says sequential.
-  Result<bool> SolveRoot(SearchContext& ctx, std::size_t rounds);
-
-  // All spoiler first-move representatives from ctx.position: unpinned, one
-  // per swap class per side.
-  std::vector<std::pair<bool, Element>> SpoilerRepresentatives(
-      SearchContext& ctx) const;
 
   // Finds the duplicator response to a spoiler move that survives longest;
   // wins==true responses preferred. (Transcript construction only.)
@@ -133,26 +93,7 @@ class EfGameSolver {
 
   const Structure& a_;
   const Structure& b_;
-  EfOptions options_;
-
-  // Immutable per-solver search tables.
-  game_engine::OccurrenceLists occ_a_;
-  game_engine::OccurrenceLists occ_b_;
-  std::vector<std::uint32_t> swap_class_a_;
-  std::vector<std::uint32_t> swap_class_b_;
-  std::uint32_t num_classes_a_ = 0;
-  std::uint32_t num_classes_b_ = 0;
-  std::vector<std::size_t> sig_a_;
-  std::vector<std::size_t> sig_b_;
-  game_engine::SignatureBuckets sig_buckets_a_;
-  game_engine::SignatureBuckets sig_buckets_b_;
-  game_engine::ZobristTable zobrist_;
-  bool nullary_ok_ = true;
-
-  // Shared across queries: iterative deepening in SpoilerNeeds reuses it.
-  FlatU64Map<bool> table_;
-  std::atomic<std::uint64_t> node_count_{0};
-  GameStats stats_;
+  game_engine::GameSearch core_;
 };
 
 }  // namespace fmtk

@@ -1,6 +1,7 @@
 #include "core/games/game_engine.h"
 
 #include <algorithm>
+#include <string>
 
 #include "base/check.h"
 #include "base/hash.h"
@@ -38,27 +39,7 @@ bool SwapIsAutomorphism(const Structure& s, const OccurrenceLists& occ,
   return true;
 }
 
-}  // namespace
-
-OccurrenceLists BuildOccurrenceLists(const Structure& s) {
-  OccurrenceLists occ(s.signature().relation_count());
-  for (std::size_t r = 0; r < occ.size(); ++r) {
-    occ[r].resize(s.domain_size());
-    for (const Tuple& t : s.relation(r).tuples()) {
-      Tuple sorted = t;
-      std::sort(sorted.begin(), sorted.end());
-      Element last = kUnmapped;
-      for (Element e : sorted) {
-        if (e != last) {
-          occ[r][e].push_back(&t);
-          last = e;
-        }
-      }
-    }
-  }
-  return occ;
-}
-
+// Hash of AtomicInvariantOf(s, e) per element.
 std::vector<std::size_t> ElementSignatures(const Structure& s) {
   std::vector<std::size_t> sig(s.domain_size());
   for (Element e = 0; e < s.domain_size(); ++e) {
@@ -81,6 +62,27 @@ SignatureBuckets BuildSignatureBuckets(const std::vector<std::size_t>& sigs) {
     bucket->Set(e);
   }
   return buckets;
+}
+
+}  // namespace
+
+OccurrenceLists BuildOccurrenceLists(const Structure& s) {
+  OccurrenceLists occ(s.signature().relation_count());
+  for (std::size_t r = 0; r < occ.size(); ++r) {
+    occ[r].resize(s.domain_size());
+    for (const Tuple& t : s.relation(r).tuples()) {
+      Tuple sorted = t;
+      std::sort(sorted.begin(), sorted.end());
+      Element last = kUnmapped;
+      for (Element e : sorted) {
+        if (e != last) {
+          occ[r][e].push_back(&t);
+          last = e;
+        }
+      }
+    }
+  }
+  return occ;
 }
 
 std::vector<std::uint32_t> SwapClasses(const Structure& s,
@@ -244,6 +246,61 @@ bool NullaryRelationsAgree(const Structure& a, const Structure& b) {
     }
   }
   return true;
+}
+
+GameSearch::GameSearch(const Structure& a, const Structure& b,
+                       GameOptions options, const char* game)
+    : a_(a),
+      b_(b),
+      options_(options),
+      game_(game),
+      sides_{BuildSide(a), BuildSide(b)},
+      zobrist_(a.domain_size(), b.domain_size()),
+      nullary_ok_(NullaryRelationsAgree(a, b)) {
+  FMTK_CHECK(a.signature() == b.signature())
+      << game << "s require equal signatures";
+}
+
+GameSearch::Side GameSearch::BuildSide(const Structure& s) {
+  Side side;
+  side.domain_size = s.domain_size();
+  side.occ = BuildOccurrenceLists(s);
+  side.swap_class = SwapClasses(s, side.occ, &side.num_classes);
+  side.sig = ElementSignatures(s);
+  side.buckets = BuildSignatureBuckets(side.sig);
+  return side;
+}
+
+bool GameSearch::SeedPosition(PositionState& position,
+                              const PartialMap& initial) const {
+  if (!nullary_ok_) {
+    return false;
+  }
+  // Constants count as always-played pairs (textbook convention); a
+  // mismatch, like any broken initial pair, loses for the duplicator
+  // outright since the final map extends the initial one.
+  for (std::size_t c = 0; c < a_.signature().constant_count(); ++c) {
+    std::optional<Element> ca = a_.constant(c);
+    std::optional<Element> cb = b_.constant(c);
+    if (ca.has_value() != cb.has_value()) {
+      return false;
+    }
+    if (ca.has_value() && !position.TryAdd(*ca, *cb)) {
+      return false;
+    }
+  }
+  for (const auto& [x, y] : initial) {
+    if (!position.TryAdd(x, y)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Status GameSearch::NodeCapExceeded() const {
+  return Status::ResourceExhausted(std::string(game_) + " search exceeded " +
+                                   std::to_string(options_.max_nodes) +
+                                   " positions");
 }
 
 }  // namespace game_engine

@@ -6,11 +6,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/bitset.h"
 #include "base/flat_hash.h"
+#include "base/parallel.h"
 #include "base/result.h"
 #include "structures/isomorphism.h"
 #include "structures/relation.h"
@@ -32,6 +35,19 @@ struct GameStats {
   std::uint64_t moves_pruned = 0;
 };
 
+/// Options bounding the exact game search; both solvers take them.
+struct GameOptions {
+  /// Abort with ResourceExhausted after this many game positions.
+  std::uint64_t max_nodes = 20'000'000;
+  /// Optional fan-out of the first-round spoiler moves across threads.
+  /// Verdicts match the sequential search; per-thread transposition tables
+  /// are merged into the solver's shared table on join, and the node cap is
+  /// enforced globally via one shared counter. When the cap is hit in
+  /// parallel mode, ResourceExhausted may race a concurrently found
+  /// refutation — run sequentially for bit-exact error reproduction.
+  ParallelPolicy parallel;
+};
+
 namespace game_engine {
 
 inline constexpr Element kUnmapped = static_cast<Element>(-1);
@@ -42,16 +58,10 @@ inline constexpr Element kUnmapped = static_cast<Element>(-1);
 using OccurrenceLists = std::vector<std::vector<std::vector<const Tuple*>>>;
 OccurrenceLists BuildOccurrenceLists(const Structure& s);
 
-/// Hash of AtomicInvariantOf(s, e) per element: equal for elements matched
-/// by any isomorphism, comparable across structures over one signature.
-std::vector<std::size_t> ElementSignatures(const Structure& s);
-
-/// signature hash -> bitset of the elements carrying it. The duplicator
-/// response loops walk the spoiler element's bucket first (word-packed,
-/// ascending) instead of re-scanning the whole domain per move, then the
-/// complement via a bucket-membership test.
+/// signature hash -> bitset of the elements carrying it, where an element's
+/// signature hashes AtomicInvariantOf(s, e): equal for elements matched by
+/// any isomorphism, comparable across structures over one signature.
 using SignatureBuckets = FlatU64Map<ElementBitset>;
-SignatureBuckets BuildSignatureBuckets(const std::vector<std::size_t>& sigs);
 
 /// Partitions the domain into *swap classes*: e and f share a class iff the
 /// transposition (e f) is an automorphism of `s` and neither element
@@ -94,7 +104,7 @@ std::uint64_t TranspositionKey(std::uint64_t position_hash,
 /// the new pair (everything else was checked when it was added).
 ///
 /// Nullary relations are invisible to the incremental check (no tuple
-/// contains a new element); solvers must pre-check them once via
+/// contains a new element); GameSearch pre-checks them once per search via
 /// NullaryRelationsAgree. Copyable — parallel workers copy the root
 /// position and diverge.
 class PositionState {
@@ -143,47 +153,195 @@ class PositionState {
 
 /// True when every nullary (arity-0) relation holds in `a` iff it holds in
 /// `b`. A mismatch breaks *every* position, including the empty one; the
-/// incremental check above cannot see it, so solvers test this once.
+/// incremental check above cannot see it, so GameSearch tests this once.
 bool NullaryRelationsAgree(const Structure& a, const Structure& b);
 
-/// Resolves a requested thread count against the number of work items:
-/// 0 means hardware_concurrency, and never more threads than items.
-inline std::size_t ResolveThreadCount(std::size_t requested,
-                                      std::size_t num_items) {
-  std::size_t threads =
-      requested != 0 ? requested : std::thread::hardware_concurrency();
-  threads = std::max<std::size_t>(threads, 1);
-  return std::min(threads, num_items);
+/// The solver-specific part of a SearchContext for a game without one.
+struct NoState {};
+
+/// One search's mutable state: the incrementally maintained position, the
+/// solver's own per-search state (the pebble game's board), the
+/// transposition table to consult (the solver's own, or a worker's private
+/// one during the parallel first round), and counters merged into the
+/// solver's GameStats when the search returns.
+template <typename State = NoState>
+struct SearchContext {
+  PositionState position;
+  [[no_unique_address]] State state;
+  FlatU64Map<bool>* table;
+  GameStats local;
+};
+
+/// The search machinery of the EF and pebble solvers. Each solver owns one
+/// and supplies only its move rules, as callables that the templates below
+/// inline — the per-node path has no virtual call and no std::function.
+///
+/// The core owns the per-solver tables (occurrence lists, swap classes,
+/// element signatures and their buckets, Zobrist codes, the nullary check),
+/// the transposition table (persistent across queries, so iterative
+/// deepening reuses shallow results), the global node counter and
+/// GameStats. It seeds constants, probes the table and charges the node cap
+/// at each node's head, enumerates spoiler representatives and duplicator
+/// responses, and fans the first round out across threads.
+class GameSearch {
+ public:
+  /// The structures must outlive the search and have equal signatures.
+  /// `game` names the game in messages ("EF game").
+  GameSearch(const Structure& a, const Structure& b, GameOptions options,
+             const char* game);
+
+  /// Cumulative search counters (nodes, transposition hits, pruned moves).
+  const GameStats& stats() const { return stats_; }
+
+  /// Decides the `rounds`-round game from `initial` plus the constants in a
+  /// fresh context carrying `state`, and folds its counters into stats().
+  /// `wins(ctx, r)` decides a position with r rounds to play. When the
+  /// parallel policy fans the first round out, the duplicator survives iff
+  /// every spoiler representative move (in_a, s) has
+  /// `move_survivable(ctx, rounds - 1, in_a, s)`, each decided by a worker
+  /// in its own copy of the root context.
+  template <typename State, typename Wins, typename MoveSurvivable>
+  Result<bool> SolveRoot(const PartialMap& initial, std::size_t rounds,
+                         State state, Wins&& wins,
+                         MoveSurvivable&& move_survivable);
+
+  /// Decides ctx.position with `rounds` to play. No rounds left is a win
+  /// (positions are kept partial isomorphisms); a transposition hit answers
+  /// from the table; otherwise the node is charged against the cap and
+  /// `expand()` decides it, and its verdict enters the table.
+  template <typename Ctx, typename Expand>
+  Result<bool> Node(Ctx& ctx, std::size_t rounds, Expand&& expand);
+
+  /// Visits the spoiler's moves from ctx.position, side A then side B,
+  /// elements ascending. A pinned element goes to `on_pinned(in_a, s)`. Of
+  /// unpinned elements swapped by an automorphism (which fixes every pinned
+  /// element) one representative decides all, so only the first of each
+  /// swap class goes to `on_move(in_a, s)` and the rest count as pruned.
+  /// Stops at the first callback returning false or an error and returns
+  /// it; true when every call returned true.
+  template <typename Ctx, typename OnPinned, typename OnMove>
+  Result<bool> ForEachSpoilerMove(Ctx& ctx, OnPinned&& on_pinned,
+                                  OnMove&& on_move) const;
+
+  /// ForEachSpoilerMove where pinned elements are pruned: replaying one
+  /// changes nothing.
+  template <typename Ctx, typename OnMove>
+  Result<bool> ForEachSpoilerRepresentative(Ctx& ctx, OnMove&& on_move) const {
+    return ForEachSpoilerMove(
+        ctx,
+        [&ctx](bool, Element) -> Result<bool> {
+          ++ctx.local.moves_pruned;
+          return true;
+        },
+        on_move);
+  }
+
+  /// Does the duplicator have an answer to spoiler element `s` (in A when
+  /// `in_a`)? Each candidate pair (x, y) that keeps the board a partial
+  /// isomorphism is put on the board for `play(x, y)`, which decides the
+  /// rest of the game, and taken off again. Stops at the first winning
+  /// answer or error.
+  template <typename Ctx, typename Play>
+  Result<bool> FindResponse(Ctx& ctx, bool in_a, Element s,
+                            Play&& play) const;
+
+ private:
+  // One structure's immutable search tables.
+  struct Side {
+    std::size_t domain_size = 0;
+    OccurrenceLists occ;
+    std::vector<std::uint32_t> swap_class;
+    std::uint32_t num_classes = 0;
+    std::vector<std::size_t> sig;
+    SignatureBuckets buckets;
+  };
+  static Side BuildSide(const Structure& s);
+
+  // Seeds the constants and `initial` into `position`; false when the
+  // nullary check fails or the board is already broken (the spoiler wins
+  // outright).
+  bool SeedPosition(PositionState& position, const PartialMap& initial) const;
+  Status NodeCapExceeded() const;
+  template <typename Ctx, typename Wins, typename MoveSurvivable>
+  Result<bool> DecideRoot(Ctx& ctx, std::size_t rounds, Wins& wins,
+                          MoveSurvivable& move_survivable);
+
+  const Structure& a_;
+  const Structure& b_;
+  GameOptions options_;
+  const char* game_;
+  Side sides_[2];  // [0] = A, [1] = B
+  ZobristTable zobrist_;
+  bool nullary_ok_;
+
+  FlatU64Map<bool> table_;
+  std::atomic<std::uint64_t> node_count_{0};
+  GameStats stats_;
+};
+
+template <typename State, typename Wins, typename MoveSurvivable>
+Result<bool> GameSearch::SolveRoot(const PartialMap& initial,
+                                   std::size_t rounds, State state,
+                                   Wins&& wins,
+                                   MoveSurvivable&& move_survivable) {
+  SearchContext<State> ctx{
+      PositionState(a_, b_, &sides_[0].occ, &sides_[1].occ, &zobrist_),
+      std::move(state), &table_, GameStats{}};
+  Result<bool> verdict = false;
+  if (SeedPosition(ctx.position, initial)) {
+    verdict = DecideRoot(ctx, rounds, wins, move_survivable);
+  }
+  stats_.table_hits += ctx.local.table_hits;
+  stats_.moves_pruned += ctx.local.moves_pruned;
+  stats_.nodes_explored = node_count_.load(std::memory_order_relaxed);
+  return verdict;
 }
 
-/// Fans `num_moves` first-round spoiler moves across `num_threads` workers
-/// (strided assignment). make_ctx() builds one worker's search context,
-/// eval_move(ctx, i) decides whether move i is survivable for the
-/// duplicator, merge_ctx(ctx) folds the worker's table and counters back
-/// into the caller — it runs under the fan-out mutex. Workers stop early
-/// once any move is refuted or any error is recorded; completed subgame
-/// results are still merged. Returns true iff every move evaluated
-/// survivable; the first recorded error wins over a racing refutation.
-template <typename Ctx, typename MakeCtx, typename EvalMove,
-          typename MergeCtx>
-Result<bool> FanOutFirstRound(std::size_t num_moves, std::size_t num_threads,
-                              MakeCtx&& make_ctx, EvalMove&& eval_move,
-                              MergeCtx&& merge_ctx) {
+template <typename Ctx, typename Wins, typename MoveSurvivable>
+Result<bool> GameSearch::DecideRoot(Ctx& ctx, std::size_t rounds, Wins& wins,
+                                    MoveSurvivable& move_survivable) {
+  const ParallelPolicy& policy = options_.parallel;
+  if (rounds == 0 || !policy.enabled) {
+    return wins(ctx, rounds);
+  }
+  const std::uint64_t pruned_before = ctx.local.moves_pruned;
+  std::vector<std::pair<bool, Element>> moves;
+  (void)ForEachSpoilerRepresentative(
+      ctx, [&moves](bool in_a, Element s) -> Result<bool> {
+        moves.emplace_back(in_a, s);
+        return true;
+      });
+  // 0 threads means hardware_concurrency; never more threads than moves.
+  std::size_t threads = policy.num_threads != 0
+                            ? policy.num_threads
+                            : std::thread::hardware_concurrency();
+  threads = std::min(std::max<std::size_t>(threads, 1), moves.size());
+  if (moves.size() < policy.min_domain || threads <= 1) {
+    ctx.local.moves_pruned = pruned_before;  // wins() prunes them again.
+    return wins(ctx, rounds);
+  }
+  // Strided assignment. Workers search against private tables (no lock on
+  // the hot path), stop once any move is refuted or any error is recorded,
+  // and merge their completed subgame results on the way out, however they
+  // stopped. The first recorded error wins over a racing refutation.
   std::atomic<bool> spoiler_wins{false};
   std::atomic<bool> failed{false};
   std::mutex mu;
   Status first_error = Status::OK();
   std::vector<std::thread> workers;
-  workers.reserve(num_threads);
-  for (std::size_t t = 0; t < num_threads; ++t) {
+  workers.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      Ctx ctx = make_ctx();
-      for (std::size_t j = t; j < num_moves; j += num_threads) {
+      FlatU64Map<bool> table;
+      Ctx worker{ctx.position, ctx.state, &table, GameStats{}};
+      for (std::size_t j = t; j < moves.size(); j += threads) {
         if (spoiler_wins.load(std::memory_order_relaxed) ||
             failed.load(std::memory_order_relaxed)) {
           break;
         }
-        Result<bool> survivable = eval_move(ctx, j);
+        Result<bool> survivable =
+            move_survivable(worker, rounds - 1, moves[j].first,
+                            moves[j].second);
         if (!survivable.ok()) {
           std::lock_guard<std::mutex> lock(mu);
           if (first_error.ok()) {
@@ -198,7 +356,11 @@ Result<bool> FanOutFirstRound(std::size_t num_moves, std::size_t num_threads,
         }
       }
       std::lock_guard<std::mutex> lock(mu);
-      merge_ctx(ctx);
+      table.ForEach([&](const std::uint64_t& key, bool& value) {
+        ctx.table->TryEmplace(key, value);
+      });
+      ctx.local.table_hits += worker.local.table_hits;
+      ctx.local.moves_pruned += worker.local.moves_pruned;
     });
   }
   for (std::thread& w : workers) {
@@ -207,7 +369,113 @@ Result<bool> FanOutFirstRound(std::size_t num_moves, std::size_t num_threads,
   if (!first_error.ok()) {
     return first_error;
   }
-  return !spoiler_wins.load(std::memory_order_relaxed);
+  const bool duplicator_wins = !spoiler_wins.load(std::memory_order_relaxed);
+  ctx.table->TryEmplace(TranspositionKey(ctx.position.hash(), rounds),
+                        duplicator_wins);
+  return duplicator_wins;
+}
+
+template <typename Ctx, typename Expand>
+Result<bool> GameSearch::Node(Ctx& ctx, std::size_t rounds, Expand&& expand) {
+  if (rounds == 0) {
+    return true;
+  }
+  const std::uint64_t key = TranspositionKey(ctx.position.hash(), rounds);
+  if (const bool* cached = ctx.table->Find(key)) {
+    ++ctx.local.table_hits;
+    return *cached;
+  }
+  if (node_count_.fetch_add(1, std::memory_order_relaxed) + 1 >
+      options_.max_nodes) {
+    return NodeCapExceeded();
+  }
+  FMTK_ASSIGN_OR_RETURN(const bool duplicator_wins, expand());
+  ctx.table->TryEmplace(key, duplicator_wins);
+  return duplicator_wins;
+}
+
+template <typename Ctx, typename OnPinned, typename OnMove>
+Result<bool> GameSearch::ForEachSpoilerMove(Ctx& ctx, OnPinned&& on_pinned,
+                                            OnMove&& on_move) const {
+  for (int side = 0; side < 2; ++side) {
+    const bool in_a = side == 0;
+    const Side& from = sides_[side];
+    std::vector<bool> seen(from.num_classes, false);
+    for (Element s = 0; s < from.domain_size; ++s) {
+      bool go_on = true;
+      if (in_a ? ctx.position.PinnedInA(s) : ctx.position.PinnedInB(s)) {
+        FMTK_ASSIGN_OR_RETURN(go_on, on_pinned(in_a, s));
+      } else if (seen[from.swap_class[s]]) {
+        ++ctx.local.moves_pruned;
+      } else {
+        seen[from.swap_class[s]] = true;
+        FMTK_ASSIGN_OR_RETURN(go_on, on_move(in_a, s));
+      }
+      if (!go_on) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+template <typename Ctx, typename Play>
+Result<bool> GameSearch::FindResponse(Ctx& ctx, bool in_a, Element s,
+                                      Play&& play) const {
+  const Side& to = sides_[in_a ? 1 : 0];
+  // The response-side elements sharing the spoiler element's signature;
+  // null when no element over there carries it.
+  const ElementBitset* match =
+      to.buckets.Find(sides_[in_a ? 0 : 1].sig[s]);
+  std::vector<bool> seen(to.num_classes, false);
+  std::optional<Result<bool>> decided;
+  // Returns true when the search is decided (winning response or error).
+  auto consider = [&](Element d) -> bool {
+    // A pinned response breaks injectivity; an already-seen class is
+    // decided by its representative (same automorphism argument as for
+    // spoiler moves); a TryAdd failure is a broken (losing) response.
+    if (in_a ? ctx.position.PinnedInB(d) : ctx.position.PinnedInA(d)) {
+      ++ctx.local.moves_pruned;
+      return false;
+    }
+    if (seen[to.swap_class[d]]) {
+      ++ctx.local.moves_pruned;
+      return false;
+    }
+    seen[to.swap_class[d]] = true;
+    const Element x = in_a ? s : d;
+    const Element y = in_a ? d : s;
+    if (!ctx.position.TryAdd(x, y)) {
+      ++ctx.local.moves_pruned;
+      return false;
+    }
+    Result<bool> wins = play(x, y);
+    ctx.position.Remove(x, y);
+    if (!wins.ok() || *wins) {
+      decided = std::move(wins);
+      return true;
+    }
+    return false;
+  };
+  // Signature-matching candidates first: when a winning response exists it
+  // usually looks like the spoiler's element, so it is found before the
+  // losing candidates burn nodes. Swap classes are signature-homogeneous,
+  // so the two passes never split a class. Both passes visit elements
+  // ascending.
+  if (match != nullptr &&
+      match->ForEachSetBitUntil(
+          [&](std::size_t d) { return consider(static_cast<Element>(d)); })) {
+    return *std::move(decided);
+  }
+  for (Element d = 0; d < to.domain_size; ++d) {
+    if (match != nullptr && match->Test(d)) {
+      continue;  // The bucket pass already considered it.
+    }
+    if (consider(d)) {
+      return *std::move(decided);
+    }
+  }
+  return false;
 }
 
 }  // namespace game_engine

@@ -1,304 +1,108 @@
 #include "core/games/pebble_game.h"
 
-#include <memory>
-#include <string>
-
 #include "base/check.h"
 
 namespace fmtk {
 
 PebbleGameSolver::PebbleGameSolver(const Structure& a, const Structure& b,
-                                   std::size_t pebbles,
-                                   std::uint64_t max_nodes)
-    : a_(a),
-      b_(b),
-      pebbles_(pebbles),
-      max_nodes_(max_nodes),
-      occ_a_(game_engine::BuildOccurrenceLists(a)),
-      occ_b_(game_engine::BuildOccurrenceLists(b)),
-      sig_a_(game_engine::ElementSignatures(a)),
-      sig_b_(game_engine::ElementSignatures(b)),
-      sig_buckets_a_(game_engine::BuildSignatureBuckets(sig_a_)),
-      sig_buckets_b_(game_engine::BuildSignatureBuckets(sig_b_)),
-      zobrist_(a.domain_size(), b.domain_size()),
-      nullary_ok_(game_engine::NullaryRelationsAgree(a, b)) {
-  FMTK_CHECK(a.signature() == b.signature())
-      << "pebble games require equal signatures";
+                                   std::size_t pebbles, GameOptions options)
+    : pebbles_(pebbles), core_(a, b, options, "pebble game") {
   FMTK_CHECK(pebbles_ >= 1) << "at least one pebble required";
-  // Assigned in the body: the class counts are out-parameters and their
-  // default member initializers would re-zero them after a mem-initializer.
-  swap_class_a_ = game_engine::SwapClasses(a, occ_a_, &num_classes_a_);
-  swap_class_b_ = game_engine::SwapClasses(b, occ_b_, &num_classes_b_);
 }
 
-PebbleGameSolver::SearchContext PebbleGameSolver::MakeContext(
-    FlatU64Map<bool>* table) {
-  return SearchContext{
-      game_engine::PositionState(a_, b_, &occ_a_, &occ_b_, &zobrist_),
-      Board(pebbles_), table, GameStats{}};
-}
-
-void PebbleGameSolver::MergeStats(const SearchContext& ctx) {
-  stats_.table_hits += ctx.local.table_hits;
-  stats_.moves_pruned += ctx.local.moves_pruned;
-  stats_.nodes_explored = node_count_.load(std::memory_order_relaxed);
-}
-
-bool PebbleGameSolver::BuildConstants(SearchContext& ctx) const {
-  // Constants count as always-placed pairs the spoiler cannot move.
-  for (std::size_t c = 0; c < a_.signature().constant_count(); ++c) {
-    std::optional<Element> ca = a_.constant(c);
-    std::optional<Element> cb = b_.constant(c);
-    if (ca.has_value() != cb.has_value()) {
-      return false;
-    }
-    if (ca.has_value() && !ctx.position.TryAdd(*ca, *cb)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Result<bool> PebbleGameSolver::Wins(SearchContext& ctx, std::size_t rounds) {
-  if (rounds == 0) {
-    return true;  // ctx.position is maintained as a partial isomorphism.
-  }
-  const std::uint64_t key =
-      game_engine::TranspositionKey(ctx.position.hash(), rounds);
-  if (const bool* cached = ctx.table->Find(key)) {
-    ++ctx.local.table_hits;
-    return *cached;
-  }
-  if (node_count_.fetch_add(1, std::memory_order_relaxed) + 1 > max_nodes_) {
-    return Status::ResourceExhausted("pebble game search exceeded node cap");
-  }
-  bool duplicator_wins = true;
-  bool tried_free = false;
-  for (std::size_t p = 0; p < pebbles_ && duplicator_wins; ++p) {
-    const std::optional<std::pair<Element, Element>> placement = ctx.board[p];
-    // A pebble on a duplicated pair is interchangeable with a free pebble
-    // (lifting either leaves the pair set unchanged), so one representative
-    // of the free-equivalent pebbles decides them all.
-    const bool unique = placement.has_value() &&
-                        ctx.position.CountOfA(placement->first) == 1;
-    if (!unique) {
-      if (tried_free) {
-        ++ctx.local.moves_pruned;
-        continue;
+Result<bool> PebbleGameSolver::Wins(Context& ctx, std::size_t rounds) {
+  return core_.Node(ctx, rounds, [&]() -> Result<bool> {
+    bool tried_free = false;
+    for (std::size_t p = 0; p < pebbles_; ++p) {
+      const std::optional<std::pair<Element, Element>> placement =
+          ctx.state[p];
+      // A pebble on a duplicated pair is interchangeable with a free pebble
+      // (lifting either leaves the pair set unchanged), so one
+      // representative of the free-equivalent pebbles decides them all.
+      const bool unique = placement.has_value() &&
+                          ctx.position.CountOfA(placement->first) == 1;
+      if (!unique) {
+        if (tried_free) {
+          ++ctx.local.moves_pruned;
+          continue;
+        }
+        tried_free = true;
       }
-      tried_free = true;
+      if (placement.has_value()) {
+        ctx.position.Remove(placement->first, placement->second);
+        ctx.state[p] = std::nullopt;
+      }
+      Result<bool> all = AllTargetsSurvivable(ctx, rounds - 1, p, unique);
+      if (placement.has_value()) {
+        ctx.state[p] = placement;
+        const bool restored =
+            ctx.position.TryAdd(placement->first, placement->second);
+        FMTK_CHECK(restored) << "restoring a lifted pebble must succeed";
+      }
+      if (!all.ok() || !*all) {
+        return all;
+      }
     }
-    if (placement.has_value()) {
-      ctx.position.Remove(placement->first, placement->second);
-      ctx.board[p] = std::nullopt;
-    }
-    Result<bool> all = AllTargetsSurvivable(ctx, rounds - 1, p, unique);
-    if (placement.has_value()) {
-      ctx.board[p] = placement;
-      const bool restored =
-          ctx.position.TryAdd(placement->first, placement->second);
-      FMTK_CHECK(restored) << "restoring a lifted pebble must succeed";
-    }
-    if (!all.ok()) {
-      return all;
-    }
-    duplicator_wins = *all;
-  }
-  ctx.table->TryEmplace(key, duplicator_wins);
-  return duplicator_wins;
+    return true;
+  });
 }
 
-Result<bool> PebbleGameSolver::AllTargetsSurvivable(SearchContext& ctx,
+Result<bool> PebbleGameSolver::AllTargetsSurvivable(Context& ctx,
                                                     std::size_t rounds_left,
                                                     std::size_t p,
                                                     bool was_unique) {
-  for (int side = 0; side < 2; ++side) {
-    const bool in_a = side == 0;
-    const std::size_t n = in_a ? a_.domain_size() : b_.domain_size();
-    const std::vector<std::uint32_t>& cls =
-        in_a ? swap_class_a_ : swap_class_b_;
-    std::vector<bool> seen(in_a ? num_classes_a_ : num_classes_b_, false);
-    for (Element s = 0; s < n; ++s) {
-      const bool pinned =
-          in_a ? ctx.position.PinnedInA(s) : ctx.position.PinnedInB(s);
-      if (pinned) {
+  return core_.ForEachSpoilerMove(
+      ctx,
+      [&](bool in_a, Element s) -> Result<bool> {
         if (!was_unique) {
           // A free-equivalent pebble onto a pinned element is a pass: the
           // forced reply leaves the pair set unchanged with fewer rounds,
           // which by round monotonicity never helps the spoiler.
           ++ctx.local.moves_pruned;
-          continue;
+          return true;
         }
         // Lifting a unique holder shrank the set; re-pinning onto a still
-        // pinned element is a real move (the set stays smaller).
-        FMTK_ASSIGN_OR_RETURN(
-            bool survivable, ForcedMoveSurvives(ctx, rounds_left, p, in_a, s));
-        if (!survivable) {
-          return false;
-        }
-        continue;
-      }
-      if (seen[cls[s]]) {
-        ++ctx.local.moves_pruned;
-        continue;
-      }
-      seen[cls[s]] = true;
-      FMTK_ASSIGN_OR_RETURN(bool survivable,
-                            ResponseExists(ctx, rounds_left, p, in_a, s));
-      if (!survivable) {
-        return false;
-      }
-    }
-  }
-  return true;
+        // pinned element is a real move (the set stays smaller), and any
+        // reply other than s's existing partner breaks the position.
+        const Element x = in_a ? s : ctx.position.PreimageOf(s);
+        const Element y = in_a ? ctx.position.ImageOf(s) : s;
+        const bool added = ctx.position.TryAdd(x, y);
+        FMTK_CHECK(added) << "re-pinning an existing pair must succeed";
+        Result<bool> wins = Place(ctx, rounds_left, p, x, y);
+        ctx.position.Remove(x, y);
+        return wins;
+      },
+      [&](bool in_a, Element s) {
+        return ResponseExists(ctx, rounds_left, p, in_a, s);
+      });
 }
 
-Result<bool> PebbleGameSolver::ForcedMoveSurvives(SearchContext& ctx,
-                                                  std::size_t rounds_left,
-                                                  std::size_t p, bool in_a,
-                                                  Element s) {
-  // Any reply other than s's existing partner breaks the position.
-  const Element x = in_a ? s : ctx.position.PreimageOf(s);
-  const Element y = in_a ? ctx.position.ImageOf(s) : s;
-  const bool added = ctx.position.TryAdd(x, y);
-  FMTK_CHECK(added) << "re-pinning an existing pair must succeed";
-  ctx.board[p] = std::make_pair(x, y);
+Result<bool> PebbleGameSolver::Place(Context& ctx, std::size_t rounds_left,
+                                     std::size_t p, Element x, Element y) {
+  ctx.state[p] = std::make_pair(x, y);
   Result<bool> wins = Wins(ctx, rounds_left);
-  ctx.board[p] = std::nullopt;
-  ctx.position.Remove(x, y);
+  ctx.state[p] = std::nullopt;
   return wins;
 }
 
-Result<bool> PebbleGameSolver::ResponseExists(SearchContext& ctx,
+Result<bool> PebbleGameSolver::ResponseExists(Context& ctx,
                                               std::size_t rounds_left,
                                               std::size_t p, bool in_a,
                                               Element s) {
-  const std::size_t n_to = in_a ? b_.domain_size() : a_.domain_size();
-  const std::vector<std::uint32_t>& cls_to =
-      in_a ? swap_class_b_ : swap_class_a_;
-  const std::size_t want = (in_a ? sig_a_ : sig_b_)[s];
-  const ElementBitset* match =
-      (in_a ? sig_buckets_b_ : sig_buckets_a_).Find(want);
-  std::vector<bool> seen(in_a ? num_classes_b_ : num_classes_a_, false);
-  std::optional<Result<bool>> decided;
-  auto consider = [&](Element d) -> bool {
-    if (in_a ? ctx.position.PinnedInB(d) : ctx.position.PinnedInA(d)) {
-      ++ctx.local.moves_pruned;
-      return false;
-    }
-    if (seen[cls_to[d]]) {
-      ++ctx.local.moves_pruned;
-      return false;
-    }
-    seen[cls_to[d]] = true;
-    const Element x = in_a ? s : d;
-    const Element y = in_a ? d : s;
-    if (!ctx.position.TryAdd(x, y)) {
-      ++ctx.local.moves_pruned;
-      return false;
-    }
-    ctx.board[p] = std::make_pair(x, y);
-    Result<bool> wins = Wins(ctx, rounds_left);
-    ctx.board[p] = std::nullopt;
-    ctx.position.Remove(x, y);
-    if (!wins.ok() || *wins) {
-      decided = std::move(wins);
-      return true;
-    }
-    return false;
-  };
-  // Signature-matching candidates first (the spoiler element's bucket,
-  // ascending), then the complement; see EfGameSolver::MoveSurvivable.
-  if (match != nullptr &&
-      match->ForEachSetBitUntil(
-          [&](std::size_t d) { return consider(static_cast<Element>(d)); })) {
-    return *std::move(decided);
-  }
-  for (Element d = 0; d < n_to; ++d) {
-    if (match != nullptr && match->Test(d)) {
-      continue;  // Bucket pass already considered it.
-    }
-    if (consider(d)) {
-      return *std::move(decided);
-    }
-  }
-  return false;
-}
-
-Result<bool> PebbleGameSolver::SolveRoot(SearchContext& ctx,
-                                         std::size_t rounds) {
-  if (rounds == 0 || !parallel_.enabled) {
-    return Wins(ctx, rounds);
-  }
-  // First-round spoiler moves from the empty board: every pebble is
-  // free-equivalent, so the moves are one pebble, both sides, one
-  // representative target per swap class (pinned targets are passes).
-  std::vector<std::pair<bool, Element>> moves;
-  for (int side = 0; side < 2; ++side) {
-    const bool in_a = side == 0;
-    const std::size_t n = in_a ? a_.domain_size() : b_.domain_size();
-    const std::vector<std::uint32_t>& cls =
-        in_a ? swap_class_a_ : swap_class_b_;
-    std::vector<bool> seen(in_a ? num_classes_a_ : num_classes_b_, false);
-    for (Element s = 0; s < n; ++s) {
-      if (in_a ? ctx.position.PinnedInA(s) : ctx.position.PinnedInB(s)) {
-        ++ctx.local.moves_pruned;
-        continue;
-      }
-      if (seen[cls[s]]) {
-        ++ctx.local.moves_pruned;
-        continue;
-      }
-      seen[cls[s]] = true;
-      moves.emplace_back(in_a, s);
-    }
-  }
-  const std::size_t threads =
-      game_engine::ResolveThreadCount(parallel_.num_threads, moves.size());
-  if (moves.size() < parallel_.min_domain || threads <= 1) {
-    return Wins(ctx, rounds);
-  }
-  struct WorkerContext {
-    FlatU64Map<bool> table;
-    SearchContext search;
-  };
-  FMTK_ASSIGN_OR_RETURN(
-      bool duplicator_wins,
-      (game_engine::FanOutFirstRound<std::unique_ptr<WorkerContext>>(
-          moves.size(), threads,
-          [&] {
-            auto worker = std::make_unique<WorkerContext>(WorkerContext{
-                {},
-                SearchContext{ctx.position, ctx.board, nullptr, GameStats{}}});
-            worker->search.table = &worker->table;
-            return worker;
-          },
-          [&](std::unique_ptr<WorkerContext>& worker, std::size_t j) {
-            return ResponseExists(worker->search, rounds - 1, 0,
-                                  moves[j].first, moves[j].second);
-          },
-          [&](std::unique_ptr<WorkerContext>& worker) {
-            worker->table.ForEach([&](const std::uint64_t& key, bool& value) {
-              ctx.table->TryEmplace(key, value);
-            });
-            ctx.local.table_hits += worker->search.local.table_hits;
-            ctx.local.moves_pruned += worker->search.local.moves_pruned;
-          })));
-  ctx.table->TryEmplace(
-      game_engine::TranspositionKey(ctx.position.hash(), rounds),
-      duplicator_wins);
-  return duplicator_wins;
+  return core_.FindResponse(ctx, in_a, s, [&](Element x, Element y) {
+    return Place(ctx, rounds_left, p, x, y);
+  });
 }
 
 Result<bool> PebbleGameSolver::DuplicatorWins(std::size_t rounds) {
-  SearchContext ctx = MakeContext(&table_);
-  if (!nullary_ok_ || !BuildConstants(ctx)) {
-    MergeStats(ctx);
-    return false;
-  }
-  Result<bool> verdict = SolveRoot(ctx, rounds);
-  MergeStats(ctx);
-  return verdict;
+  // From the empty board every pebble is free-equivalent, so the first
+  // round's moves are pebble 0 onto one target per swap class.
+  return core_.SolveRoot(
+      {}, rounds, Board(pebbles_),
+      [this](Context& ctx, std::size_t r) { return Wins(ctx, r); },
+      [this](Context& ctx, std::size_t rounds_left, bool in_a, Element s) {
+        return ResponseExists(ctx, rounds_left, 0, in_a, s);
+      });
 }
 
 }  // namespace fmtk

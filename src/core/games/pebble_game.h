@@ -1,14 +1,12 @@
 #ifndef FMTK_CORE_GAMES_PEBBLE_GAME_H_
 #define FMTK_CORE_GAMES_PEBBLE_GAME_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "base/flat_hash.h"
-#include "base/parallel.h"
 #include "base/result.h"
 #include "core/games/game_engine.h"
 #include "structures/structure.h"
@@ -23,11 +21,11 @@ namespace fmtk {
 /// The plain EF game is the special case where pebbles are never reused
 /// (k >= r), which the test suite cross-checks.
 ///
-/// Shares the search core of EfGameSolver (game_engine.h): transposition
-/// table over packed 64-bit keys, incremental partial-isomorphism
-/// maintenance, and swap-class move pruning. Two pebble-specific
-/// canonicalizations collapse the state space further — both proved in
-/// DESIGN.md:
+/// Runs on the search core shared with EfGameSolver
+/// (game_engine::GameSearch) and adds only the pebble move rules: lift a
+/// pebble, then re-pin it, pass, or place it on a fresh element. Two
+/// pebble-specific canonicalizations collapse the state space — both proved
+/// in DESIGN.md:
 ///  - the game value depends only on the *set* of distinct pinned pairs
 ///    (pebble names, duplicate placements, and free pebbles are
 ///    interchangeable), so boards are keyed by their pair-set hash;
@@ -40,86 +38,50 @@ class PebbleGameSolver {
   /// The structures must outlive the solver and have equal signatures.
   /// `pebbles` >= 1.
   PebbleGameSolver(const Structure& a, const Structure& b,
-                   std::size_t pebbles, std::uint64_t max_nodes = 20'000'000);
+                   std::size_t pebbles, GameOptions options = {});
 
   /// Temporaries would dangle — bind the structures to locals first.
   PebbleGameSolver(Structure&&, const Structure&, std::size_t,
-                   std::uint64_t = 0) = delete;
+                   GameOptions = {}) = delete;
   PebbleGameSolver(const Structure&, Structure&&, std::size_t,
-                   std::uint64_t = 0) = delete;
+                   GameOptions = {}) = delete;
   PebbleGameSolver(Structure&&, Structure&&, std::size_t,
-                   std::uint64_t = 0) = delete;
-
-  /// Optional fan-out of the first-round spoiler moves across threads; same
-  /// semantics as EfOptions::parallel.
-  void set_parallel(const ParallelPolicy& policy) { parallel_ = policy; }
+                   GameOptions = {}) = delete;
 
   /// Does the duplicator survive `rounds` rounds of the `pebbles`-pebble
   /// game from the empty board?
   Result<bool> DuplicatorWins(std::size_t rounds);
 
-  std::uint64_t nodes_explored() const { return stats_.nodes_explored; }
+  std::uint64_t nodes_explored() const { return stats().nodes_explored; }
 
   /// Cumulative search counters (nodes, transposition hits, pruned moves).
-  const GameStats& stats() const { return stats_; }
+  const GameStats& stats() const { return core_.stats(); }
 
  private:
   // A board: per pebble, an optional (a, b) placement. Carried alongside
   // the canonical pair-set position because move enumeration is per pebble.
   using Board = std::vector<std::optional<std::pair<Element, Element>>>;
+  using Context = game_engine::SearchContext<Board>;
 
-  struct SearchContext {
-    game_engine::PositionState position;
-    Board board;
-    FlatU64Map<bool>* table;
-    GameStats local;
-  };
-
-  SearchContext MakeContext(FlatU64Map<bool>* table);
-  void MergeStats(const SearchContext& ctx);
-  // Seeds the constant pairs; false when they are incompatible.
-  bool BuildConstants(SearchContext& ctx) const;
-
-  Result<bool> Wins(SearchContext& ctx, std::size_t rounds);
+  // Decides ctx.position (with ctx.state as the board) with `rounds`
+  // remaining.
+  Result<bool> Wins(Context& ctx, std::size_t rounds);
   // All spoiler targets for lifted pebble p; `was_unique` says whether the
   // lift removed a pair from the board set (enabling re-pin moves onto
   // pinned elements; otherwise those are skipped as passes).
-  Result<bool> AllTargetsSurvivable(SearchContext& ctx,
-                                    std::size_t rounds_left, std::size_t p,
-                                    bool was_unique);
-  // Spoiler re-pins pebble p onto pinned element s: the duplicator's reply
-  // is forced to s's existing partner.
-  Result<bool> ForcedMoveSurvives(SearchContext& ctx, std::size_t rounds_left,
-                                  std::size_t p, bool in_a, Element s);
+  Result<bool> AllTargetsSurvivable(Context& ctx, std::size_t rounds_left,
+                                    std::size_t p, bool was_unique);
+  // Pebble p goes on the pair (x, y), already on ctx.position: does the
+  // duplicator win the rest?
+  Result<bool> Place(Context& ctx, std::size_t rounds_left, std::size_t p,
+                     Element x, Element y);
   // Spoiler puts pebble p on unpinned element s: does a winning duplicator
   // response exist?
-  Result<bool> ResponseExists(SearchContext& ctx, std::size_t rounds_left,
+  Result<bool> ResponseExists(Context& ctx, std::size_t rounds_left,
                               std::size_t p, bool in_a, Element s);
-  Result<bool> SolveRoot(SearchContext& ctx, std::size_t rounds);
 
-  const Structure& a_;
-  const Structure& b_;
   std::size_t pebbles_;
-  std::uint64_t max_nodes_;
-  ParallelPolicy parallel_;
-
-  // Immutable per-solver search tables.
-  game_engine::OccurrenceLists occ_a_;
-  game_engine::OccurrenceLists occ_b_;
-  std::vector<std::uint32_t> swap_class_a_;
-  std::vector<std::uint32_t> swap_class_b_;
-  std::uint32_t num_classes_a_ = 0;
-  std::uint32_t num_classes_b_ = 0;
-  std::vector<std::size_t> sig_a_;
-  std::vector<std::size_t> sig_b_;
-  game_engine::SignatureBuckets sig_buckets_a_;
-  game_engine::SignatureBuckets sig_buckets_b_;
-  game_engine::ZobristTable zobrist_;
-  bool nullary_ok_ = true;
-
-  FlatU64Map<bool> table_;
-  std::atomic<std::uint64_t> node_count_{0};
-  GameStats stats_;
+  game_engine::GameSearch core_;
 };
 
 }  // namespace fmtk

@@ -1,9 +1,14 @@
 #include "datalog/program.h"
 
 #include <cctype>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "analysis/datalog_analyzer.h"
+#include "base/string_util.h"
 
 namespace fmtk {
 
@@ -216,10 +221,19 @@ class DlParser {
       return atom;
     }
     while (true) {
+      SkipSpace();
+      const std::size_t term_start = pos_;
       FMTK_ASSIGN_OR_RETURN(std::string term, ParseIdentifier());
       if (std::isdigit(static_cast<unsigned char>(term[0]))) {
-        atom.terms.push_back(
-            DlTerm::Const(static_cast<Element>(std::stoul(term))));
+        const std::optional<std::uint64_t> value =
+            ParseDecimal(term, std::numeric_limits<Element>::max());
+        if (!value.has_value()) {
+          return Status::ParseError(
+              "constant '" + term +
+              "' must be a decimal number of at most 4294967295 at offset " +
+              std::to_string(term_start));
+        }
+        atom.terms.push_back(DlTerm::Const(static_cast<Element>(*value)));
       } else {
         atom.terms.push_back(DlTerm::Var(std::move(term)));
       }

@@ -1,9 +1,14 @@
 #include "logic/parser.h"
 
 #include <cctype>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "base/string_util.h"
 
 namespace fmtk {
 
@@ -272,8 +277,15 @@ class Parser {
           !std::isdigit(static_cast<unsigned char>(Peek().text[0]))) {
         return Error("expected a count after 'atleast'");
       }
-      const std::size_t count = std::stoul(Advance().text);
-      if (count == 0) {
+      // The compiled evaluator keeps the threshold in 32 bits.
+      const std::optional<std::uint64_t> count = ParseDecimal(
+          Peek().text, std::numeric_limits<std::uint32_t>::max());
+      if (!count.has_value()) {
+        return Error("the count after 'atleast' must be a decimal number "
+                     "of at most 4294967295");
+      }
+      Advance();
+      if (*count == 0) {
         return Error("'atleast 0' is trivially true; use a count >= 1");
       }
       if (Peek().kind != TokenKind::kName) {
@@ -286,7 +298,8 @@ class Parser {
       Advance();
       FMTK_ASSIGN_OR_RETURN(Formula body, ParseIff());
       return Tag(
-          Formula::CountExists(count, std::move(variable), std::move(body)),
+          Formula::CountExists(static_cast<std::size_t>(*count),
+                               std::move(variable), std::move(body)),
           start);
     }
     const bool is_exists =

@@ -1,10 +1,15 @@
 #include "structures/io.h"
 
 #include <cctype>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "base/string_util.h"
 
 namespace fmtk {
 
@@ -153,6 +158,7 @@ class StructureParser {
     return std::string(text_.substr(start, pos_ - start));
   }
 
+  // Domain sizes, arities and elements alike must fit an Element.
   Result<std::size_t> ParseNumber() {
     SkipSpaceAndComments();
     std::size_t start = pos_;
@@ -163,8 +169,15 @@ class StructureParser {
     if (start == pos_) {
       return Error("expected a number");
     }
-    return static_cast<std::size_t>(
-        std::stoul(std::string(text_.substr(start, pos_ - start))));
+    const std::optional<std::uint64_t> value =
+        ParseDecimal(text_.substr(start, pos_ - start),
+                     std::numeric_limits<Element>::max());
+    if (!value.has_value()) {
+      return Status::ParseError(
+          "number '" + std::string(text_.substr(start, pos_ - start)) +
+          "' exceeds 4294967295 at offset " + std::to_string(start));
+    }
+    return static_cast<std::size_t>(*value);
   }
 
   std::string_view text_;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "base/hash.h"
@@ -114,6 +116,23 @@ TEST(StringUtilTest, StripWhitespace) {
 TEST(StringUtilTest, StartsWith) {
   EXPECT_TRUE(StartsWith("forall x", "forall"));
   EXPECT_FALSE(StartsWith("for", "forall"));
+}
+
+TEST(StringUtilTest, ParseDecimalAcceptsOnlyBoundedDigitStrings) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(ParseDecimal("0", kMax), 0u);
+  EXPECT_EQ(ParseDecimal("007", kMax), 7u);
+  EXPECT_EQ(ParseDecimal("18446744073709551615", kMax), kMax);
+  EXPECT_EQ(ParseDecimal("18446744073709551616", kMax), std::nullopt);
+  EXPECT_EQ(ParseDecimal("99999999999999999999999", kMax), std::nullopt);
+  EXPECT_EQ(ParseDecimal("4294967295", 4294967295u), 4294967295u);
+  EXPECT_EQ(ParseDecimal("4294967296", 4294967295u), std::nullopt);
+  EXPECT_EQ(ParseDecimal("9", 9), 9u);
+  EXPECT_EQ(ParseDecimal("10", 9), std::nullopt);
+  EXPECT_EQ(ParseDecimal("1", 0), std::nullopt);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "0abc", "1e3", "0x10"}) {
+    EXPECT_EQ(ParseDecimal(bad, kMax), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 // --- The shared JSON writer (base/json_out.h, PR 9) -------------------------

@@ -66,6 +66,24 @@ TEST(DatalogParserTest, Errors) {
   EXPECT_FALSE(ParseDatalogProgram("p(x) :- q(y).").ok());
 }
 
+TEST(DatalogParserTest, ConstantsAreCheckedDecimals) {
+  // These were read as E(0, x): std::stoul stops at the first non-digit and
+  // the cast to Element dropped the high bits.
+  for (const char* text : {"p(x) :- E(4294967296, x).",
+                           "p(x) :- E(0abc, x).",
+                           "p(x) :- E(99999999999999999999999, x)."}) {
+    Result<DatalogProgram> p = ParseDatalogProgram(text);
+    ASSERT_FALSE(p.ok()) << text;
+    EXPECT_EQ(p.status().code(), StatusCode::kParseError) << text;
+    EXPECT_NE(p.status().message().find("at offset 10"), std::string::npos)
+        << p.status().ToString();
+  }
+  Result<DatalogProgram> largest =
+      ParseDatalogProgram("p(x) :- E(4294967295, x).");
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest->rules()[0].body[0].terms[0].value, 4294967295u);
+}
+
 TEST(DatalogEvalTest, TransitiveClosureMatchesGraphAlgorithm) {
   for (std::size_t n : {2, 5, 9}) {
     Structure chain = MakeDirectedPath(n);

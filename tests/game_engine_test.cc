@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -299,8 +300,8 @@ TEST(PebbleDifferentialTest, RichSignaturePairsMatchBruteForce) {
 // Parallel fan-out: verdicts must match the sequential search.
 // ---------------------------------------------------------------------------
 
-EfOptions ParallelOptions() {
-  EfOptions options;
+GameOptions ParallelOptions() {
+  GameOptions options;
   options.parallel.enabled = true;
   options.parallel.num_threads = 4;
   options.parallel.min_domain = 1;  // Fan out even tiny root move lists.
@@ -343,12 +344,7 @@ TEST(ParallelGameTest, PebbleParallelVerdictsMatchSequential) {
   for (const auto& [a, b] : pairs) {
     for (std::size_t rounds = 0; rounds <= 4; ++rounds) {
       PebbleGameSolver sequential(a, b, 2);
-      PebbleGameSolver parallel(a, b, 2);
-      ParallelPolicy policy;
-      policy.enabled = true;
-      policy.num_threads = 4;
-      policy.min_domain = 1;
-      parallel.set_parallel(policy);
+      PebbleGameSolver parallel(a, b, 2, ParallelOptions());
       Result<bool> want = sequential.DuplicatorWins(rounds);
       Result<bool> got = parallel.DuplicatorWins(rounds);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
@@ -360,16 +356,47 @@ TEST(ParallelGameTest, PebbleParallelVerdictsMatchSequential) {
 }
 
 TEST(ParallelGameTest, ParallelNodeCapStillSurfacesResourceExhausted) {
-  // A duplicator-win instance: no refutation exists to race the error, so
-  // the cap must surface even in parallel mode.
+  // Duplicator-win instances: no refutation exists to race the error, so
+  // the cap must surface even in parallel mode, in both games.
   Structure a = MakeSet(4);
   Structure b = MakeSet(5);
-  EfOptions options = ParallelOptions();
+  GameOptions options = ParallelOptions();
   options.max_nodes = 3;
-  EfGameSolver solver(a, b, options);
-  Result<bool> r = solver.DuplicatorWins(3);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EfGameSolver ef(a, b, options);
+  PebbleGameSolver pebble(a, b, 3, options);
+  for (Result<bool> r : {ef.DuplicatorWins(3), pebble.DuplicatorWins(3)}) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(r.status().message().find("exceeded 3 positions"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+TEST(ParallelGameTest, SequentialFallbackCountsLikeSequential) {
+  // With fewer root moves than min_domain the parallel policy runs the
+  // sequential search; the root moves it pruned while counting them must
+  // not be counted a second time.
+  Structure a = MakeSet(5);
+  Structure b = MakeSet(6);
+  GameOptions options = ParallelOptions();
+  options.parallel.min_domain = 1000;
+  EfGameSolver ef(a, b);
+  EfGameSolver ef_fallback(a, b, options);
+  PebbleGameSolver pebble(a, b, 2);
+  PebbleGameSolver pebble_fallback(a, b, 2, options);
+  ASSERT_TRUE(ef.DuplicatorWins(3).ok());
+  ASSERT_TRUE(ef_fallback.DuplicatorWins(3).ok());
+  ASSERT_TRUE(pebble.DuplicatorWins(3).ok());
+  ASSERT_TRUE(pebble_fallback.DuplicatorWins(3).ok());
+  for (const auto& [want, got] :
+       {std::pair{ef.stats(), ef_fallback.stats()},
+        std::pair{pebble.stats(), pebble_fallback.stats()}}) {
+    EXPECT_GT(want.moves_pruned, 0u);
+    EXPECT_EQ(got.nodes_explored, want.nodes_explored);
+    EXPECT_EQ(got.table_hits, want.table_hits);
+    EXPECT_EQ(got.moves_pruned, want.moves_pruned);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -379,7 +406,7 @@ TEST(ParallelGameTest, ParallelNodeCapStillSurfacesResourceExhausted) {
 TEST(NodeCapTest, EfSequentialCap) {
   Structure a = MakeDirectedCycle(6);
   Structure b = MakeDirectedCycle(7);
-  EfOptions options;
+  GameOptions options;
   options.max_nodes = 10;
   EfGameSolver solver(a, b, options);
   Result<bool> r = solver.DuplicatorWins(4);
@@ -390,10 +417,13 @@ TEST(NodeCapTest, EfSequentialCap) {
 TEST(NodeCapTest, PebbleSequentialCap) {
   Structure a = MakeDirectedCycle(5);
   Structure b = MakeDirectedCycle(6);
-  PebbleGameSolver solver(a, b, 2, /*max_nodes=*/5);
+  GameOptions options;
+  options.max_nodes = 5;
+  PebbleGameSolver solver(a, b, 2, options);
   Result<bool> r = solver.DuplicatorWins(4);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(r.status().message(), "pebble game search exceeded 5 positions");
 }
 
 // ---------------------------------------------------------------------------
@@ -412,6 +442,66 @@ TEST(GameStatsTest, LinearOrderNodesDropAtLeastFiveFold) {
   EXPECT_TRUE(*r);
   EXPECT_GT(solver.stats().nodes_explored, 0u);
   EXPECT_LE(solver.stats().nodes_explored, 10125u / 5);
+}
+
+TEST(GameStatsTest, ExactCountersArePinned) {
+  // Sequential searches visit moves in one fixed order, so every counter is
+  // a deterministic function of the search order. These values were
+  // recorded before the EF and pebble solvers moved onto one search core;
+  // a changed count means a changed search order.
+  struct Expected {
+    bool duplicator_wins;
+    std::uint64_t nodes_explored;
+    std::uint64_t table_hits;
+    std::uint64_t moves_pruned;
+  };
+  auto check = [](const char* label, Result<bool> verdict,
+                  const GameStats& stats, const Expected& want) {
+    ASSERT_TRUE(verdict.ok()) << label << ": " << verdict.status().ToString();
+    EXPECT_EQ(*verdict, want.duplicator_wins) << label;
+    EXPECT_EQ(stats.nodes_explored, want.nodes_explored) << label;
+    EXPECT_EQ(stats.table_hits, want.table_hits) << label;
+    EXPECT_EQ(stats.moves_pruned, want.moves_pruned) << label;
+  };
+  Structure l7 = MakeLinearOrder(7);
+  Structure l8 = MakeLinearOrder(8);
+  Structure c5 = MakeDirectedCycle(5);
+  Structure c6 = MakeDirectedCycle(6);
+  {
+    EfGameSolver solver(l7, l8);
+    check("EF L7 vs L8, 3 rounds", solver.DuplicatorWins(3), solver.stats(),
+          {true, 429, 149, 8402});
+  }
+  {
+    EfGameSolver solver(c5, c6);
+    check("EF C5 vs C6, 3 rounds", solver.DuplicatorWins(3), solver.stats(),
+          {false, 31, 0, 374});
+  }
+  {
+    PebbleGameSolver solver(c5, c6, 2);
+    check("2 pebbles, C5 vs C6, 4 rounds", solver.DuplicatorWins(4),
+          solver.stats(), {true, 215, 1341, 5833});
+  }
+  {
+    PebbleGameSolver solver(c5, c6, 3);
+    check("3 pebbles, C5 vs C6, 3 rounds", solver.DuplicatorWins(3),
+          solver.stats(), {false, 41, 56, 1317});
+  }
+  // On orders and cycles the signature buckets are all-or-nothing; a path's
+  // endpoints split them, so these cases also pin the bucket-first order of
+  // duplicator responses.
+  Structure p6 = MakeDirectedPath(6);
+  Structure p7 = MakeDirectedPath(7);
+  {
+    EfGameSolver solver(p6, p7);
+    check("EF P6 vs P7, 3 rounds", solver.DuplicatorWins(3), solver.stats(),
+          {false, 32, 5, 418});
+  }
+  {
+    PebbleGameSolver solver(p6, p7, 2);
+    check("2 pebbles, P6 vs P7, 4 rounds", solver.DuplicatorWins(4),
+          solver.stats(), {false, 194, 972, 2988});
+  }
 }
 
 TEST(GameStatsTest, SwapClassPruningCollapsesSets) {

@@ -122,7 +122,7 @@ TEST(EfGameTest, MismatchedConstantInterpretation) {
 }
 
 TEST(EfGameTest, NodeCapReturnsResourceExhausted) {
-  EfOptions options;
+  GameOptions options;
   options.max_nodes = 10;
   Structure a = MakeDirectedCycle(6);
   Structure b = MakeDirectedCycle(7);
@@ -327,7 +327,9 @@ TEST(PebbleGameTest, OnePebbleSeesOnlyPointTypes) {
 TEST(PebbleGameTest, NodeCap) {
   Structure a = MakeDirectedCycle(5);
   Structure b = MakeDirectedCycle(6);
-  PebbleGameSolver solver(a, b, 2, /*max_nodes=*/5);
+  GameOptions options;
+  options.max_nodes = 5;
+  PebbleGameSolver solver(a, b, 2, options);
   Result<bool> r = solver.DuplicatorWins(4);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);

@@ -78,6 +78,24 @@ TEST(StructureIoTest, Errors) {
       ParseStructure("domain 2 relation E/2 {} relation E/2 {}").ok());
 }
 
+TEST(StructureIoTest, OversizedNumeralsAreParseErrors) {
+  // Every numeral must fit an Element; the longest once escaped as
+  // std::out_of_range.
+  for (const std::string numeral : {"4294967296", "99999999999999999999999"}) {
+    for (const std::string prefix :
+         {"domain ", "domain 2 relation E/", "domain 2 relation E/2 { (0 ",
+          "domain 2 constant c = "}) {
+      Result<Structure> s = ParseStructure(prefix + numeral);
+      ASSERT_FALSE(s.ok()) << prefix << numeral;
+      EXPECT_EQ(s.status().code(), StatusCode::kParseError);
+      EXPECT_NE(s.status().message().find("at offset " +
+                                          std::to_string(prefix.size())),
+                std::string::npos)
+          << s.status().ToString();
+    }
+  }
+}
+
 TEST(StructureIoTest, RoundTripGenerators) {
   std::vector<Structure> panel;
   panel.push_back(MakeDirectedCycle(5));

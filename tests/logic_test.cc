@@ -197,6 +197,22 @@ TEST(ParserTest, Errors) {
   EXPECT_EQ(ParseFormula("").status().code(), StatusCode::kParseError);
 }
 
+TEST(ParserTest, CountNumeralsAreCheckedDecimals) {
+  // An oversized count once escaped as std::out_of_range; one past 32 bits
+  // was accepted and then truncated by the compiled evaluator.
+  for (const char* text : {"atleast 99999999999999999999999 x . x = x",
+                           "atleast 4294967296 x . x = x"}) {
+    Result<Formula> f = ParseFormula(text);
+    ASSERT_FALSE(f.ok()) << text;
+    EXPECT_EQ(f.status().code(), StatusCode::kParseError) << text;
+    EXPECT_NE(f.status().message().find("at offset 8"), std::string::npos)
+        << f.status().ToString();
+  }
+  Result<Formula> largest = ParseFormula("atleast 4294967295 x . x = x");
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest->count(), 4294967295u);
+}
+
 TEST(CheckSignatureTest, AcceptsAndRejects) {
   Signature sig;
   sig.AddRelation("E", 2).AddConstant("c");

@@ -631,6 +631,32 @@ TEST_F(LiveServerTest, MalformedRequestGets400AndClose) {
   EXPECT_GE(server_->http_stats().parse_errors, 1u);
 }
 
+TEST_F(LiveServerTest, OversizedNumeralGets400AndServerKeepsServing) {
+  // The count once escaped the parser as std::out_of_range and terminated
+  // the process from a worker thread.
+  auto post = [this](const std::string& path, const std::string& body) {
+    TestClient client(server_->port());
+    EXPECT_TRUE(client.connected());
+    return client.RoundTrip("POST " + path +
+                            " HTTP/1.1\r\nContent-Length: " +
+                            std::to_string(body.size()) + "\r\n\r\n" + body);
+  };
+  std::string response = post(
+      "/query",
+      R"js({"structure":"g","query":"atleast 99999999999999999999999 x . x = x"})js");
+  EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << response;
+  EXPECT_NE(response.find("count after 'atleast'"), std::string::npos)
+      << response;
+  response = post("/datalog",
+                  R"js({"structure":"g","program":"p(x) :- E(4294967296, x).",)js"
+                  R"js("outputs":["p"]})js");
+  EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << response;
+  response = post("/query",
+                  R"js({"structure":"g","query":"forall x. exists y. E(x,y)"})js");
+  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
+  EXPECT_NE(response.find("\"result\":true"), std::string::npos) << response;
+}
+
 TEST_F(LiveServerTest, ConcurrentSocketClientsAllSucceed) {
   constexpr int kThreads = 6;
   constexpr int kRequests = 25;
