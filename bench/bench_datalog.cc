@@ -2,10 +2,11 @@
 //
 // Claims reproduced: same-generation and transitive closure need a number
 // of fixpoint rounds that grows with the input (no FO formula can do
-// that), and the compiled, index-driven semi-naive engine beats both the
-// seed's per-position semi-naive interpreter and naive iteration — fewer
-// derivations (each derivable combination exactly once) and posting-list
-// probes instead of relation scans.
+// that), and the compiled, index-driven semi-naive engine beats naive
+// iteration — fewer derivations (each derivable combination exactly once)
+// and posting-list probes instead of relation scans. The seed's
+// per-position semi-naive interpreter, the earlier "before" point, is
+// gone; its rows remain in BENCH_pr6.json through BENCH_pr10.json.
 //
 // `--json` skips the google-benchmark harness and emits one
 // {"bench":...,"n":...,"wall_ms":...,"tuples_derived":...} line per
@@ -47,50 +48,43 @@ void PrintTable() {
       "paper: fixpoint queries iterate to a data-dependent depth — beyond "
       "any fixed FO quantifier rank\n\n");
   std::printf("-- transitive closure on chains --\n");
-  std::printf("%6s %6s %15s %15s %15s %15s %15s\n", "n", "iters",
-              "derived(comp)", "derived(seed)", "derived(naive)",
-              "scanned(comp)", "scanned(seed)");
+  std::printf("%6s %6s %15s %15s %15s %15s\n", "n", "iters",
+              "derived(comp)", "derived(naive)", "scanned(comp)",
+              "scanned(naive)");
   for (std::size_t n : {8, 16, 32, 64}) {
     Structure chain = MakeDirectedPath(n);
     const DatalogProgram tc = DatalogProgram::TransitiveClosure();
     DatalogStats comp = RunOnce(tc, chain, DatalogStrategy::kSemiNaive);
-    DatalogStats seed = RunOnce(tc, chain, DatalogStrategy::kSeedSemiNaive);
     DatalogStats naive = RunOnce(tc, chain, DatalogStrategy::kNaive);
-    std::printf("%6zu %6zu %15llu %15llu %15llu %15llu %15llu\n", n,
+    std::printf("%6zu %6zu %15llu %15llu %15llu %15llu\n", n,
                 comp.iterations,
                 static_cast<unsigned long long>(comp.tuples_derived),
-                static_cast<unsigned long long>(seed.tuples_derived),
                 static_cast<unsigned long long>(naive.tuples_derived),
                 static_cast<unsigned long long>(comp.tuples_scanned),
-                static_cast<unsigned long long>(seed.tuples_scanned));
+                static_cast<unsigned long long>(naive.tuples_scanned));
   }
   std::printf("\n-- same-generation on full binary trees --\n");
-  std::printf("%6s %6s %6s %10s %15s %15s %15s\n", "depth", "n", "iters",
-              "firings", "atom_visits", "scanned(comp)", "scanned(seed)");
+  std::printf("%6s %6s %6s %10s %15s %15s\n", "depth", "n", "iters",
+              "firings", "atom_visits", "scanned(comp)");
   for (std::size_t depth = 2; depth <= 5; ++depth) {
     Structure tree = MakeFullBinaryTree(depth);
     const DatalogProgram sg = DatalogProgram::SameGeneration();
     DatalogStats comp = RunOnce(sg, tree, DatalogStrategy::kSemiNaive);
-    DatalogStats seed = RunOnce(sg, tree, DatalogStrategy::kSeedSemiNaive);
-    std::printf("%6zu %6zu %6zu %10llu %15llu %15llu %15llu\n", depth,
+    std::printf("%6zu %6zu %6zu %10llu %15llu %15llu\n", depth,
                 tree.domain_size(), comp.iterations,
                 static_cast<unsigned long long>(comp.rule_applications),
                 static_cast<unsigned long long>(comp.atom_visits),
-                static_cast<unsigned long long>(comp.tuples_scanned),
-                static_cast<unsigned long long>(seed.tuples_scanned));
+                static_cast<unsigned long long>(comp.tuples_scanned));
   }
   std::printf(
       "\n-- nonlinear TC on a chain (two recursive body atoms) --\n");
-  std::printf("%6s %15s %15s %12s\n", "n", "derived(comp)", "derived(seed)",
-              "tuples_new");
+  std::printf("%6s %15s %12s\n", "n", "derived(comp)", "tuples_new");
   for (std::size_t n : {16, 32, 48}) {
     Structure chain = MakeDirectedPath(n);
     const DatalogProgram nltc = DatalogProgram::NonlinearTransitiveClosure();
     DatalogStats comp = RunOnce(nltc, chain, DatalogStrategy::kSemiNaive);
-    DatalogStats seed = RunOnce(nltc, chain, DatalogStrategy::kSeedSemiNaive);
-    std::printf("%6zu %15llu %15llu %12llu\n", n,
+    std::printf("%6zu %15llu %12llu\n", n,
                 static_cast<unsigned long long>(comp.tuples_derived),
-                static_cast<unsigned long long>(seed.tuples_derived),
                 static_cast<unsigned long long>(comp.tuples_new));
   }
   {
@@ -105,10 +99,9 @@ void PrintTable() {
   }
   std::printf(
       "\nshape check: iteration count grows with the input (linearly for "
-      "TC-on-chains, with depth for SG); the compiled engine scans orders "
-      "of magnitude fewer tuples than the seed interpreter, and on "
-      "nonlinear TC derives each tuple combination exactly once where the "
-      "per-position scheme re-derives.\n\n");
+      "TC-on-chains, with depth for SG); the compiled engine derives and "
+      "scans far fewer tuples than naive iteration, and on nonlinear TC "
+      "derives each tuple combination exactly once.\n\n");
 }
 
 // --json: wall-clock is the best of `reps` runs, counters from the last.
@@ -149,8 +142,6 @@ void RunJsonSuite() {
     Structure chain = MakeDirectedPath(n);
     EmitJsonLine("tc_chain_compiled", n, tc, chain,
                  DatalogStrategy::kSemiNaive, 5);
-    EmitJsonLine("tc_chain_seed_semi", n, tc, chain,
-                 DatalogStrategy::kSeedSemiNaive, 5);
     EmitJsonLine("tc_chain_naive", n, tc, chain, DatalogStrategy::kNaive, 3);
   }
   for (std::size_t depth = 2; depth <= 6; ++depth) {
@@ -158,8 +149,6 @@ void RunJsonSuite() {
     const std::size_t n = tree.domain_size();
     EmitJsonLine("sg_tree_compiled", n, sg, tree,
                  DatalogStrategy::kSemiNaive, 3);
-    EmitJsonLine("sg_tree_seed_semi", n, sg, tree,
-                 DatalogStrategy::kSeedSemiNaive, depth >= 6 ? 1 : 3);
   }
   {
     Structure tree = MakeFullBinaryTree(6);
@@ -172,8 +161,6 @@ void RunJsonSuite() {
     Structure chain = MakeDirectedPath(n);
     EmitJsonLine("nltc_chain_compiled", n, nltc, chain,
                  DatalogStrategy::kSemiNaive, 3);
-    EmitJsonLine("nltc_chain_seed_semi", n, nltc, chain,
-                 DatalogStrategy::kSeedSemiNaive, 3);
   }
 }
 
@@ -187,17 +174,6 @@ void BM_TcCompiled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TcCompiled)->RangeMultiplier(2)->Range(8, 64);
-
-void BM_TcSeedSemiNaive(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Structure chain = MakeDirectedPath(n);
-  DatalogProgram tc = DatalogProgram::TransitiveClosure();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        EvaluateDatalog(tc, chain, DatalogStrategy::kSeedSemiNaive));
-  }
-}
-BENCHMARK(BM_TcSeedSemiNaive)->RangeMultiplier(2)->Range(8, 64);
 
 void BM_TcNaive(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -221,17 +197,6 @@ void BM_SameGenerationCompiled(benchmark::State& state) {
 }
 BENCHMARK(BM_SameGenerationCompiled)->DenseRange(2, 6);
 
-void BM_SameGenerationSeedSemiNaive(benchmark::State& state) {
-  const std::size_t depth = static_cast<std::size_t>(state.range(0));
-  Structure tree = MakeFullBinaryTree(depth);
-  DatalogProgram sg = DatalogProgram::SameGeneration();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        EvaluateDatalog(sg, tree, DatalogStrategy::kSeedSemiNaive));
-  }
-}
-BENCHMARK(BM_SameGenerationSeedSemiNaive)->DenseRange(2, 5);
-
 void BM_NonlinearTcCompiled(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Structure chain = MakeDirectedPath(n);
@@ -242,17 +207,6 @@ void BM_NonlinearTcCompiled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NonlinearTcCompiled)->RangeMultiplier(2)->Range(16, 64);
-
-void BM_NonlinearTcSeedSemiNaive(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Structure chain = MakeDirectedPath(n);
-  DatalogProgram nltc = DatalogProgram::NonlinearTransitiveClosure();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        EvaluateDatalog(nltc, chain, DatalogStrategy::kSeedSemiNaive));
-  }
-}
-BENCHMARK(BM_NonlinearTcSeedSemiNaive)->RangeMultiplier(2)->Range(16, 64);
 
 }  // namespace
 

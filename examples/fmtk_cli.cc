@@ -205,7 +205,7 @@ int RunDatalog(const std::string& file, const std::string& program_text,
   fmtk::DatalogPlanExplanation explain;
   Result<std::map<std::string, fmtk::Relation>> idb =
       fmtk::EvaluateDatalogAuto(*s, program_text, options.planner, &stats,
-                                /*lookup=*/nullptr, &explain);
+                                &explain);
   if (!idb.ok()) {
     return Fail(idb.status());
   }

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 namespace fmtk {
 
@@ -173,6 +175,56 @@ inline std::string JsonNumber(double value) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
+}
+
+// JSON object members. The caller opens the object with '{' and closes it;
+// each member adds its own separating comma, so members can be written in
+// any order and conditionally.
+
+/// Appends `"key":` (after a comma unless the object was just opened).
+inline void JsonKey(std::string& out, std::string_view key) {
+  if (!out.empty() && out.back() != '{') {
+    out += ',';
+  }
+  JsonAppendString(out, key);
+  out += ':';
+}
+
+inline void JsonStringMember(std::string& out, std::string_view key,
+                             std::string_view value) {
+  JsonKey(out, key);
+  JsonAppendString(out, value);
+}
+
+inline void JsonBoolMember(std::string& out, std::string_view key,
+                           bool value) {
+  JsonKey(out, key);
+  out += value ? "true" : "false";
+}
+
+/// Integers are written exactly; floating-point values through JsonNumber.
+template <typename Number>
+void JsonNumberMember(std::string& out, std::string_view key, Number value) {
+  static_assert(std::is_arithmetic_v<Number> && !std::is_same_v<Number, bool>);
+  JsonKey(out, key);
+  if constexpr (std::is_integral_v<Number>) {
+    out += std::to_string(value);
+  } else {
+    out += JsonNumber(value);
+  }
+}
+
+inline void JsonStringsMember(std::string& out, std::string_view key,
+                              const std::vector<std::string>& values) {
+  JsonKey(out, key);
+  out += '[';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) {
+      out += ',';
+    }
+    JsonAppendString(out, values[i]);
+  }
+  out += ']';
 }
 
 }  // namespace fmtk

@@ -1,6 +1,7 @@
 #include "datalog/evaluator.h"
 
-#include <optional>
+#include <algorithm>
+#include <numeric>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -57,11 +58,15 @@ void Unbind(Bindings& bindings, const std::vector<std::string>& names) {
   }
 }
 
-class Engine {
+// The naive interpreter: every round re-runs every rule over the full
+// relations until a round adds nothing.
+class NaiveEngine {
  public:
-  Engine(const DatalogProgram& program, const Structure& edb,
-         DatalogStrategy strategy, DatalogStats* stats)
-      : program_(program), edb_(edb), strategy_(strategy), stats_(stats) {}
+  NaiveEngine(const DatalogProgram& program, const Structure& edb,
+              DatalogStats* stats)
+      : program_(program),
+        edb_(edb),
+        stats_(stats != nullptr ? stats : &unreported_) {}
 
   Result<std::map<std::string, Relation>> Run() {
     // The static analyzer is the checked front door: range restriction and
@@ -72,14 +77,15 @@ class Engine {
     analyzer_options.signature = &edb_.signature();
     const DatalogAnalysis analysis = AnalyzeProgram(program_, analyzer_options);
     FMTK_RETURN_IF_ERROR(analysis.status());
-    if (stats_ != nullptr) {
-      stats_->recursion_info = analysis.RecursionSummary();
-      stats_->analyzer_warnings =
-          analysis.diagnostics.MessagesFor(DiagSeverity::kWarning);
-      stats_->strata = analysis.StratumSummary();
+    stats_->recursion_info = analysis.RecursionSummary();
+    stats_->analyzer_warnings =
+        analysis.diagnostics.MessagesFor(DiagSeverity::kWarning);
+    stats_->strata = analysis.StratumSummary();
+    // The analyzer vetted the program against the EDB signature; all that
+    // is left is creating the IDB relations and seeding the facts.
+    for (const DlRule& rule : program_.rules()) {
+      idb_.emplace(rule.head.predicate, Relation(rule.head.terms.size()));
     }
-    stratum_of_ = analysis.stratum_of;
-    Setup();
     FMTK_RETURN_IF_ERROR(SeedFactSchemas());
     // Per rule: its stratum and a body order putting positive atoms first
     // (original order) and negated atoms last — FMTK111 guarantees the
@@ -87,17 +93,13 @@ class Engine {
     const std::vector<DlRule>& rules = program_.rules();
     std::vector<RuleInfo> infos(rules.size());
     for (std::size_t i = 0; i < rules.size(); ++i) {
-      infos[i].stratum = stratum_of_.at(rules[i].head.predicate);
-      for (std::size_t j = 0; j < rules[i].body.size(); ++j) {
-        if (!rules[i].body[j].negated) {
-          infos[i].order.push_back(j);
-        }
-      }
-      for (std::size_t j = 0; j < rules[i].body.size(); ++j) {
-        if (rules[i].body[j].negated) {
-          infos[i].order.push_back(j);
-        }
-      }
+      infos[i].stratum = analysis.stratum_of.at(rules[i].head.predicate);
+      std::vector<std::size_t>& order = infos[i].order;
+      order.resize(rules[i].body.size());
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::stable_partition(order.begin(), order.end(), [&](std::size_t j) {
+        return !rules[i].body[j].negated;
+      });
     }
     // Stratum-by-stratum: each stratum runs its own fixpoint; relations of
     // lower strata are complete when a higher stratum starts, so negated
@@ -105,36 +107,19 @@ class Engine {
     // stratum and behave exactly as before.
     for (std::size_t stratum = 0; stratum < analysis.stratum_count;
          ++stratum) {
-      // This stratum's round-0 delta is everything its predicates hold so
-      // far (seeded facts); other predicates are frozen.
-      delta_.clear();
-      for (auto& [name, rel] : idb_) {
-        if (stratum_of_.at(name) == stratum) {
-          delta_.emplace(name, rel);
-        } else {
-          delta_.emplace(name, Relation(rel.arity()));
-        }
-      }
       bool changed = true;
-      std::size_t round = 0;
       while (changed) {
-        ++round;
-        if (stats_ != nullptr) {
-          ++stats_->iterations;
-        }
+        ++stats_->iterations;
         changed = false;
-        std::map<std::string, Relation> next_delta;
-        for (const auto& [name, rel] : idb_) {
-          next_delta.emplace(name, Relation(rel.arity()));
-        }
         for (std::size_t i = 0; i < rules.size(); ++i) {
           if (rules[i].body.empty() || infos[i].stratum != stratum) {
             continue;  // Facts were seeded; other strata run in their turn.
           }
+          ++stats_->rule_applications;
+          Bindings bindings;
           FMTK_RETURN_IF_ERROR(
-              ApplyRule(rules[i], infos[i], round, next_delta, changed));
+              JoinBody(rules[i], infos[i], 0, bindings, changed));
         }
-        delta_ = std::move(next_delta);
       }
     }
     return idb_;
@@ -146,15 +131,6 @@ class Engine {
     std::vector<std::size_t> order;
     std::size_t stratum = 0;
   };
-
-  // The analyzer already vetted the program against the EDB signature; all
-  // that is left is creating the empty IDB relations.
-  void Setup() {
-    idb_names_ = program_.IdbPredicates();
-    for (const DlRule& rule : program_.rules()) {
-      idb_.emplace(rule.head.predicate, Relation(rule.head.terms.size()));
-    }
-  }
 
   Status SeedFactSchemas() {
     for (const DlRule& rule : program_.rules()) {
@@ -217,74 +193,22 @@ class Engine {
     return out;
   }
 
-  // The relation a body atom scans, honoring the semi-naive delta position.
-  const Relation& RelationFor(const DlAtom& atom, bool use_delta) const {
-    if (idb_names_.find(atom.predicate) != idb_names_.end()) {
-      return use_delta ? delta_.at(atom.predicate) : idb_.at(atom.predicate);
-    }
-    return edb_.relation(*edb_.signature().FindRelation(atom.predicate));
-  }
-
-  Status ApplyRule(const DlRule& rule, const RuleInfo& info, std::size_t round,
-                   std::map<std::string, Relation>& next_delta,
-                   bool& changed) {
-    // Seed semi-naive: run the rule once per same-stratum IDB body
-    // position, with that position restricted to the last round's delta and
-    // every other IDB position joining the FULL current relation (the
-    // per-position over-derivation the compiled engine's standard
-    // decomposition removes). Naive: one run, all positions full. Delta
-    // positions index into info.order (the positives-first body view).
-    std::vector<std::optional<std::size_t>> delta_positions;
-    if (strategy_ == DatalogStrategy::kSeedSemiNaive) {
-      for (std::size_t i = 0; i < info.order.size(); ++i) {
-        const DlAtom& atom = rule.body[info.order[i]];
-        if (!atom.negated &&
-            idb_names_.find(atom.predicate) != idb_names_.end() &&
-            stratum_of_.at(atom.predicate) == info.stratum) {
-          delta_positions.emplace_back(i);
-        }
-      }
-      if (delta_positions.empty()) {
-        // No same-stratum IDB input (pure-EDB rule, or every IDB atom
-        // reads a completed lower stratum): the body never changes within
-        // this stratum's fixpoint, so everything it can derive is present
-        // after round one — skip it afterwards (on large EDBs the re-fire
-        // is a full join per round, measurably not harmless).
-        if (round > 1) {
-          return Status::OK();
-        }
-        delta_positions.emplace_back(std::nullopt);
-      }
-    } else {
-      delta_positions.emplace_back(std::nullopt);
-    }
-    for (const std::optional<std::size_t>& delta_at : delta_positions) {
-      if (stats_ != nullptr) {
-        ++stats_->rule_applications;
-      }
-      Bindings bindings;
-      FMTK_RETURN_IF_ERROR(
-          JoinBody(rule, info, 0, delta_at, bindings, next_delta, changed));
-    }
-    return Status::OK();
+  // The relation a body atom scans: the current IDB relation or the EDB's.
+  const Relation& RelationFor(const DlAtom& atom) const {
+    auto it = idb_.find(atom.predicate);
+    return it != idb_.end()
+               ? it->second
+               : edb_.relation(*edb_.signature().FindRelation(atom.predicate));
   }
 
   Status JoinBody(const DlRule& rule, const RuleInfo& info, std::size_t index,
-                  const std::optional<std::size_t>& delta_at,
-                  Bindings& bindings,
-                  std::map<std::string, Relation>& next_delta,
-                  bool& changed) {
+                  Bindings& bindings, bool& changed) {
     if (index == info.order.size()) {
-      if (stats_ != nullptr) {
-        ++stats_->tuples_derived;
-      }
+      ++stats_->tuples_derived;
       FMTK_ASSIGN_OR_RETURN(Tuple head, InstantiateHead(rule.head, bindings));
-      if (idb_.at(rule.head.predicate).Add(head)) {
-        next_delta.at(rule.head.predicate).Add(std::move(head));
+      if (idb_.at(rule.head.predicate).Add(std::move(head))) {
         changed = true;
-        if (stats_ != nullptr) {
-          ++stats_->tuples_new;
-        }
+        ++stats_->tuples_new;
       }
       return Status::OK();
     }
@@ -308,32 +232,27 @@ class Engine {
           probe.push_back(t.value);
         }
       }
-      if (stats_ != nullptr) {
-        ++stats_->atom_visits;
-      }
-      if (!RelationFor(atom, /*use_delta=*/false).Contains(probe)) {
-        FMTK_RETURN_IF_ERROR(JoinBody(rule, info, index + 1, delta_at,
-                                      bindings, next_delta, changed));
+      ++stats_->atom_visits;
+      if (!RelationFor(atom).Contains(probe)) {
+        FMTK_RETURN_IF_ERROR(
+            JoinBody(rule, info, index + 1, bindings, changed));
       }
       return Status::OK();
     }
-    const bool use_delta = delta_at.has_value() && *delta_at == index;
-    const Relation& relation = RelationFor(atom, use_delta);
+    const Relation& relation = RelationFor(atom);
     // The recursive call can derive into this very relation when the rule's
     // head predicate also appears in its body (e.g. naive TC), reallocating
     // the tuple store — so walk a fixed prefix by index and re-fetch the
     // buffer each step instead of holding iterators across the recursion.
     const std::size_t count = relation.tuples().size();
-    if (stats_ != nullptr) {
-      ++stats_->atom_visits;
-      stats_->tuples_scanned += count;
-    }
+    ++stats_->atom_visits;
+    stats_->tuples_scanned += count;
     for (std::size_t i = 0; i < count; ++i) {
       const Tuple& tuple = relation.tuples()[i];
       std::vector<std::string> newly_bound;
       if (MatchAtom(atom, tuple, bindings, newly_bound)) {
-        FMTK_RETURN_IF_ERROR(JoinBody(rule, info, index + 1, delta_at,
-                                      bindings, next_delta, changed));
+        FMTK_RETURN_IF_ERROR(
+            JoinBody(rule, info, index + 1, bindings, changed));
       }
       Unbind(bindings, newly_bound);
     }
@@ -342,12 +261,9 @@ class Engine {
 
   const DatalogProgram& program_;
   const Structure& edb_;
-  DatalogStrategy strategy_;
+  DatalogStats unreported_;  // The counters when the caller wants none.
   DatalogStats* stats_;
-  std::set<std::string> idb_names_;
-  std::map<std::string, std::size_t> stratum_of_;
   std::map<std::string, Relation> idb_;
-  std::map<std::string, Relation> delta_;
 };
 
 }  // namespace
@@ -360,7 +276,7 @@ Result<std::map<std::string, Relation>> EvaluateDatalog(
                           CompiledDatalogEngine::Create(program, edb));
     return engine.Evaluate(stats, policy);
   }
-  Engine engine(program, edb, strategy, stats);
+  NaiveEngine engine(program, edb, stats);
   return engine.Run();
 }
 

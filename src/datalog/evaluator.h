@@ -14,8 +14,8 @@
 
 namespace fmtk {
 
-/// Work counters for the fixed-point computation (E14 compares naive,
-/// seed semi-naive and compiled-indexed semi-naive iteration behaviour).
+/// Work counters for the fixed-point computation (E14 compares naive and
+/// compiled-indexed semi-naive iteration behaviour).
 struct DatalogStats {
   std::size_t iterations = 0;
   /// Rule firings: one per execution of a rule body (per delta variant per
@@ -57,10 +57,6 @@ enum class DatalogStrategy {
   /// Seed interpreter, full re-derivation each round. The differential
   /// oracle; nothing performance-critical should use it.
   kNaive,
-  /// Seed interpreter with the per-position delta restriction (every other
-  /// IDB position joins the FULL current relation). Kept as the before
-  /// point for E14 and the differential suite.
-  kSeedSemiNaive,
   /// Compiled, index-driven engine with the standard semi-naive delta
   /// decomposition (full-new before the delta position, pre-round
   /// snapshots after it). The default.

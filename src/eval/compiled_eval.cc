@@ -33,7 +33,7 @@ struct PlanNode {
   std::vector<CompiledTerm> terms;     // kAtom (arity many), kEqual (2).
   std::vector<std::uint32_t> children;
   std::uint32_t slot = 0;              // quantifiers: environment slot.
-  std::uint32_t count = 0;             // kCountExists threshold.
+  std::size_t count = 0;               // kCountExists threshold.
   std::uint32_t guard = 0;             // quantifiers: index into Plan::guards.
 };
 
@@ -293,7 +293,7 @@ class Compiler {
                                                scope_.size());
         slot_count_ = std::max(slot_count_, std::size_t{node.slot} + 1);
         if (f.kind() == FormulaKind::kCountExists) {
-          node.count = static_cast<std::uint32_t>(f.count());
+          node.count = f.count();
         }
         node.guard = static_cast<std::uint32_t>(plan_->guards.size());
         plan_->guards.push_back(AnalyzePrune(f));

@@ -277,7 +277,7 @@ class Parser {
           !std::isdigit(static_cast<unsigned char>(Peek().text[0]))) {
         return Error("expected a count after 'atleast'");
       }
-      // The compiled evaluator keeps the threshold in 32 bits.
+      // Elements are 32-bit, so no domain meets a larger count.
       const std::optional<std::uint64_t> count = ParseDecimal(
           Peek().text, std::numeric_limits<std::uint32_t>::max());
       if (!count.has_value()) {

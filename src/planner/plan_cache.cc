@@ -169,8 +169,8 @@ Result<std::shared_ptr<const CachedDatalogPlan>> PlanCache::GetDatalogPlan(
   if (!analysis.ok()) {
     return analysis.status();
   }
-  auto plan = std::make_shared<CachedDatalogPlan>(std::move(canonical),
-                                                  std::move(analysis));
+  auto plan = std::make_shared<CachedDatalogPlan>(
+      std::move(canonical), signature, std::move(analysis));
   if (options.optimize) {
     DatalogOptimizerOptions optimizer_options;
     optimizer_options.signature = &signature;

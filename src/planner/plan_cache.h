@@ -215,16 +215,20 @@ struct CachedFormulaPlan {
 };
 
 /// Per cached Datalog program: the canonical program (stable address — the
-/// compiled engines hold pointers into it), recursion classification for
-/// routing/explain, the optimizer's pre-pass output (when requested: the
-/// rewritten program the engines actually bind, plus rewrite provenance,
-/// strata, boundedness and any FO lowering for routing), and the
-/// per-structure engine memo.
+/// compiled engines hold pointers into it), the signature it was analyzed
+/// against, recursion classification for routing/explain/admission, the
+/// optimizer's pre-pass output (when requested: the rewritten program the
+/// engines actually bind, plus rewrite provenance, strata, boundedness and
+/// any FO lowering for routing), and the per-structure engine memo.
 struct CachedDatalogPlan {
-  CachedDatalogPlan(DatalogProgram program_in, DatalogAnalysis analysis_in)
-      : program(std::move(program_in)), analysis(std::move(analysis_in)) {}
+  CachedDatalogPlan(DatalogProgram program_in, Signature signature_in,
+                    DatalogAnalysis analysis_in)
+      : program(std::move(program_in)),
+        signature(std::move(signature_in)),
+        analysis(std::move(analysis_in)) {}
 
   DatalogProgram program;
+  Signature signature;
   DatalogAnalysis analysis;
   /// Set when the plan was built with optimization: engines bind
   /// optimized->program instead of `program`. Cached alongside the plan so

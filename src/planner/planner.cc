@@ -463,45 +463,6 @@ std::string FormatCost(double cost) {
   return buf;
 }
 
-// JSON object members, written through base/json_out.h. The caller opens
-// the object; each member adds its own separating comma.
-void JsonKey(std::string& out, std::string_view key) {
-  if (out.back() != '{') {
-    out += ',';
-  }
-  JsonAppendString(out, key);
-  out += ':';
-}
-
-void JsonStringMember(std::string& out, std::string_view key,
-                      std::string_view value) {
-  JsonKey(out, key);
-  JsonAppendString(out, value);
-}
-
-void JsonBoolMember(std::string& out, std::string_view key, bool value) {
-  JsonKey(out, key);
-  out += value ? "true" : "false";
-}
-
-void JsonNumberMember(std::string& out, std::string_view key, double value) {
-  JsonKey(out, key);
-  out += JsonNumber(value);
-}
-
-void JsonStringsMember(std::string& out, std::string_view key,
-                       const std::vector<std::string>& values) {
-  JsonKey(out, key);
-  out += '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    JsonAppendString(out, values[i]);
-  }
-  out += ']';
-}
-
 // ---------------------------------------------------------------------------
 // Execution of the chosen engine.
 
@@ -768,13 +729,13 @@ Status Plan(const Structure& s, const Formula* formula, std::string_view text,
   return Status::OK();
 }
 
-// A PlanExplanation runs only on a structure over the signature it was
-// planned against.
-Status CheckPlanned(const Structure& s, const PlanExplanation& planned) {
-  if (planned.plan == nullptr) {
+// A plan runs only on a structure over the signature it was planned
+// against (`planned_for`, null when the explanation carries no plan).
+Status CheckPlanned(const Structure& s, const Signature* planned_for) {
+  if (planned_for == nullptr) {
     return Status::InvalidArgument("explanation carries no plan to run");
   }
-  if (!(s.signature() == planned.plan->plan.signature())) {
+  if (!(s.signature() == *planned_for)) {
     return Status::SignatureMismatch(
         "structure signature differs from the signature the plan was "
         "built for");
@@ -934,7 +895,9 @@ Result<PlanExplanation> PlanAuto(const Structure& structure,
 Result<bool> EvaluateAuto(const Structure& structure,
                           const PlanExplanation& planned,
                           const PlannerOptions& options) {
-  FMTK_RETURN_IF_ERROR(CheckPlanned(structure, planned));
+  FMTK_RETURN_IF_ERROR(CheckPlanned(
+      structure,
+      planned.plan != nullptr ? &planned.plan->plan.signature() : nullptr));
   if (!planned.plan->analysis.free_variables.empty()) {
     return Status::InvalidArgument(
         "EvaluateAuto requires a sentence; use EvaluateQueryAuto for "
@@ -967,7 +930,9 @@ Result<bool> EvaluateAuto(const Structure& structure,
 Result<Relation> EvaluateQueryAuto(
     const Structure& structure, const PlanExplanation& planned,
     const std::vector<std::string>& output_variables) {
-  FMTK_RETURN_IF_ERROR(CheckPlanned(structure, planned));
+  FMTK_RETURN_IF_ERROR(CheckPlanned(
+      structure,
+      planned.plan != nullptr ? &planned.plan->plan.signature() : nullptr));
   FMTK_RETURN_IF_ERROR(ValidateOutputs(*planned.plan, output_variables));
   return RunQuery(planned.chosen, structure, *planned.plan, output_variables);
 }
@@ -1036,40 +1001,67 @@ std::string DatalogPlanExplanation::ToJson() const {
 
 namespace {
 
-// Shared tail of both EvaluateDatalogAuto front doors: route (FO vs
-// fixpoint), execute, and normalize the result-map shape so optimized and
-// unoptimized runs are indistinguishable to callers — same keys (the
-// outputs when given, every original IDB predicate otherwise; magic /
-// adorned helper predicates never leak), missing predicates materialized
-// as empty relations of the declared arity.
-Result<std::map<std::string, Relation>> RunDatalogPlan(
-    const Structure& edb, const std::shared_ptr<const CachedDatalogPlan>& plan,
-    const PlannerOptions& options, DatalogStats* stats,
-    const PlanCacheLookup& lk, DatalogPlanExplanation* explain) {
-  const OptimizedDatalogProgram* opt =
-      plan->optimized.has_value() ? &*plan->optimized : nullptr;
-  if (explain != nullptr) {
-    explain->cache_hit = lk.hit;
-    explain->text_cache_hit = lk.text_hit;
-    explain->optimized = opt != nullptr;
-    explain->route = "datalog";
-    if (opt != nullptr) {
-      explain->magic_applied = opt->magic_applied;
-      explain->fo_expressible = opt->fo_expressible;
-      explain->rewrites = opt->RewriteSummary();
-      explain->boundedness = opt->BoundednessSummary();
-      explain->strata = opt->analysis.StratumSummary();
-    } else {
-      explain->strata = plan->analysis.StratumSummary();
-    }
+// The one planning step behind PlanDatalogAuto and both EvaluateDatalogAuto
+// front doors: one cache probe (of `program`, or of `text` when it is
+// null), and the explanation that carries the plan and its measures.
+Status PlanDatalog(const Structure& edb, const DatalogProgram* program,
+                   std::string_view text, const PlannerOptions& options,
+                   DatalogPlanExplanation* out) {
+  DatalogPlanOptions plan_options;
+  plan_options.outputs = options.datalog_outputs;
+  plan_options.optimize = options.optimize_datalog;
+  PlanCacheLookup lookup;
+  const auto probe = [&](PlanCache& cache) {
+    return program != nullptr
+               ? cache.GetDatalogPlan(*program, edb.signature(), plan_options,
+                                      &lookup)
+               : cache.GetDatalogPlanFromText(text, edb.signature(),
+                                              plan_options, &lookup);
+  };
+  FMTK_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDatalogPlan> cached,
+                        WithPlanCache(options, &lookup, probe));
+  *out = DatalogPlanExplanation{};
+  out->plan = std::move(cached);
+  const CachedDatalogPlan& plan = *out->plan;
+  out->cache_hit = lookup.hit;
+  out->text_cache_hit = lookup.text_hit;
+  out->strata = (plan.optimized.has_value() ? plan.optimized->analysis
+                                             : plan.analysis)
+                    .StratumSummary();
+  if (plan.optimized.has_value()) {
+    const OptimizedDatalogProgram& opt = *plan.optimized;
+    out->optimized = true;
+    out->magic_applied = opt.magic_applied;
+    out->fo_expressible = opt.fo_expressible;
+    out->rewrites = opt.RewriteSummary();
+    out->boundedness = opt.BoundednessSummary();
   }
+  out->rule_count = plan.program.rules().size();
+  for (const DatalogSccInfo& scc : plan.analysis.sccs) {
+    out->recursive = out->recursive || scc.recursive;
+    out->nonlinear = out->nonlinear || (scc.recursive && !scc.linear);
+  }
+  // From the ORIGINAL canonical program: rewrites may erase a predicate's
+  // rules entirely, but it still belongs in the result map.
+  for (const DlRule& rule : plan.program.rules()) {
+    out->head_arities.emplace(rule.head.predicate, rule.head.terms.size());
+  }
+  return Status::OK();
+}
 
-  // The result-map key set and per-predicate arities, from the ORIGINAL
-  // canonical program (rewrites may erase a predicate's rules entirely).
-  std::map<std::string, std::size_t> arity;
-  for (const DlRule& rule : plan->program.rules()) {
-    arity[rule.head.predicate] = rule.head.terms.size();
-  }
+// Runs a planned program: route (FO vs fixpoint), execute, and normalize
+// the result-map shape so optimized and unoptimized runs are
+// indistinguishable to callers — same keys (the outputs when given, every
+// original IDB predicate otherwise; magic / adorned helper predicates never
+// leak), missing predicates materialized as empty relations of the
+// declared arity.
+Result<std::map<std::string, Relation>> RunDatalogPlan(
+    const Structure& edb, DatalogPlanExplanation& planned,
+    const PlannerOptions& options, DatalogStats* stats) {
+  const CachedDatalogPlan& plan = *planned.plan;
+  const OptimizedDatalogProgram* opt =
+      plan.optimized.has_value() ? &*plan.optimized : nullptr;
+  const std::map<std::string, std::size_t>& arity = planned.head_arities;
   std::vector<std::string> wanted;
   if (options.datalog_outputs.empty()) {
     for (const auto& [pred, a] : arity) {
@@ -1098,6 +1090,7 @@ Result<std::map<std::string, Relation>> RunDatalogPlan(
   // Bounded programs: a union of first-order queries per output predicate.
   // Route through the formula planner (compiled/relational/... by cost);
   // any evaluation error falls back to the fixpoint engine below.
+  planned.route = "datalog";
   if (opt != nullptr && opt->fo_expressible && options.datalog_fo_routing &&
       !opt->fo_queries.empty()) {
     std::map<std::string, Relation> out;
@@ -1121,66 +1114,60 @@ Result<std::map<std::string, Relation>> RunDatalogPlan(
       out.emplace(pred, std::move(*rel));
     }
     if (all_ok) {
-      if (explain != nullptr) {
-        explain->route = "fo";
-      }
-      if (stats != nullptr && opt != nullptr) {
+      planned.route = "fo";
+      if (stats != nullptr) {
         stats->strata = opt->analysis.StratumSummary();
       }
       return normalize(std::move(out));
     }
   }
 
-  std::lock_guard<std::mutex> lock(plan->engines_mu);
+  std::lock_guard<std::mutex> lock(plan.engines_mu);
   FMTK_ASSIGN_OR_RETURN(
       CompiledDatalogEngine engine,
-      GetOrBindDatalogEngine(plan->engines, plan->ExecProgram(), edb));
-  Result<std::map<std::string, Relation>> raw = engine.Evaluate(stats);
-  if (!raw.ok()) {
-    return raw.status();
-  }
-  return normalize(std::move(*raw));
-}
-
-DatalogPlanOptions DatalogPlanOptionsFrom(
-    const PlannerOptions& options) {
-  DatalogPlanOptions plan_options;
-  plan_options.outputs = options.datalog_outputs;
-  plan_options.optimize = options.optimize_datalog;
-  return plan_options;
+      GetOrBindDatalogEngine(plan.engines, plan.ExecProgram(), edb));
+  FMTK_ASSIGN_OR_RETURN(auto raw, engine.Evaluate(stats));
+  return normalize(std::move(raw));
 }
 
 }  // namespace
 
+Result<DatalogPlanExplanation> PlanDatalogAuto(const Structure& structure,
+                                               std::string_view program_text,
+                                               const PlannerOptions& options) {
+  DatalogPlanExplanation explain;
+  FMTK_RETURN_IF_ERROR(
+      PlanDatalog(structure, nullptr, program_text, options, &explain));
+  return explain;
+}
+
+Result<std::map<std::string, Relation>> EvaluateDatalogAuto(
+    const Structure& edb, DatalogPlanExplanation& planned,
+    const PlannerOptions& options, DatalogStats* stats) {
+  FMTK_RETURN_IF_ERROR(CheckPlanned(
+      edb, planned.plan != nullptr ? &planned.plan->signature : nullptr));
+  return RunDatalogPlan(edb, planned, options, stats);
+}
+
 Result<std::map<std::string, Relation>> EvaluateDatalogAuto(
     const Structure& edb, const DatalogProgram& program,
     const PlannerOptions& options, DatalogStats* stats,
-    PlanCacheLookup* lookup, DatalogPlanExplanation* explain) {
-  PlanCacheLookup local_lookup;
-  PlanCacheLookup* lk = lookup != nullptr ? lookup : &local_lookup;
-  const DatalogPlanOptions plan_options = DatalogPlanOptionsFrom(options);
-  const auto probe = [&](PlanCache& cache) {
-    return cache.GetDatalogPlan(program, edb.signature(), plan_options, lk);
-  };
-  FMTK_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDatalogPlan> plan,
-                        WithPlanCache(options, lk, probe));
-  return RunDatalogPlan(edb, plan, options, stats, *lk, explain);
+    DatalogPlanExplanation* explain) {
+  DatalogPlanExplanation local;
+  DatalogPlanExplanation& planned = explain != nullptr ? *explain : local;
+  FMTK_RETURN_IF_ERROR(PlanDatalog(edb, &program, {}, options, &planned));
+  return RunDatalogPlan(edb, planned, options, stats);
 }
 
 Result<std::map<std::string, Relation>> EvaluateDatalogAuto(
     const Structure& edb, std::string_view program_text,
     const PlannerOptions& options, DatalogStats* stats,
-    PlanCacheLookup* lookup, DatalogPlanExplanation* explain) {
-  PlanCacheLookup local_lookup;
-  PlanCacheLookup* lk = lookup != nullptr ? lookup : &local_lookup;
-  const DatalogPlanOptions plan_options = DatalogPlanOptionsFrom(options);
-  const auto probe = [&](PlanCache& cache) {
-    return cache.GetDatalogPlanFromText(program_text, edb.signature(),
-                                        plan_options, lk);
-  };
-  FMTK_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDatalogPlan> plan,
-                        WithPlanCache(options, lk, probe));
-  return RunDatalogPlan(edb, plan, options, stats, *lk, explain);
+    DatalogPlanExplanation* explain) {
+  DatalogPlanExplanation local;
+  DatalogPlanExplanation& planned = explain != nullptr ? *explain : local;
+  FMTK_RETURN_IF_ERROR(
+      PlanDatalog(edb, nullptr, program_text, options, &planned));
+  return RunDatalogPlan(edb, planned, options, stats);
 }
 
 }  // namespace fmtk

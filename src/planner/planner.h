@@ -194,14 +194,16 @@ Result<Relation> EvaluateQueryAuto(
     const std::vector<std::string>& output_variables,
     const PlannerOptions& options = {}, PlanExplanation* explain = nullptr);
 
-/// What the Datalog route did with a program (the --explain face of the
-/// optimizer pre-pass and the plan cache).
+/// A planned Datalog program: the cache entry it runs on, what the
+/// optimizer pre-pass and the plan cache did with it (the --explain face),
+/// and the measures the query server's admission control prices it by.
 struct DatalogPlanExplanation {
   bool cache_hit = false;
   bool text_cache_hit = false;
   /// "datalog" (compiled semi-naive over the optimized rules), or "fo"
   /// (bounded program lowered to first-order queries and routed through
-  /// EvaluateQueryAuto).
+  /// EvaluateQueryAuto). Planning sets "datalog"; a run sets the route
+  /// that actually ran.
   std::string route = "datalog";
   bool optimized = false;
   bool magic_applied = false;
@@ -213,30 +215,56 @@ struct DatalogPlanExplanation {
   /// Per-predicate boundedness verdicts.
   std::vector<std::string> boundedness;
 
+  /// Admission measures of the program as written (canonicalization keeps
+  /// its rules, their order and its predicate names): the rule count, the
+  /// recursion shape of the analyzer's SCCs, and each IDB predicate's head
+  /// arity — at most n^arity rows on an n-element structure.
+  std::size_t rule_count = 0;
+  bool recursive = false;
+  bool nonlinear = false;
+  std::map<std::string, std::size_t> head_arities;
+
+  /// The cache entry the plan runs on. The handle keeps it alive, so the
+  /// explanation stays executable after the cache evicts or clears it.
+  std::shared_ptr<const CachedDatalogPlan> plan;
+
   /// Multi-line, human-readable --explain block.
   std::string ToString() const;
   /// One JSON object (server "analysis" field / fmtk_lint --json).
   std::string ToJson() const;
 };
 
-/// Datalog serving path: the cached rule-lowering. The canonicalized
-/// program's analysis, the optimizer pre-pass, and the per-structure
-/// compiled engine are memoized on the plan cache entry, so repeat
-/// programs skip parse/analyze/optimize/compile and repeat
-/// (program, structure) pairs skip rule binding too. Results equal
-/// EvaluateDatalog(program, edb, kSemiNaive) restricted to
-/// options.datalog_outputs when that set is non-empty (every rewrite is
-/// output-preserving).
+/// Datalog plan acquisition WITHOUT execution: one plan-cache probe. The
+/// canonicalized program's analysis and the optimizer pre-pass (keyed by
+/// options.datalog_outputs and options.optimize_datalog) are memoized on
+/// the cache entry, so a repeat program skips parse/analyze/optimize. The
+/// query server prices a request from the result, then runs it through the
+/// planned overload below, so a request is planned once.
+Result<DatalogPlanExplanation> PlanDatalogAuto(
+    const Structure& structure, std::string_view program_text,
+    const PlannerOptions& options = {});
+
+/// Runs a planned program with no cache probe, and sets planned.route to
+/// the route that ran (the FO lowering falls back to the fixpoint engine
+/// when a query fails). SignatureMismatch when `edb`'s signature differs
+/// from the one the plan was built for. The per-structure compiled engine
+/// is memoized on the plan, so repeat (program, structure) pairs skip rule
+/// binding. Results equal EvaluateDatalog(program, edb, kSemiNaive)
+/// restricted to options.datalog_outputs when that set is non-empty (every
+/// rewrite is output-preserving).
+Result<std::map<std::string, Relation>> EvaluateDatalogAuto(
+    const Structure& edb, DatalogPlanExplanation& planned,
+    const PlannerOptions& options = {}, DatalogStats* stats = nullptr);
+
+/// The plain front doors: the planning step followed by the planned run.
 Result<std::map<std::string, Relation>> EvaluateDatalogAuto(
     const Structure& edb, const DatalogProgram& program,
     const PlannerOptions& options = {}, DatalogStats* stats = nullptr,
-    PlanCacheLookup* lookup = nullptr,
     DatalogPlanExplanation* explain = nullptr);
 
 Result<std::map<std::string, Relation>> EvaluateDatalogAuto(
     const Structure& edb, std::string_view program_text,
     const PlannerOptions& options = {}, DatalogStats* stats = nullptr,
-    PlanCacheLookup* lookup = nullptr,
     DatalogPlanExplanation* explain = nullptr);
 
 }  // namespace fmtk

@@ -28,10 +28,10 @@ std::int64_t NowMicros() {
 
 HttpResponse JsonError(int status, std::string_view message,
                        std::string_view diagnostics_json = {}) {
-  std::string body = "{\"error\":";
-  JsonAppendString(body, message);
+  std::string body = "{";
+  JsonStringMember(body, "error", message);
   if (!diagnostics_json.empty()) {
-    body += ",\"diagnostics\":";
+    JsonKey(body, "diagnostics");
     body += diagnostics_json;
   }
   body += "}\n";
@@ -55,26 +55,27 @@ int HttpStatusFor(const Status& s) {
 void AppendStructureStatsJson(std::string& out, std::string_view name,
                               const StructureStats& stats,
                               std::uint64_t server_generation) {
-  out += "{\"name\":";
-  JsonAppendString(out, name);
-  out += ",\"generation\":" + std::to_string(server_generation);
-  out += ",\"domain_size\":" + std::to_string(stats.domain_size);
-  out += ",\"tuple_count\":" + std::to_string(stats.tuple_count);
-  out += ",\"relation_count\":" + std::to_string(stats.relation_count);
-  out += ",\"max_degree\":" + std::to_string(stats.max_degree);
-  out += ",\"avg_degree\":" + JsonNumber(stats.avg_degree);
-  out += ",\"components\":" + std::to_string(stats.component_count);
-  out += "}";
+  out += '{';
+  JsonStringMember(out, "name", name);
+  JsonNumberMember(out, "generation", server_generation);
+  JsonNumberMember(out, "domain_size", stats.domain_size);
+  JsonNumberMember(out, "tuple_count", stats.tuple_count);
+  JsonNumberMember(out, "relation_count", stats.relation_count);
+  JsonNumberMember(out, "max_degree", stats.max_degree);
+  JsonNumberMember(out, "avg_degree", stats.avg_degree);
+  JsonNumberMember(out, "components", stats.component_count);
+  out += '}';
 }
 
-/// Serializes a relation's rows as [[e,...],...], capped at `max_rows`.
+/// Appends a relation's row members: the count, the truncation flag and
+/// the rows as [[e,...],...], capped at `max_rows`.
 void AppendRelationRowsJson(std::string& out, const Relation& relation,
                             std::size_t max_rows) {
   const std::size_t n = std::min(relation.size(), max_rows);
-  out += "\"row_count\":" + std::to_string(relation.size());
-  out += ",\"truncated\":";
-  out += relation.size() > max_rows ? "true" : "false";
-  out += ",\"rows\":[";
+  JsonNumberMember(out, "row_count", relation.size());
+  JsonBoolMember(out, "truncated", relation.size() > max_rows);
+  JsonKey(out, "rows");
+  out += '[';
   for (std::size_t i = 0; i < n; ++i) {
     if (i > 0) out += ',';
     out += '[';
@@ -103,6 +104,54 @@ std::string FoDiagnosticsJson(std::string_view text, const Structure& s,
   return analysis.diagnostics.ToJson();
 }
 
+HttpResponse FoError(const Status& status, std::string_view text,
+                     const Structure& s, bool query_mode) {
+  return JsonError(HttpStatusFor(status), status.message(),
+                   FoDiagnosticsJson(text, s, query_mode));
+}
+
+/// Datalog diagnostics for an error response, the mirror of
+/// FoDiagnosticsJson: re-parses and re-analyzes the client's text, so
+/// messages and spans name the client's variables rather than the plan's
+/// canonical v0, v1, ... When the analysis rejects the program, `status`
+/// becomes its error. Error paths only — admitted requests never pay this.
+std::string DatalogDiagnosticsJson(std::string_view text, const Structure& s,
+                                   const std::vector<std::string>& outputs,
+                                   Status* status) {
+  auto program = ParseDatalogProgram(text, /*validate=*/false);
+  if (!program.ok()) return {};
+  DatalogAnalyzerOptions options;
+  options.signature = &s.signature();
+  options.outputs = outputs;
+  const DatalogAnalysis analysis = AnalyzeProgram(*program, options);
+  if (!analysis.ok()) *status = analysis.status();
+  return analysis.diagnostics.ToJson();
+}
+
+HttpResponse DatalogError(Status status, std::string_view text,
+                          const Structure& s,
+                          const std::vector<std::string>& outputs) {
+  const std::string diagnostics =
+      DatalogDiagnosticsJson(text, s, outputs, &status);
+  return JsonError(HttpStatusFor(status), status.message(), diagnostics);
+}
+
+/// A 429 from admission control: the reason, then the measures that priced
+/// the request, which `measures` writes as members of "admission".
+template <typename Measures>
+HttpResponse AdmissionRejected(std::string_view reason,
+                               const Measures& measures) {
+  std::string body = "{";
+  JsonStringMember(body, "error", "request rejected by admission control");
+  JsonKey(body, "admission");
+  body += '{';
+  JsonBoolMember(body, "rejected", true);
+  JsonStringMember(body, "reason", reason);
+  measures(body);
+  body += "}}\n";
+  return HttpResponse::Json(429, std::move(body));
+}
+
 }  // namespace
 
 // --- Heavy lane -------------------------------------------------------------
@@ -112,20 +161,22 @@ class QueryServer::HeavyLaneTicket {
   HeavyLaneTicket(QueryServer* server, bool heavy) : server_(server) {
     if (!heavy) return;
     const AdmissionPolicy& policy = server_->options_.admission;
-    std::unique_lock<std::mutex> lock(server_->heavy_mu_);
-    if (server_->heavy_running_ >= policy.heavy_concurrency) {
-      if (server_->heavy_waiting_ >= policy.heavy_max_waiting) {
-        rejected_ = true;
-        return;
+    {
+      std::unique_lock<std::mutex> lock(server_->heavy_mu_);
+      rejected_ = server_->heavy_running_ >= policy.heavy_concurrency &&
+                  server_->heavy_waiting_ >= policy.heavy_max_waiting;
+      if (!rejected_) {
+        ++server_->heavy_waiting_;
+        server_->heavy_cv_.wait(lock, [&] {
+          return server_->heavy_running_ < policy.heavy_concurrency;
+        });
+        --server_->heavy_waiting_;
+        ++server_->heavy_running_;
+        held_ = true;
       }
-      ++server_->heavy_waiting_;
-      server_->heavy_cv_.wait(lock, [&] {
-        return server_->heavy_running_ < policy.heavy_concurrency;
-      });
-      --server_->heavy_waiting_;
     }
-    ++server_->heavy_running_;
-    held_ = true;
+    server_->Count(rejected_ ? &Stats::heavy_lane_rejected
+                             : &Stats::heavy_lane_entries);
   }
 
   ~HeavyLaneTicket() {
@@ -218,6 +269,11 @@ QueryServer::Stats QueryServer::stats() const {
   return stats_;
 }
 
+void QueryServer::Count(std::uint64_t Stats::*counter) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++(stats_.*counter);
+}
+
 HttpServer::Stats QueryServer::http_stats() const {
   return http_ == nullptr ? HttpServer::Stats{} : http_->stats();
 }
@@ -256,20 +312,14 @@ HttpResponse QueryServer::Handle(const HttpRequest& request) {
   } else {
     response = JsonError(404, "no such endpoint");
   }
-  if (response.status >= 400) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.errors;
-  }
+  if (response.status >= 400) Count(&Stats::errors);
   return response;
 }
 
 // --- /query -----------------------------------------------------------------
 
 HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.queries;
-  }
+  Count(&Stats::queries);
   auto body = JsonValue::Parse(request.body);
   if (!body.ok()) return JsonError(400, body.status().message());
   if (!body->is_object()) return JsonError(400, "request body must be a JSON object");
@@ -315,11 +365,10 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
   // Plan once: one plan-cache probe and one route price the request (a
   // named engine by its own cost row) before any engine time is committed,
   // and the same plan is what executes below.
-  auto plan = PlanAuto(*structure, *query_text, query_mode, outputs.size(),
-                       planner);
+  auto plan =
+      PlanAuto(*structure, *query_text, query_mode, outputs.size(), planner);
   if (!plan.ok()) {
-    return JsonError(HttpStatusFor(plan.status()), plan.status().message(),
-                     FoDiagnosticsJson(*query_text, *structure, query_mode));
+    return FoError(plan.status(), *query_text, *structure, query_mode);
   }
   const AdmissionPolicy& policy = options_.admission;
   const double cost_units = plan->chosen_cost();
@@ -349,77 +398,53 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
                 " exceeds budget " + JsonNumber(policy.max_estimated_rows);
   }
   if (!rejection.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.admission_rejected;
-    }
-    std::string body_out = "{\"error\":\"request rejected by admission control\"";
-    body_out += ",\"admission\":{\"rejected\":true,\"reason\":";
-    JsonAppendString(body_out, rejection);
-    body_out += ",\"cost_units\":" + JsonNumber(cost_units);
-    body_out += ",\"quantifier_rank\":" + std::to_string(plan->quantifier_rank);
-    body_out += ",\"variable_width\":" + std::to_string(plan->variable_width);
-    body_out += ",\"node_count\":" + std::to_string(plan->node_count);
-    body_out += ",\"estimated_rows\":" + JsonNumber(estimated_rows);
-    body_out += "}}\n";
-    return HttpResponse::Json(429, std::move(body_out));
+    Count(&Stats::admission_rejected);
+    return AdmissionRejected(rejection, [&](std::string& out) {
+      JsonNumberMember(out, "cost_units", cost_units);
+      JsonNumberMember(out, "quantifier_rank", plan->quantifier_rank);
+      JsonNumberMember(out, "variable_width", plan->variable_width);
+      JsonNumberMember(out, "node_count", plan->node_count);
+      JsonNumberMember(out, "estimated_rows", estimated_rows);
+    });
   }
 
   const bool heavy =
       policy.heavy_cost_units > 0 && cost_units >= policy.heavy_cost_units;
   HeavyLaneTicket ticket(this, heavy);
   if (ticket.rejected()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.heavy_lane_rejected;
     return JsonError(429, "heavy lane saturated, retry later");
-  }
-  if (ticket.heavy()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.heavy_lane_entries;
   }
 
   const std::int64_t started = NowMicros();
   std::string body_out = "{";
-  body_out += "\"structure\":";
-  JsonAppendString(body_out, *structure_name);
-  body_out += ",\"query\":";
-  JsonAppendString(body_out, *query_text);
+  JsonStringMember(body_out, "structure", *structure_name);
+  JsonStringMember(body_out, "query", *query_text);
   if (!query_mode) {
     auto verdict = EvaluateAuto(*structure, *plan, planner);
     if (!verdict.ok()) {
-      return JsonError(HttpStatusFor(verdict.status()),
-                       verdict.status().message(),
-                       FoDiagnosticsJson(*query_text, *structure, query_mode));
+      return FoError(verdict.status(), *query_text, *structure, query_mode);
     }
-    body_out += ",\"result\":";
-    body_out += *verdict ? "true" : "false";
+    JsonBoolMember(body_out, "result", *verdict);
   } else {
     auto rows = EvaluateQueryAuto(*structure, *plan, outputs);
     if (!rows.ok()) {
-      return JsonError(HttpStatusFor(rows.status()), rows.status().message(),
-                       FoDiagnosticsJson(*query_text, *structure, query_mode));
+      return FoError(rows.status(), *query_text, *structure, query_mode);
     }
-    body_out += ",\"columns\":[";
-    for (std::size_t i = 0; i < outputs.size(); ++i) {
-      if (i > 0) body_out += ',';
-      JsonAppendString(body_out, outputs[i]);
-    }
-    body_out += "],";
+    JsonStringsMember(body_out, "columns", outputs);
     AppendRelationRowsJson(body_out, *rows, max_rows);
   }
   const std::int64_t wall_us = NowMicros() - started;
 
-  body_out += ",\"engine\":";
-  JsonAppendString(body_out, EngineKindName(plan->chosen));
-  body_out += ",\"cache_hit\":";
-  body_out += plan->cache_hit ? "true" : "false";
-  body_out += ",\"wall_us\":" + std::to_string(wall_us);
-  body_out += ",\"admission\":{\"cost_units\":" + JsonNumber(cost_units);
-  body_out += ",\"lane\":\"";
-  body_out += ticket.heavy() ? "heavy" : "fast";
-  body_out += "\"}";
+  JsonStringMember(body_out, "engine", EngineKindName(plan->chosen));
+  JsonBoolMember(body_out, "cache_hit", plan->cache_hit);
+  JsonNumberMember(body_out, "wall_us", wall_us);
+  JsonKey(body_out, "admission");
+  body_out += '{';
+  JsonNumberMember(body_out, "cost_units", cost_units);
+  JsonStringMember(body_out, "lane", ticket.heavy() ? "heavy" : "fast");
+  body_out += '}';
   if (want_explain) {
-    body_out += ",\"explain\":";
+    JsonKey(body_out, "explain");
     body_out += plan->ToJson();
   }
   body_out += "}\n";
@@ -429,10 +454,7 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
 // --- /datalog ---------------------------------------------------------------
 
 HttpResponse QueryServer::HandleDatalog(const HttpRequest& request) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.datalog_queries;
-  }
+  Count(&Stats::datalog_queries);
   auto body = JsonValue::Parse(request.body);
   if (!body.ok()) return JsonError(400, body.status().message());
   if (!body->is_object()) return JsonError(400, "request body must be a JSON object");
@@ -465,45 +487,35 @@ HttpResponse QueryServer::HandleDatalog(const HttpRequest& request) {
     return JsonError(404, "no structure named '" + *structure_name + "'");
   }
 
-  // Admission: parse + static analysis (rule count, recursion shape,
-  // estimated IDB rows) before any fixpoint work.
-  auto program = ParseDatalogProgram(*program_text, /*validate=*/false);
-  if (!program.ok()) return JsonError(400, program.status().message());
-  DatalogAnalyzerOptions analyzer_options;
-  analyzer_options.signature = &structure->signature();
-  analyzer_options.outputs = outputs;
-  const DatalogAnalysis analysis = AnalyzeProgram(*program, analyzer_options);
-  if (!analysis.ok()) {
-    return JsonError(422, analysis.status().message(),
-                     analysis.diagnostics.ToJson());
+  // Plan once: one plan-cache probe yields the canonical program's
+  // analysis, which prices the request before any fixpoint work, and the
+  // same plan is what executes below. The request's outputs are the
+  // optimizer's liveness/demand roots (the same set FMTK106 reports
+  // against), so the planner can drop dead rules and specialize with magic
+  // sets relative to what this request asked for.
+  PlannerOptions planner = options_.planner;
+  planner.datalog_outputs = outputs;
+  auto plan = PlanDatalogAuto(*structure, *program_text, planner);
+  if (!plan.ok()) {
+    return DatalogError(plan.status(), *program_text, *structure, outputs);
   }
 
   const AdmissionPolicy& policy = options_.admission;
-  bool recursive = false;
-  bool nonlinear = false;
-  for (const DatalogSccInfo& scc : analysis.sccs) {
-    recursive = recursive || scc.recursive;
-    nonlinear = nonlinear || (scc.recursive && !scc.linear);
-  }
   // Coarse output-size bound: each IDB predicate holds at most n^arity
-  // tuples (arity read off the first defining rule head).
+  // tuples.
   double estimated_rows = 0.0;
   const double n = static_cast<double>(structure->domain_size());
-  std::map<std::string, std::size_t> arity;
-  for (const DlRule& rule : program->rules()) {
-    arity.emplace(rule.head.predicate, rule.head.terms.size());
-  }
-  for (const auto& [predicate, a] : arity) {
-    estimated_rows += std::pow(n, static_cast<double>(a));
+  for (const auto& [predicate, arity] : plan->head_arities) {
+    estimated_rows += std::pow(n, static_cast<double>(arity));
   }
   std::string rejection;
   if (policy.max_datalog_rules > 0 &&
-      program->rules().size() > policy.max_datalog_rules) {
-    rejection = "program has " + std::to_string(program->rules().size()) +
+      plan->rule_count > policy.max_datalog_rules) {
+    rejection = "program has " + std::to_string(plan->rule_count) +
                 " rules, budget " + std::to_string(policy.max_datalog_rules);
-  } else if (policy.reject_recursion && recursive) {
+  } else if (policy.reject_recursion && plan->recursive) {
     rejection = "recursive programs are not admitted";
-  } else if (policy.reject_nonlinear_recursion && nonlinear) {
+  } else if (policy.reject_nonlinear_recursion && plan->nonlinear) {
     rejection = "nonlinear recursion is not admitted";
   } else if (policy.max_estimated_rows > 0 &&
              estimated_rows > policy.max_estimated_rows) {
@@ -511,80 +523,59 @@ HttpResponse QueryServer::HandleDatalog(const HttpRequest& request) {
                 " exceeds budget " + JsonNumber(policy.max_estimated_rows);
   }
   if (!rejection.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.admission_rejected;
-    }
-    std::string body_out = "{\"error\":\"request rejected by admission control\"";
-    body_out += ",\"admission\":{\"rejected\":true,\"reason\":";
-    JsonAppendString(body_out, rejection);
-    body_out += ",\"rules\":" + std::to_string(program->rules().size());
-    body_out += ",\"recursive\":";
-    body_out += recursive ? "true" : "false";
-    body_out += ",\"nonlinear\":";
-    body_out += nonlinear ? "true" : "false";
-    body_out += ",\"estimated_rows\":" + JsonNumber(estimated_rows);
-    body_out += "}}\n";
-    return HttpResponse::Json(429, std::move(body_out));
+    Count(&Stats::admission_rejected);
+    return AdmissionRejected(rejection, [&](std::string& out) {
+      JsonNumberMember(out, "rules", plan->rule_count);
+      JsonBoolMember(out, "recursive", plan->recursive);
+      JsonBoolMember(out, "nonlinear", plan->nonlinear);
+      JsonNumberMember(out, "estimated_rows", estimated_rows);
+    });
   }
 
   // Recursive fixpoints ride the heavy lane when one is configured: their
   // cost is unbounded by any static per-request measure, which is exactly
   // what the lane exists to contain.
-  const bool heavy = policy.heavy_cost_units > 0 && recursive;
-  HeavyLaneTicket ticket(this, heavy);
+  HeavyLaneTicket ticket(this,
+                         policy.heavy_cost_units > 0 && plan->recursive);
   if (ticket.rejected()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.heavy_lane_rejected;
     return JsonError(429, "heavy lane saturated, retry later");
-  }
-  if (ticket.heavy()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.heavy_lane_entries;
   }
 
   DatalogStats dstats;
-  PlanCacheLookup lookup;
-  DatalogPlanExplanation plan_explanation;
-  // The request's outputs are the optimizer's liveness/demand roots (the
-  // same set FMTK106 reports against), so the planner can drop dead rules
-  // and specialize with magic sets relative to what this request asked for.
-  PlannerOptions planner_options = options_.planner;
-  planner_options.datalog_outputs = outputs;
   const std::int64_t started = NowMicros();
-  auto relations =
-      EvaluateDatalogAuto(*structure, *program_text, planner_options, &dstats,
-                          &lookup, &plan_explanation);
+  auto relations = EvaluateDatalogAuto(*structure, *plan, planner, &dstats);
   const std::int64_t wall_us = NowMicros() - started;
   if (!relations.ok()) {
-    return JsonError(HttpStatusFor(relations.status()),
-                     relations.status().message(),
-                     analysis.diagnostics.ToJson());
+    return DatalogError(relations.status(), *program_text, *structure,
+                        outputs);
   }
 
-  std::string body_out = "{\"structure\":";
-  JsonAppendString(body_out, *structure_name);
-  body_out += ",\"relations\":{";
-  bool first = true;
+  std::string body_out = "{";
+  JsonStringMember(body_out, "structure", *structure_name);
+  JsonKey(body_out, "relations");
+  body_out += '{';
   for (const auto& [predicate, relation] : *relations) {
-    if (!first) body_out += ',';
-    first = false;
-    JsonAppendString(body_out, predicate);
-    body_out += ":{\"arity\":" + std::to_string(relation.arity()) + ',';
+    JsonKey(body_out, predicate);
+    body_out += '{';
+    JsonNumberMember(body_out, "arity", relation.arity());
     AppendRelationRowsJson(body_out, relation, max_rows);
     body_out += '}';
   }
-  body_out += "},\"cache_hit\":";
-  body_out += lookup.hit ? "true" : "false";
-  body_out += ",\"analysis\":" + plan_explanation.ToJson();
-  body_out += ",\"wall_us\":" + std::to_string(wall_us);
-  body_out += ",\"stats\":{\"iterations\":" + std::to_string(dstats.iterations);
-  body_out += ",\"tuples_new\":" + std::to_string(dstats.tuples_new);
-  body_out += ",\"rule_applications\":" +
-              std::to_string(dstats.rule_applications);
-  body_out += "},\"admission\":{\"lane\":\"";
-  body_out += ticket.heavy() ? "heavy" : "fast";
-  body_out += "\"}}\n";
+  body_out += '}';
+  JsonBoolMember(body_out, "cache_hit", plan->cache_hit);
+  JsonKey(body_out, "analysis");
+  body_out += plan->ToJson();
+  JsonNumberMember(body_out, "wall_us", wall_us);
+  JsonKey(body_out, "stats");
+  body_out += '{';
+  JsonNumberMember(body_out, "iterations", dstats.iterations);
+  JsonNumberMember(body_out, "tuples_new", dstats.tuples_new);
+  JsonNumberMember(body_out, "rule_applications", dstats.rule_applications);
+  body_out += '}';
+  JsonKey(body_out, "admission");
+  body_out += '{';
+  JsonStringMember(body_out, "lane", ticket.heavy() ? "heavy" : "fast");
+  body_out += "}}\n";
   return HttpResponse::Json(200, std::move(body_out));
 }
 
@@ -592,10 +583,7 @@ HttpResponse QueryServer::HandleDatalog(const HttpRequest& request) {
 
 HttpResponse QueryServer::HandlePutStructure(const HttpRequest& request,
                                              std::string_view name) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.structure_loads;
-  }
+  Count(&Stats::structure_loads);
   std::string_view format = request.QueryParam("format");
   if (format.empty()) {
     // Sniff: the binary magic, else the textual header keyword, else edges.
@@ -658,15 +646,14 @@ HttpResponse QueryServer::HandlePutStructure(const HttpRequest& request,
   const std::uint64_t generation =
       PutStructure(std::string(name), *std::move(loaded), source);
 
-  std::string body_out = "{\"loaded\":";
+  std::string body_out = "{";
+  JsonKey(body_out, "loaded");
   AppendStructureStatsJson(body_out, name, structure_stats, generation);
-  body_out += ",\"format\":";
-  JsonAppendString(body_out, format);
-  body_out += ",\"diagnostics\":";
+  JsonStringMember(body_out, "format", format);
+  JsonKey(body_out, "diagnostics");
   body_out += sink.ToJson();
   body_out += "}\n";
-  HttpResponse response = HttpResponse::Json(201, std::move(body_out));
-  return response;
+  return HttpResponse::Json(201, std::move(body_out));
 }
 
 HttpResponse QueryServer::HandleGetStructure(std::string_view name) {
@@ -694,7 +681,9 @@ HttpResponse QueryServer::HandleDeleteStructure(std::string_view name) {
 }
 
 HttpResponse QueryServer::HandleStructures() {
-  std::string body_out = "{\"structures\":[";
+  std::string body_out = "{";
+  JsonKey(body_out, "structures");
+  body_out += '[';
   {
     std::shared_lock<std::shared_mutex> lock(registry_mu_);
     bool first = true;
@@ -714,41 +703,46 @@ HttpResponse QueryServer::HandleStats() {
   const HttpServer::Stats http = http_stats();
   PlanCache* cache = options_.planner.cache != nullptr ? options_.planner.cache
                                                        : &DefaultPlanCache();
-  const PlanCacheStats formulas = cache->formula_stats();
-  const PlanCacheStats programs = cache->datalog_stats();
 
-  std::string body_out = "{\"server\":{";
-  body_out += "\"queries\":" + std::to_string(server.queries);
-  body_out += ",\"datalog_queries\":" + std::to_string(server.datalog_queries);
-  body_out += ",\"structure_loads\":" + std::to_string(server.structure_loads);
-  body_out +=
-      ",\"admission_rejected\":" + std::to_string(server.admission_rejected);
-  body_out +=
-      ",\"heavy_lane_entries\":" + std::to_string(server.heavy_lane_entries);
-  body_out +=
-      ",\"heavy_lane_rejected\":" + std::to_string(server.heavy_lane_rejected);
-  body_out += ",\"errors\":" + std::to_string(server.errors);
-  body_out += "},\"http\":{";
-  body_out += "\"connections_accepted\":" +
-              std::to_string(http.connections_accepted);
-  body_out += ",\"connections_rejected\":" +
-              std::to_string(http.connections_rejected);
-  body_out += ",\"requests_handled\":" + std::to_string(http.requests_handled);
-  body_out += ",\"requests_shed\":" + std::to_string(http.requests_shed);
-  body_out += ",\"parse_errors\":" + std::to_string(http.parse_errors);
-  body_out += ",\"timeouts\":" + std::to_string(http.timeouts);
-  body_out += ",\"bytes_in\":" + std::to_string(http.bytes_in);
-  body_out += ",\"bytes_out\":" + std::to_string(http.bytes_out);
-  body_out += "},\"plan_cache\":{\"formulas\":{";
-  body_out += "\"hits\":" + std::to_string(formulas.hits);
-  body_out += ",\"misses\":" + std::to_string(formulas.misses);
-  body_out += ",\"entries\":" + std::to_string(formulas.entries);
-  body_out += "},\"programs\":{";
-  body_out += "\"hits\":" + std::to_string(programs.hits);
-  body_out += ",\"misses\":" + std::to_string(programs.misses);
-  body_out += ",\"entries\":" + std::to_string(programs.entries);
-  body_out += "}},\"structures\":";
-  body_out += std::to_string(StructureNames().size());
+  std::string body_out = "{";
+  JsonKey(body_out, "server");
+  body_out += '{';
+  JsonNumberMember(body_out, "queries", server.queries);
+  JsonNumberMember(body_out, "datalog_queries", server.datalog_queries);
+  JsonNumberMember(body_out, "structure_loads", server.structure_loads);
+  JsonNumberMember(body_out, "admission_rejected", server.admission_rejected);
+  JsonNumberMember(body_out, "heavy_lane_entries", server.heavy_lane_entries);
+  JsonNumberMember(body_out, "heavy_lane_rejected",
+                   server.heavy_lane_rejected);
+  JsonNumberMember(body_out, "errors", server.errors);
+  body_out += '}';
+  JsonKey(body_out, "http");
+  body_out += '{';
+  JsonNumberMember(body_out, "connections_accepted",
+                   http.connections_accepted);
+  JsonNumberMember(body_out, "connections_rejected",
+                   http.connections_rejected);
+  JsonNumberMember(body_out, "requests_handled", http.requests_handled);
+  JsonNumberMember(body_out, "requests_shed", http.requests_shed);
+  JsonNumberMember(body_out, "parse_errors", http.parse_errors);
+  JsonNumberMember(body_out, "timeouts", http.timeouts);
+  JsonNumberMember(body_out, "bytes_in", http.bytes_in);
+  JsonNumberMember(body_out, "bytes_out", http.bytes_out);
+  body_out += '}';
+  JsonKey(body_out, "plan_cache");
+  body_out += '{';
+  for (const auto& [section, counters] :
+       {std::pair{"formulas", cache->formula_stats()},
+        std::pair{"programs", cache->datalog_stats()}}) {
+    JsonKey(body_out, section);
+    body_out += '{';
+    JsonNumberMember(body_out, "hits", counters.hits);
+    JsonNumberMember(body_out, "misses", counters.misses);
+    JsonNumberMember(body_out, "entries", counters.entries);
+    body_out += '}';
+  }
+  body_out += '}';
+  JsonNumberMember(body_out, "structures", StructureNames().size());
   body_out += "}\n";
   return HttpResponse::Json(200, std::move(body_out));
 }

@@ -146,8 +146,13 @@ class QueryServer {
     std::string source;            // "bin:12345 bytes", "edges:...", ...
   };
 
-  /// RAII heavy-lane ticket; admitted == false means 429.
+  /// RAII heavy-lane entry: waits for a slot when the request is heavy and
+  /// counts the entry, or the rejection (rejected() means 429) when the
+  /// lane's wait queue is full.
   class HeavyLaneTicket;
+
+  /// Bumps one server counter.
+  void Count(std::uint64_t Stats::*counter);
 
   HttpResponse HandleQuery(const HttpRequest& request);
   HttpResponse HandleDatalog(const HttpRequest& request);

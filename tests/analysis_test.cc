@@ -528,8 +528,7 @@ TEST(FrontDoorTest, DatalogEnginesRejectUnboundHeads) {
       ParseDatalogProgram("p(x,y) :- E(x,x).", /*validate=*/false);
   ASSERT_TRUE(bad.ok());
   for (DatalogStrategy strategy :
-       {DatalogStrategy::kNaive, DatalogStrategy::kSeedSemiNaive,
-        DatalogStrategy::kSemiNaive}) {
+       {DatalogStrategy::kNaive, DatalogStrategy::kSemiNaive}) {
     Result<std::map<std::string, Relation>> r =
         EvaluateDatalog(*bad, g, strategy);
     ASSERT_FALSE(r.ok());
@@ -541,7 +540,7 @@ TEST(FrontDoorTest, DatalogEnginesRejectUnboundHeads) {
 TEST(FrontDoorTest, DatalogStatsCarryRecursionInfo) {
   Structure g = MakeDirectedPath(4);
   for (DatalogStrategy strategy :
-       {DatalogStrategy::kSeedSemiNaive, DatalogStrategy::kSemiNaive}) {
+       {DatalogStrategy::kNaive, DatalogStrategy::kSemiNaive}) {
     DatalogStats stats;
     Result<std::map<std::string, Relation>> r = EvaluateDatalog(
         DatalogProgram::NonlinearTransitiveClosure(), g, strategy, &stats);

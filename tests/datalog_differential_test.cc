@@ -1,14 +1,10 @@
-// Differential testing of the three Datalog evaluation strategies.
+// Differential testing of the Datalog evaluation strategies.
 //
 // Generates hundreds of random programs (1-3 IDB predicates, arities <= 3,
 // repeated variables, body/head constants, occasional fact schemas) over
-// random graphs and trees, then checks that the naive interpreter, the
-// seed's per-position semi-naive interpreter, and the compiled indexed
-// engine agree on every IDB relation. The compiled engine's standard delta
-// decomposition must also never derive more tuples than the seed scheme
-// (it derives each derivable combination exactly once; the seed scheme at
-// least once), which is checked on every program and required to be strict
-// somewhere on the multi-IDB-rule subset.
+// random graphs and trees, then checks that the naive interpreter and the
+// compiled indexed engine agree on every IDB relation. The compiled
+// engine's derivation counters over the whole sweep are pinned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -203,7 +199,8 @@ Structure RandomBase(std::mt19937_64& rng) {
 TEST(DatalogDifferentialTest, RandomProgramsAgreeAcrossStrategies) {
   std::mt19937_64 rng(20260807);
   std::size_t multi_idb_programs = 0;
-  std::size_t strictly_fewer = 0;
+  std::uint64_t tuples_new = 0;
+  std::uint64_t tuples_derived = 0;
   for (std::size_t trial = 0; trial < 320; ++trial) {
     GeneratedProgram gen = RandomProgram(rng);
     ASSERT_TRUE(gen.program.Validate().ok())
@@ -214,29 +211,18 @@ TEST(DatalogDifferentialTest, RandomProgramsAgreeAcrossStrategies) {
                  std::to_string(base.domain_size()) + ":\n" +
                  gen.program.ToString());
 
-    DatalogStats seed_semi_stats;
     DatalogStats compiled_stats;
     Result<std::map<std::string, Relation>> naive =
         EvaluateDatalog(gen.program, base, DatalogStrategy::kNaive);
-    Result<std::map<std::string, Relation>> seed_semi = EvaluateDatalog(
-        gen.program, base, DatalogStrategy::kSeedSemiNaive, &seed_semi_stats);
     Result<std::map<std::string, Relation>> compiled = EvaluateDatalog(
         gen.program, base, DatalogStrategy::kSemiNaive, &compiled_stats);
     ASSERT_TRUE(naive.ok()) << naive.status().ToString();
-    ASSERT_TRUE(seed_semi.ok()) << seed_semi.status().ToString();
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    EXPECT_TRUE(*naive == *seed_semi);
     EXPECT_TRUE(*naive == *compiled);
-
-    // The standard decomposition derives each derivable combination exactly
-    // once; the seed's per-position scheme derives it at least once.
-    EXPECT_LE(compiled_stats.tuples_derived, seed_semi_stats.tuples_derived);
-    EXPECT_EQ(compiled_stats.tuples_new, seed_semi_stats.tuples_new);
+    tuples_new += compiled_stats.tuples_new;
+    tuples_derived += compiled_stats.tuples_derived;
     if (gen.has_multi_idb_rule) {
       ++multi_idb_programs;
-      if (compiled_stats.tuples_derived < seed_semi_stats.tuples_derived) {
-        ++strictly_fewer;
-      }
     }
 
     if (trial % 10 == 0) {
@@ -256,9 +242,13 @@ TEST(DatalogDifferentialTest, RandomProgramsAgreeAcrossStrategies) {
     }
   }
   // The generator must actually exercise the interesting shape: rules with
-  // two or more IDB body atoms, where the seed scheme re-derives.
+  // two or more IDB body atoms, where a per-position delta scheme
+  // re-derives. The seed's per-position interpreter derived 5215 tuples
+  // over this sweep, 20 of its multi-IDB programs strictly more than the
+  // standard decomposition; the compiled engine's totals are pinned.
   EXPECT_GE(multi_idb_programs, 50u);
-  EXPECT_GE(strictly_fewer, 10u);
+  EXPECT_EQ(tuples_new, 690u);
+  EXPECT_EQ(tuples_derived, 3409u);
 }
 
 TEST(DatalogDifferentialTest, StratifiedNegationAgreesAcrossStrategies) {
@@ -282,14 +272,10 @@ TEST(DatalogDifferentialTest, StratifiedNegationAgreesAcrossStrategies) {
                  gen.program.ToString());
     Result<std::map<std::string, Relation>> naive =
         EvaluateDatalog(gen.program, base, DatalogStrategy::kNaive);
-    Result<std::map<std::string, Relation>> seed_semi =
-        EvaluateDatalog(gen.program, base, DatalogStrategy::kSeedSemiNaive);
     Result<std::map<std::string, Relation>> compiled =
         EvaluateDatalog(gen.program, base, DatalogStrategy::kSemiNaive);
     ASSERT_TRUE(naive.ok()) << naive.status().ToString();
-    ASSERT_TRUE(seed_semi.ok()) << seed_semi.status().ToString();
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    EXPECT_TRUE(*naive == *seed_semi);
     EXPECT_TRUE(*naive == *compiled);
   }
   // The upper layers must actually exercise negation, not degenerate to
@@ -355,7 +341,7 @@ TEST(DatalogDifferentialTest, OptimizerPreservesSemantics) {
         EvaluateDatalog(gen.program, base, DatalogStrategy::kSemiNaive);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     for (const DatalogStrategy strategy :
-         {DatalogStrategy::kSeedSemiNaive, DatalogStrategy::kSemiNaive}) {
+         {DatalogStrategy::kNaive, DatalogStrategy::kSemiNaive}) {
       Result<std::map<std::string, Relation>> rewritten = EvaluateDatalog(
           optimized->program, base, strategy);
       ASSERT_TRUE(rewritten.ok())

@@ -196,7 +196,7 @@ TEST(DatalogEvalTest, StatsTrackIterations) {
   EXPECT_GT(stats.tuples_new, 0u);
 }
 
-TEST(DatalogEvalTest, AllThreeStrategiesAgree) {
+TEST(DatalogEvalTest, NaiveAndCompiledStrategiesAgree) {
   for (const DatalogProgram& program :
        {DatalogProgram::TransitiveClosure(), DatalogProgram::SameGeneration(),
         DatalogProgram::NonlinearTransitiveClosure()}) {
@@ -204,54 +204,49 @@ TEST(DatalogEvalTest, AllThreeStrategiesAgree) {
          {MakeFullBinaryTree(3), MakeDirectedCycle(5), MakeDirectedPath(7)}) {
       Result<std::map<std::string, Relation>> naive =
           EvaluateDatalog(program, s, DatalogStrategy::kNaive);
-      Result<std::map<std::string, Relation>> seed_semi =
-          EvaluateDatalog(program, s, DatalogStrategy::kSeedSemiNaive);
       Result<std::map<std::string, Relation>> compiled =
           EvaluateDatalog(program, s, DatalogStrategy::kSemiNaive);
-      ASSERT_TRUE(naive.ok() && seed_semi.ok() && compiled.ok());
-      EXPECT_TRUE(*naive == *seed_semi);
+      ASSERT_TRUE(naive.ok() && compiled.ok());
       EXPECT_TRUE(*naive == *compiled);
     }
   }
 }
 
 TEST(DatalogEvalTest, StandardDeltaDecompositionDerivesLess) {
-  // Nonlinear TC has two recursive body atoms: the seed's per-position
-  // scheme joins the delta against the FULL relation at the other
-  // position, re-deriving tuples; the standard decomposition (full-new
-  // before the delta, pre-round snapshots after) does not.
+  // Nonlinear TC has two recursive body atoms: a per-position scheme joins
+  // the delta against the FULL relation at the other position, re-deriving
+  // tuples; the standard decomposition (full-new before the delta,
+  // pre-round snapshots after) does not. The seed's per-position
+  // interpreter derived 3105 tuples here (nltc_chain_seed_semi, n = 24, in
+  // BENCH_pr10.json); the compiled engine's counters are pinned.
   Structure chain = MakeDirectedPath(24);
-  DatalogStats seed_semi;
   DatalogStats compiled;
-  Result<std::map<std::string, Relation>> a =
-      EvaluateDatalog(DatalogProgram::NonlinearTransitiveClosure(), chain,
-                      DatalogStrategy::kSeedSemiNaive, &seed_semi);
+  Result<std::map<std::string, Relation>> a = EvaluateDatalog(
+      DatalogProgram::NonlinearTransitiveClosure(), chain,
+      DatalogStrategy::kNaive);
   Result<std::map<std::string, Relation>> b =
       EvaluateDatalog(DatalogProgram::NonlinearTransitiveClosure(), chain,
                       DatalogStrategy::kSemiNaive, &compiled);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(a->at("tc") == b->at("tc"));
-  EXPECT_LT(compiled.tuples_derived, seed_semi.tuples_derived);
-  EXPECT_EQ(compiled.tuples_new, seed_semi.tuples_new);
+  EXPECT_EQ(compiled.tuples_derived, 2047u);
+  EXPECT_EQ(compiled.tuples_new, 276u);  // = |tc| = 24 * 23 / 2.
 }
 
 TEST(DatalogEvalTest, PureEdbRuleFiresOnlyInRoundOne) {
   // A non-recursive pure-EDB rule derives everything in round 1; round 2
-  // only confirms the fixpoint. Both semi-naive engines must derive each
+  // only confirms the fixpoint. The semi-naive engine must derive each
   // edge exactly once (the seed used to re-fire the rule every round).
   Result<DatalogProgram> p = ParseDatalogProgram("e2(x,y) :- E(x,y).");
   ASSERT_TRUE(p.ok());
   Structure chain = MakeDirectedPath(10);
   const std::uint64_t edges = chain.relation(0).size();
-  for (DatalogStrategy strategy :
-       {DatalogStrategy::kSeedSemiNaive, DatalogStrategy::kSemiNaive}) {
-    DatalogStats stats;
-    Result<std::map<std::string, Relation>> out =
-        EvaluateDatalog(*p, chain, strategy, &stats);
-    ASSERT_TRUE(out.ok());
-    EXPECT_EQ(out->at("e2").size(), edges);
-    EXPECT_EQ(stats.tuples_derived, edges);
-  }
+  DatalogStats stats;
+  Result<std::map<std::string, Relation>> out =
+      EvaluateDatalog(*p, chain, DatalogStrategy::kSemiNaive, &stats);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->at("e2").size(), edges);
+  EXPECT_EQ(stats.tuples_derived, edges);
 }
 
 TEST(DatalogEvalTest, RuleApplicationsCountFirings) {
@@ -260,32 +255,25 @@ TEST(DatalogEvalTest, RuleApplicationsCountFirings) {
   // pure-EDB rule (1 firing, round 1 only) and a 1-IDB-atom rule (1 firing
   // per round).
   Structure chain = MakeDirectedPath(8);
-  for (DatalogStrategy strategy :
-       {DatalogStrategy::kSeedSemiNaive, DatalogStrategy::kSemiNaive}) {
-    DatalogStats stats;
-    ASSERT_TRUE(EvaluateDatalog(DatalogProgram::TransitiveClosure(), chain,
-                                strategy, &stats)
-                    .ok());
-    EXPECT_EQ(stats.rule_applications, stats.iterations + 1);
-    EXPECT_GT(stats.atom_visits, stats.rule_applications);
-  }
+  DatalogStats stats;
+  ASSERT_TRUE(EvaluateDatalog(DatalogProgram::TransitiveClosure(), chain,
+                              DatalogStrategy::kSemiNaive, &stats)
+                  .ok());
+  EXPECT_EQ(stats.rule_applications, stats.iterations + 1);
+  EXPECT_GT(stats.atom_visits, stats.rule_applications);
 }
 
 TEST(DatalogEvalTest, CompiledEngineUsesIndexes) {
   Structure tree = MakeFullBinaryTree(5);
-  DatalogStats seed_semi;
   DatalogStats compiled;
-  ASSERT_TRUE(EvaluateDatalog(DatalogProgram::SameGeneration(), tree,
-                              DatalogStrategy::kSeedSemiNaive, &seed_semi)
-                  .ok());
   ASSERT_TRUE(EvaluateDatalog(DatalogProgram::SameGeneration(), tree,
                               DatalogStrategy::kSemiNaive, &compiled)
                   .ok());
-  EXPECT_GT(compiled.index_probes, 0u);
-  EXPECT_EQ(seed_semi.index_probes, 0u);
   // Posting-list probes replace full scans: orders of magnitude fewer
-  // candidate tuples examined.
-  EXPECT_LT(compiled.tuples_scanned * 100, seed_semi.tuples_scanned);
+  // candidate tuples examined than the seed's scanning interpreter, which
+  // examined 5,270,496 here (sg_tree_seed_semi, n = 63, in BENCH_pr10.json).
+  EXPECT_EQ(compiled.index_probes, 2047u);
+  EXPECT_EQ(compiled.tuples_scanned, 3411u);
   ASSERT_FALSE(compiled.join_orders.empty());
   bool has_delta = false;
   bool has_probe = false;
@@ -354,8 +342,7 @@ TEST(DatalogEvalTest, StratifiedComplementOfReachability) {
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   Structure path = MakeDirectedPath(5);
   for (DatalogStrategy strategy :
-       {DatalogStrategy::kNaive, DatalogStrategy::kSeedSemiNaive,
-        DatalogStrategy::kSemiNaive}) {
+       {DatalogStrategy::kNaive, DatalogStrategy::kSemiNaive}) {
     DatalogStats stats;
     Result<std::map<std::string, Relation>> out =
         EvaluateDatalog(*program, path, strategy, &stats);
@@ -385,16 +372,14 @@ TEST(DatalogEvalTest, StratifiedComplementOfTransitiveClosure) {
     Structure cycle = MakeDirectedCycle(n);
     Result<std::map<std::string, Relation>> naive =
         EvaluateDatalog(*program, cycle, DatalogStrategy::kNaive);
-    Result<std::map<std::string, Relation>> seed =
-        EvaluateDatalog(*program, cycle, DatalogStrategy::kSeedSemiNaive);
     Result<std::map<std::string, Relation>> compiled =
         EvaluateDatalog(*program, cycle, DatalogStrategy::kSemiNaive);
-    ASSERT_TRUE(naive.ok() && seed.ok() && compiled.ok());
+    ASSERT_TRUE(naive.ok() && compiled.ok());
     // On a directed cycle the closure is total: nontc is empty.
     EXPECT_EQ(compiled->at("tc").size(), n * n);
     EXPECT_EQ(compiled->at("nontc").size(), 0u);
     EXPECT_TRUE(naive->at("nontc") == compiled->at("nontc"));
-    EXPECT_TRUE(seed->at("tc") == compiled->at("tc"));
+    EXPECT_TRUE(naive->at("tc") == compiled->at("tc"));
   }
   Structure path = MakeDirectedPath(4);
   Result<std::map<std::string, Relation>> out = EvaluateDatalog(*program, path);
@@ -417,8 +402,7 @@ TEST(DatalogEvalTest, UnstratifiableProgramIsRejected) {
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   Structure path = MakeDirectedPath(3);
   for (DatalogStrategy strategy :
-       {DatalogStrategy::kNaive, DatalogStrategy::kSeedSemiNaive,
-        DatalogStrategy::kSemiNaive}) {
+       {DatalogStrategy::kNaive, DatalogStrategy::kSemiNaive}) {
     Result<std::map<std::string, Relation>> out =
         EvaluateDatalog(*program, path, strategy);
     EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
@@ -481,14 +465,11 @@ TEST(DatalogEvalTest, ThreeStrataChainSeedsDriveLaterStrata) {
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   Result<std::map<std::string, Relation>> naive =
       EvaluateDatalog(*program, two, DatalogStrategy::kNaive);
-  Result<std::map<std::string, Relation>> seed =
-      EvaluateDatalog(*program, two, DatalogStrategy::kSeedSemiNaive);
-  ASSERT_TRUE(naive.ok() && seed.ok());
+  ASSERT_TRUE(naive.ok());
   EXPECT_EQ(stats.strata.size(), 3u);
   EXPECT_EQ(compiled->at("unreach").size(), 3u);  // The second cycle.
   EXPECT_EQ(compiled->at("s").size(), 3u);        // The first, from s(0).
   EXPECT_TRUE(naive->at("s") == compiled->at("s"));
-  EXPECT_TRUE(seed->at("s") == compiled->at("s"));
 }
 
 TEST(DatalogEvalTest, RepeatedVariablesAndBodyConstants) {

@@ -16,6 +16,7 @@
 #include "planner/canonical.h"
 #include "planner/fo_to_datalog.h"
 #include "structures/generators.h"
+#include "structures/io.h"
 #include "structures/structure_stats.h"
 
 namespace fmtk {
@@ -430,18 +431,19 @@ TEST(EvaluateDatalogAutoTest, MatchesDirectEvaluationAndMemoizesEngines) {
   PlanCache cache;
   PlannerOptions opts;
   opts.cache = &cache;
-  PlanCacheLookup first;
+  DatalogPlanExplanation first;
   auto routed = EvaluateDatalogAuto(g, program, opts, nullptr, &first);
   ASSERT_TRUE(routed.ok());
-  EXPECT_FALSE(first.hit);
+  EXPECT_FALSE(first.cache_hit);
   ASSERT_EQ(routed->count("tc"), 1u);
   EXPECT_EQ(TupleSet(routed->at("tc")), TupleSet(direct->at("tc")));
 
   // Second run: plan cache hit; results identical.
-  PlanCacheLookup second;
+  DatalogPlanExplanation second;
   auto warm = EvaluateDatalogAuto(g, program, opts, nullptr, &second);
   ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(second.hit);
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(second.plan, first.plan);
   EXPECT_EQ(TupleSet(warm->at("tc")), TupleSet(direct->at("tc")));
 
   // Mutating the EDB bumps the generation: the memoized engine may not be
@@ -455,9 +457,7 @@ TEST(EvaluateDatalogAutoTest, MatchesDirectEvaluationAndMemoizesEngines) {
   EXPECT_GT(after->at("tc").size(), direct->at("tc").size());
 
   // Text front door.
-  PlanCacheLookup text_lookup;
-  auto from_text =
-      EvaluateDatalogAuto(g, program_text, opts, nullptr, &text_lookup);
+  auto from_text = EvaluateDatalogAuto(g, program_text, opts);
   ASSERT_TRUE(from_text.ok());
   EXPECT_EQ(TupleSet(from_text->at("tc")), TupleSet(direct_after->at("tc")));
 }
@@ -473,7 +473,7 @@ TEST(EvaluateDatalogAutoTest, ExplainReportsOptimizerPrePass) {
 
   DatalogPlanExplanation cold;
   auto routed =
-      EvaluateDatalogAuto(g, text, opts, nullptr, nullptr, &cold);
+      EvaluateDatalogAuto(g, text, opts, nullptr, &cold);
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   EXPECT_FALSE(cold.cache_hit);
   EXPECT_EQ(cold.route, "datalog");
@@ -489,7 +489,7 @@ TEST(EvaluateDatalogAutoTest, ExplainReportsOptimizerPrePass) {
   EXPECT_EQ(routed->at("goal").size(), 4u);  // the 4-cycle through 0
 
   DatalogPlanExplanation warm;
-  auto again = EvaluateDatalogAuto(g, text, opts, nullptr, nullptr, &warm);
+  auto again = EvaluateDatalogAuto(g, text, opts, nullptr, &warm);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_TRUE(warm.text_cache_hit);
@@ -507,7 +507,7 @@ TEST(EvaluateDatalogAutoTest, BoundedProgramRoutesToFo) {
 
   DatalogPlanExplanation explain;
   auto routed =
-      EvaluateDatalogAuto(g, text, opts, nullptr, nullptr, &explain);
+      EvaluateDatalogAuto(g, text, opts, nullptr, &explain);
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   EXPECT_TRUE(explain.fo_expressible);
   EXPECT_EQ(explain.route, "fo");
@@ -521,7 +521,7 @@ TEST(EvaluateDatalogAutoTest, BoundedProgramRoutesToFo) {
   no_fo.datalog_fo_routing = false;
   DatalogPlanExplanation fixpoint;
   auto unrouted =
-      EvaluateDatalogAuto(g, text, no_fo, nullptr, nullptr, &fixpoint);
+      EvaluateDatalogAuto(g, text, no_fo, nullptr, &fixpoint);
   ASSERT_TRUE(unrouted.ok());
   EXPECT_EQ(fixpoint.route, "datalog");
   EXPECT_EQ(TupleSet(unrouted->at("hop2")), TupleSet(routed->at("hop2")));
@@ -535,24 +535,25 @@ TEST(EvaluateDatalogAutoTest, OptimizeToggleAndOutputsAreCacheKeyed) {
   PlannerOptions opts;
   opts.cache = &cache;
 
-  PlanCacheLookup plain;
+  DatalogPlanExplanation plain;
   ASSERT_TRUE(EvaluateDatalogAuto(g, text, opts, nullptr, &plain).ok());
 
   PlannerOptions unoptimized = opts;
   unoptimized.optimize_datalog = false;
-  PlanCacheLookup raw;
+  DatalogPlanExplanation raw;
   auto raw_result = EvaluateDatalogAuto(g, text, unoptimized, nullptr, &raw);
   ASSERT_TRUE(raw_result.ok());
-  EXPECT_FALSE(raw.hit);  // @opt flag keys a separate entry
-  EXPECT_NE(plain.key, raw.key);
+  EXPECT_FALSE(raw.cache_hit);  // @opt flag keys a separate entry
+  EXPECT_NE(plain.plan, raw.plan);
 
   PlannerOptions with_outputs = opts;
   with_outputs.datalog_outputs = {"goal"};
-  PlanCacheLookup bound;
+  DatalogPlanExplanation bound;
   ASSERT_TRUE(
       EvaluateDatalogAuto(g, text, with_outputs, nullptr, &bound).ok());
-  EXPECT_FALSE(bound.hit);  // @out roots key a separate entry
-  EXPECT_NE(plain.key, bound.key);
+  EXPECT_FALSE(bound.cache_hit);  // @out roots key a separate entry
+  EXPECT_NE(plain.plan, bound.plan);
+  EXPECT_NE(raw.plan, bound.plan);
 
   // All three plans agree on the shared output predicate.
   auto optimized_result = EvaluateDatalogAuto(g, text, with_outputs);
@@ -576,6 +577,239 @@ TEST(EvaluateDatalogAutoTest, UnstratifiableProgramFailsFromEveryDoor) {
   auto from_program = EvaluateDatalogAuto(g, program, opts);
   ASSERT_FALSE(from_program.ok());
   EXPECT_EQ(from_program.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A counting threshold above every domain size is false everywhere. The
+// compiled plan once stored it truncated to 32 bits, so atleast 2^32 read
+// as atleast 0 and Satisfies answered true.
+TEST(CountingThresholdTest, ThresholdAboveEveryDomainAgreesAcrossEngines) {
+  const Structure c5 = MakeDirectedCycle(5);
+  for (const std::size_t count :
+       {std::size_t{5}, std::size_t{6}, std::size_t{1} << 32,
+        (std::size_t{1} << 32) + 5}) {
+    SCOPED_TRACE(count);
+    const Formula f =
+        Formula::CountExists(count, "x", Formula::Equal(V("x"), V("x")));
+    const bool expected = count <= 5;
+    ModelChecker naive(c5);
+    EXPECT_EQ(*naive.Check(f), expected);
+    EXPECT_EQ(*Satisfies(c5, f), expected);
+    PlanCache cache;
+    PlannerOptions opts;
+    opts.cache = &cache;
+    EXPECT_EQ(*EvaluateAuto(c5, f, opts), expected);
+    for (const EngineKind engine :
+         {EngineKind::kNaive, EngineKind::kCompiled, EngineKind::kParallel,
+          EngineKind::kRelational, EngineKind::kBoundedDegree}) {
+      opts.force_engine = engine;
+      const Result<bool> forced = EvaluateAuto(c5, f, opts);
+      if (forced.ok()) {
+        EXPECT_EQ(*forced, expected) << EngineKindName(engine);
+      } else {
+        EXPECT_EQ(forced.status().code(), StatusCode::kUnsupported)
+            << EngineKindName(engine) << ": " << forced.status().ToString();
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// PlanDatalogAuto + the planned EvaluateDatalogAuto overload.
+
+// The serve_mix program templates (examples/programs and bench/programs
+// hold the same programs), with the outputs each request names.
+struct DatalogCorpusEntry {
+  std::string text;
+  std::vector<std::string> outputs;
+};
+
+std::vector<DatalogCorpusEntry> DatalogCorpus() {
+  return {
+      {"node(x) :- E(x,y).\nnode(y) :- E(x,y).\nreach(x) :- S(x).\n"
+       "reach(y) :- reach(x), E(x,y).\nunreach(x) :- node(x), !reach(x).\n",
+       {}},
+      {"hop2(x,y) :- E(x,z), E(z,y).\nmeet(x) :- hop2(x,x).\n"
+       "meet(x) :- E(x,x).\n",
+       {"meet"}},
+      {"sg(x,y) :- E(p,x), E(p,y).\nsg(x,y) :- E(a,x), sg(a,b), E(b,y).\n",
+       {}},
+      {"tc(x,y) :- E(x,y).\ntc(x,z) :- tc(x,y), E(y,z).\n"
+       "goal(x) :- tc(3,x).\n",
+       {"goal"}},
+      {"sg(x,y) :- E(p,x), E(p,y).\nsg(x,y) :- E(a,x), sg(a,b), E(b,y).\n"
+       "goal(y) :- sg(1,y).\n",
+       {"goal"}},
+      {"tc(x,y) :- E(x,y).\ntc(x,z) :- tc(x,y), E(y,z).\n", {}},
+      {"tc(x,y) :- E(x,y).\ntc(x,z) :- tc(x,y), tc(y,z).\n", {}},
+  };
+}
+
+// A tree with a back edge (so tc and sg recurse around a cycle) and a
+// source set for reachability.
+Structure DatalogCorpusStructure() {
+  return *ParseStructure(
+      "domain 8\n"
+      "relation E/2 { (0 1) (0 2) (1 3) (1 4) (2 5) (2 6) (6 1) (3 7) }\n"
+      "relation S/1 { (2) }\n");
+}
+
+// Every DatalogStats field, join orders and schedules included.
+std::string StatsFingerprint(const DatalogStats& stats) {
+  std::string out = stats.ToString();
+  for (const auto* lines : {&stats.join_orders, &stats.recursion_info,
+                            &stats.analyzer_warnings, &stats.strata}) {
+    out += "\n--";
+    for (const std::string& line : *lines) out += "\n" + line;
+  }
+  return out;
+}
+
+TEST(PlannedDatalogTest, PlainDoorsAndPlannedRunAgreeOnTheCorpus) {
+  const Structure g = DatalogCorpusStructure();
+  for (const DatalogCorpusEntry& entry : DatalogCorpus()) {
+    SCOPED_TRACE(entry.text);
+    PlanCache cache;
+    PlannerOptions opts;
+    opts.cache = &cache;
+    opts.datalog_outputs = entry.outputs;
+
+    DatalogStats text_stats;
+    DatalogPlanExplanation text_explain;
+    auto from_text =
+        EvaluateDatalogAuto(g, entry.text, opts, &text_stats, &text_explain);
+    ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
+
+    DatalogStats program_stats;
+    auto from_program =
+        EvaluateDatalogAuto(g, *ParseDatalogProgram(entry.text), opts,
+                            &program_stats);
+    ASSERT_TRUE(from_program.ok());
+
+    auto planned = PlanDatalogAuto(g, entry.text, opts);
+    ASSERT_TRUE(planned.ok());
+    EXPECT_TRUE(planned->text_cache_hit);
+    EXPECT_EQ(planned->plan, text_explain.plan);
+    DatalogStats planned_stats;
+    auto run = EvaluateDatalogAuto(g, *planned, opts, &planned_stats);
+    ASSERT_TRUE(run.ok());
+    // The same report and measures, apart from the cache outcome.
+    DatalogPlanExplanation warm = *planned;
+    warm.cache_hit = text_explain.cache_hit;
+    warm.text_cache_hit = text_explain.text_cache_hit;
+    EXPECT_EQ(warm.ToJson(), text_explain.ToJson());
+    EXPECT_EQ(warm.rule_count, text_explain.rule_count);
+    EXPECT_EQ(warm.recursive, text_explain.recursive);
+    EXPECT_EQ(warm.nonlinear, text_explain.nonlinear);
+    EXPECT_EQ(warm.head_arities, text_explain.head_arities);
+
+    for (const auto* other : {&*from_program, &*run}) {
+      ASSERT_EQ(other->size(), from_text->size());
+      for (const auto& [pred, relation] : *from_text) {
+        ASSERT_EQ(other->count(pred), 1u) << pred;
+        EXPECT_EQ(TupleSet(other->at(pred)), TupleSet(relation)) << pred;
+      }
+    }
+    EXPECT_EQ(StatsFingerprint(program_stats), StatsFingerprint(text_stats));
+    EXPECT_EQ(StatsFingerprint(planned_stats), StatsFingerprint(text_stats));
+
+    // The same answers as the reference interpreter.
+    auto naive = EvaluateDatalog(*ParseDatalogProgram(entry.text), g,
+                                 DatalogStrategy::kNaive);
+    ASSERT_TRUE(naive.ok());
+    for (const auto& [pred, relation] : *from_text) {
+      EXPECT_EQ(TupleSet(relation), TupleSet(naive->at(pred))) << pred;
+    }
+  }
+}
+
+TEST(PlannedDatalogTest, PlanCarriesAdmissionMeasures) {
+  const Structure g = DatalogCorpusStructure();
+  PlanCache cache;
+  PlannerOptions opts;
+  opts.cache = &cache;
+  const std::vector<DatalogCorpusEntry> corpus = DatalogCorpus();
+  auto reach = PlanDatalogAuto(g, corpus[0].text, opts);
+  ASSERT_TRUE(reach.ok());
+  EXPECT_EQ(reach->rule_count, 5u);
+  EXPECT_TRUE(reach->recursive);
+  EXPECT_FALSE(reach->nonlinear);
+  EXPECT_EQ(reach->head_arities,
+            (std::map<std::string, std::size_t>{
+                {"node", 1}, {"reach", 1}, {"unreach", 1}}));
+  auto hops = PlanDatalogAuto(g, corpus[1].text, opts);
+  ASSERT_TRUE(hops.ok());
+  EXPECT_EQ(hops->rule_count, 3u);
+  EXPECT_FALSE(hops->recursive);
+  EXPECT_EQ(hops->head_arities,
+            (std::map<std::string, std::size_t>{{"hop2", 2}, {"meet", 1}}));
+  auto nonlinear = PlanDatalogAuto(g, corpus[6].text, opts);
+  ASSERT_TRUE(nonlinear.ok());
+  EXPECT_TRUE(nonlinear->recursive);
+  EXPECT_TRUE(nonlinear->nonlinear);
+}
+
+TEST(PlannedDatalogTest, PlannedRunOutlivesCacheClear) {
+  const Structure g = DatalogCorpusStructure();
+  const DatalogCorpusEntry entry = DatalogCorpus()[3];
+  PlanCache cache;
+  PlannerOptions opts;
+  opts.cache = &cache;
+  opts.datalog_outputs = entry.outputs;
+  auto planned = PlanDatalogAuto(g, entry.text, opts);
+  ASSERT_TRUE(planned.ok());
+  auto before = EvaluateDatalogAuto(g, *planned, opts);
+  ASSERT_TRUE(before.ok());
+  cache.Clear();
+  const PlanCacheStats cleared = cache.datalog_stats();
+  auto after = EvaluateDatalogAuto(g, *planned, opts);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(TupleSet(after->at("goal")), TupleSet(before->at("goal")));
+  // The planned run made no probe.
+  const PlanCacheStats now = cache.datalog_stats();
+  EXPECT_EQ(now.hits + now.misses, cleared.hits + cleared.misses);
+  EXPECT_EQ(now.entries, 0u);
+}
+
+TEST(PlannedDatalogTest, PlannedRunRefusesAnotherSignature) {
+  const Structure g = DatalogCorpusStructure();
+  PlanCache cache;
+  PlannerOptions opts;
+  opts.cache = &cache;
+  auto planned = PlanDatalogAuto(g, DatalogCorpus()[5].text, opts);
+  ASSERT_TRUE(planned.ok());
+  const Structure other = MakeDirectedPath(5);  // E only: no S.
+  auto run = EvaluateDatalogAuto(other, *planned, opts);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kSignatureMismatch);
+
+  DatalogPlanExplanation empty;
+  auto unplanned = EvaluateDatalogAuto(g, empty, opts);
+  ASSERT_FALSE(unplanned.ok());
+  EXPECT_EQ(unplanned.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PlannedDatalogTest, RouteReportsTheRouteThatRan) {
+  const Structure g = MakeDirectedCycle(5);
+  const std::string text = "hop2(x,y) :- E(x,z), E(z,y).";
+  PlanCache cache;
+  PlannerOptions opts;
+  opts.cache = &cache;
+  auto planned = PlanDatalogAuto(g, text, opts);
+  ASSERT_TRUE(planned.ok());
+  EXPECT_TRUE(planned->fo_expressible);
+  EXPECT_EQ(planned->route, "datalog");  // Nothing has run yet.
+  auto fo = EvaluateDatalogAuto(g, *planned, opts);
+  ASSERT_TRUE(fo.ok());
+  EXPECT_EQ(planned->route, "fo");
+
+  // The parallel engine evaluates sentences only, so every lowered query
+  // fails and the run falls back to the fixpoint engine.
+  PlannerOptions parallel = opts;
+  parallel.force_engine = EngineKind::kParallel;
+  auto fallback = EvaluateDatalogAuto(g, *planned, parallel);
+  ASSERT_TRUE(fallback.ok());
+  EXPECT_EQ(planned->route, "datalog");
+  EXPECT_EQ(TupleSet(fallback->at("hop2")), TupleSet(fo->at("hop2")));
 }
 
 // ---------------------------------------------------------------------------

@@ -365,6 +365,28 @@ TEST_F(QueryServerTest, DatalogEvaluatesTransitiveClosure) {
   EXPECT_NE(r.body.find("\"iterations\""), std::string::npos);
 }
 
+TEST_F(QueryServerTest, WarmDatalogRequestProbesThePlanCacheOnce) {
+  // Plan once, execute once: the plan prices the request and is what runs,
+  // so a warm /datalog is one text-layer hit and nothing else.
+  const std::string body =
+      R"js({"structure":"ring","program":)js"
+      R"js("tc(x,y) :- E(x,y). tc(x,y) :- tc(x,z), tc(z,y).",)js"
+      R"js("outputs":["tc"]})js";
+  ASSERT_EQ(server_->Handle(MakeRequest("POST", "/datalog", body)).status,
+            200);
+  for (int i = 0; i < 3; ++i) {
+    const PlanCacheStats before = cache_.datalog_stats();
+    const HttpResponse warm =
+        server_->Handle(MakeRequest("POST", "/datalog", body));
+    ASSERT_EQ(warm.status, 200) << warm.body;
+    EXPECT_NE(warm.body.find("\"text_cache_hit\":true"), std::string::npos);
+    const PlanCacheStats after = cache_.datalog_stats();
+    EXPECT_EQ(after.hits, before.hits + 1);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.entries, before.entries);
+  }
+}
+
 TEST_F(QueryServerTest, DatalogResponseCarriesPlanAnalysis) {
   // The optimizer pre-pass reports what it did — strata, rewrites,
   // boundedness — as the response's "analysis" object.
@@ -470,6 +492,152 @@ TEST_F(QueryServerTest, RegistrySwapBumpsGenerationAndKeepsServing) {
   EXPECT_GT(g1, 0u);
   // The old snapshot stays valid for in-flight readers.
   EXPECT_EQ(before->domain_size(), 8u);
+}
+
+// --- Golden bodies ----------------------------------------------------------
+
+// The body with the value of "wall_us" (its one timing-dependent field)
+// replaced by 0.
+std::string WithoutWallTime(std::string body) {
+  const std::string key = "\"wall_us\":";
+  const std::size_t at = body.find(key);
+  if (at == std::string::npos) return body;
+  const std::size_t start = at + key.size();
+  std::size_t end = start;
+  while (end < body.size() && body[end] >= '0' && body[end] <= '9') ++end;
+  body.replace(start, end - start, "0");
+  return body;
+}
+
+struct GoldenExchange {
+  const char* method;
+  const char* target;
+  const char* request;
+  int status;
+  const char* body;  // Without the trailing newline.
+};
+
+void ExpectGoldenBodies(QueryServer& server,
+                        const std::vector<GoldenExchange>& exchanges) {
+  for (const GoldenExchange& exchange : exchanges) {
+    const HttpResponse r = server.Handle(
+        MakeRequest(exchange.method, exchange.target, exchange.request));
+    EXPECT_EQ(r.status, exchange.status) << exchange.request;
+    EXPECT_EQ(WithoutWallTime(r.body), std::string(exchange.body) + "\n")
+        << exchange.method << ' ' << exchange.target << ' '
+        << exchange.request;
+  }
+}
+
+// Every response body, byte for byte (up to wall_us), in one fixed request
+// sequence: cache hits, counters and generations depend on the order.
+// /datalog plans before it prices or rejects a program, so every program
+// probes the plan cache, as every /query formula does: of the 11 program
+// misses, 4 are the two valid programs' text and canonical layers and 7 the
+// rejected ones' (the parse error reaches only the text layer).
+TEST_F(QueryServerTest, GoldenBodiesArePinned) {
+  ExpectGoldenBodies(*server_, {
+      {"POST", "/datalog",
+       R"js({"structure":"ring","program":"tc(x,y) :- E(x,y). tc(x,y) :- E(x,z), tc(z,y).","outputs":["tc"],"max_rows":2})js",
+       200, R"golden({"structure":"ring","relations":{"tc":{"arity":2,"row_count":64,"truncated":true,"rows":[[0,1],[1,2]]}},"cache_hit":false,"analysis":{"route":"datalog","cache_hit":false,"text_cache_hit":false,"optimized":true,"magic_applied":true,"fo_expressible":false,"strata":["stratum 0: {m__tc__bf,tc,tc__bf}"],"boundedness":["tc: unbounded (linear recursion)"],"rewrites":["magic-sets: specialized tc -> tc__bf (magic m__tc__bf, pattern bf)"]},"wall_us":0,"stats":{"iterations":10,"tuples_new":136,"rule_applications":52},"admission":{"lane":"fast"}})golden"},
+      {"POST", "/datalog",
+       R"js({"structure":"ring","program":"tc(x,y) :- E(x,y). tc(x,y) :- E(x,z), tc(z,y).","outputs":["tc"],"max_rows":2})js",
+       200, R"golden({"structure":"ring","relations":{"tc":{"arity":2,"row_count":64,"truncated":true,"rows":[[0,1],[1,2]]}},"cache_hit":true,"analysis":{"route":"datalog","cache_hit":true,"text_cache_hit":true,"optimized":true,"magic_applied":true,"fo_expressible":false,"strata":["stratum 0: {m__tc__bf,tc,tc__bf}"],"boundedness":["tc: unbounded (linear recursion)"],"rewrites":["magic-sets: specialized tc -> tc__bf (magic m__tc__bf, pattern bf)"]},"wall_us":0,"stats":{"iterations":10,"tuples_new":136,"rule_applications":52},"admission":{"lane":"fast"}})golden"},
+      {"POST", "/datalog",
+       R"js({"structure":"ring","program":"hop2(x,y) :- E(x,z), E(z,y).\nmeet(x) :- hop2(x,x).\nmeet(x) :- E(x,x).\n","outputs":["meet","hop2"],"max_rows":3})js",
+       200, R"golden({"structure":"ring","relations":{"hop2":{"arity":2,"row_count":8,"truncated":true,"rows":[[0,2],[1,3],[2,4]]},"meet":{"arity":1,"row_count":0,"truncated":false,"rows":[]}},"cache_hit":false,"analysis":{"route":"fo","cache_hit":false,"text_cache_hit":false,"optimized":true,"magic_applied":false,"fo_expressible":true,"strata":["stratum 0: {hop2,meet}"],"boundedness":["hop2: bounded (non-recursive after rewrites)","meet: bounded (non-recursive after rewrites)"],"rewrites":["fo-lowering: all predicates bounded: lowered 2 output predicate(s) to FO for engine routing"]},"wall_us":0,"stats":{"iterations":0,"tuples_new":0,"rule_applications":0},"admission":{"lane":"fast"}})golden"},
+      {"POST", "/datalog",
+       R"js({"structure":"ring","program":"tc(x,y) :- E(x,y"})js",
+       400, R"golden({"error":"expected ')' at offset 16"})golden"},
+      {"POST", "/datalog",
+       R"js({"structure":"ring","program":"win(x) :- E(x,y), !win(y)."})js",
+       422, R"golden({"error":"error[FMTK110]: predicate 'win' is defined through its own negation ('!win(y)'): the program has no stratification","diagnostics":[{"code":"FMTK110","severity":"error","message":"predicate 'win' is defined through its own negation ('!win(y)'): the program has no stratification","offset":0,"length":26,"notes":[{"message":"negated atom in the recursive component","offset":18,"length":7}]}]})golden"},
+      {"POST", "/datalog",
+       R"js({"structure":"ring","program":"p(x) :- E(x,x), !E(x,z)."})js",
+       422, R"golden({"error":"error[FMTK111]: variable 'z' of negated atom '!E(x,z)' does not occur in a positive body atom","diagnostics":[{"code":"FMTK111","severity":"error","message":"variable 'z' of negated atom '!E(x,z)' does not occur in a positive body atom","offset":16,"length":7,"notes":[]}]})golden"},
+      {"POST", "/datalog",
+       R"js({"structure":"ring","program":"p(x) :- Q(x)."})js",
+       422, R"golden({"error":"error[FMTK103]: EDB predicate 'Q' is not a relation of the signature {E/2}","diagnostics":[{"code":"FMTK103","severity":"error","message":"EDB predicate 'Q' is not a relation of the signature {E/2}","offset":8,"length":4,"notes":[]}]})golden"},
+      {"POST", "/query",
+       R"js({"structure":"ring","query":"forall x. exists y. E(x,y)","explain":true})js",
+       200, R"golden({"structure":"ring","query":"forall x. exists y. E(x,y)","result":true,"engine":"compiled","cache_hit":false,"wall_us":0,"admission":{"cost_units":5.0999999999999996,"lane":"fast"},"explain":{"engine":"compiled","cache_hit":false,"text_cache_hit":false,"canonical":"forall %0. exists %1. E(%0,%1)","signature_fingerprint":"0xf2fbef4a37426066","measures":{"quantifier_rank":2,"variable_width":2,"node_count":3,"free_variables":0,"safe_range":false,"existential_positive":false},"estimated_instantiations":16,"guards":["%0:none","%1:correlated"],"structure":{"domain_size":8,"tuple_count":8,"max_degree":2,"avg_degree":2,"components":1,"diameter_bound":8},"rule":"default: compiled slot evaluation, O(n^qr) data complexity","theorem":"Sec. 2.2: data complexity of FO (fixed query => polynomial scan; FO is in AC0)","costs":[{"engine":"compiled","eligible":true,"cost":5.0999999999999996},{"engine":"naive","eligible":true,"cost":1192,"note":"reference oracle"},{"engine":"parallel","eligible":false,"cost":50001.275000000001,"note":"too little work to fan out"},{"engine":"relational","eligible":true,"cost":990},{"engine":"datalog","eligible":false,"cost":0,"note":"outside the existential-positive fragment"},{"engine":"bounded-degree","eligible":false,"cost":200256,"note":"histogram pass not clearly cheaper than the compiled scan"}]}})golden"},
+      {"POST", "/query",
+       R"js({"structure":"ring","query":"E(x,y)","outputs":["x","y"],"max_rows":3})js",
+       200, R"golden({"structure":"ring","query":"E(x,y)","columns":["x","y"],"row_count":8,"truncated":true,"rows":[[0,1],[1,2],[2,3]],"engine":"compiled","cache_hit":false,"wall_us":0,"admission":{"cost_units":19.199999999999999,"lane":"fast"}})golden"},
+      {"POST", "/query", R"js({"structure":"ring","query":"exists x. Q(x)"})js",
+       422, R"golden({"error":"error[FMTK001]: relation 'Q' is not in the signature {E/2}","diagnostics":[{"code":"FMTK001","severity":"error","message":"relation 'Q' is not in the signature {E/2}","offset":10,"length":4,"notes":[]}]})golden"},
+      {"POST", "/query", R"js({"structure":"ring","query":"exists x. (E(x"})js",
+       400, R"golden({"error":"expected ')' after atom arguments at offset 14 (near '')"})golden"},
+      {"PUT", "/structure/tri?format=text",
+       "domain 3\nrelation E/2 { (0 1) (1 2) (2 0) }\n", 201,
+       R"golden({"loaded":{"name":"tri","generation":2,"domain_size":3,"tuple_count":3,"relation_count":1,"max_degree":2,"avg_degree":2,"components":1},"format":"text","diagnostics":[]})golden"},
+      {"GET", "/structure/ring", "", 200, R"golden({"name":"ring","generation":1,"domain_size":8,"tuple_count":8,"relation_count":1,"max_degree":2,"avg_degree":2,"components":1})golden"},
+      {"GET", "/structure/tri", "", 200, R"golden({"name":"tri","generation":2,"domain_size":3,"tuple_count":3,"relation_count":1,"max_degree":2,"avg_degree":2,"components":1})golden"},
+      {"GET", "/structures", "", 200, R"golden({"structures":[{"name":"ring","generation":1,"domain_size":8,"tuple_count":8,"relation_count":1,"max_degree":2,"avg_degree":2,"components":1},{"name":"tri","generation":2,"domain_size":3,"tuple_count":3,"relation_count":1,"max_degree":2,"avg_degree":2,"components":1}]})golden"},
+      {"GET", "/stats", "", 200, R"golden({"server":{"queries":4,"datalog_queries":7,"structure_loads":1,"admission_rejected":0,"heavy_lane_entries":0,"heavy_lane_rejected":0,"errors":6},"http":{"connections_accepted":0,"connections_rejected":0,"requests_handled":0,"requests_shed":0,"parse_errors":0,"timeouts":0,"bytes_in":0,"bytes_out":0},"plan_cache":{"formulas":{"hits":0,"misses":9,"entries":6},"programs":{"hits":1,"misses":11,"entries":4}},"structures":2})golden"},
+  });
+}
+
+// The 429 bodies. Both rejected programs were planned (two misses and two
+// entries each), so a retry is priced from the cache.
+TEST_F(QueryServerTest, GoldenAdmissionBodiesArePinned) {
+  QueryServerOptions options;
+  options.planner.cache = &cache_;
+  options.admission.max_datalog_rules = 2;
+  options.admission.reject_nonlinear_recursion = true;
+  options.admission.max_quantifier_rank = 2;
+  QueryServer strict(options);
+  strict.PutStructure("ring", RingStructure(8), "test");
+  ExpectGoldenBodies(strict, {
+      {"POST", "/datalog",
+       R"js({"structure":"ring","program":"tc(x,y) :- E(x,y). tc(x,y) :- E(x,z), tc(z,y). goal(x) :- tc(0,x)."})js",
+       429, R"golden({"error":"request rejected by admission control","admission":{"rejected":true,"reason":"program has 3 rules, budget 2","rules":3,"recursive":true,"nonlinear":false,"estimated_rows":72}})golden"},
+      {"POST", "/datalog",
+       R"js({"structure":"ring","program":"tc(x,y) :- E(x,y). tc(x,y) :- tc(x,z), tc(z,y)."})js",
+       429, R"golden({"error":"request rejected by admission control","admission":{"rejected":true,"reason":"nonlinear recursion is not admitted","rules":2,"recursive":true,"nonlinear":true,"estimated_rows":64}})golden"},
+      {"POST", "/query",
+       R"js({"structure":"ring","query":"exists x. exists y. exists z. E(x,y) & E(y,z)"})js",
+       429, R"golden({"error":"request rejected by admission control","admission":{"rejected":true,"reason":"quantifier rank 3 exceeds budget 2","cost_units":79.5,"quantifier_rank":3,"variable_width":3,"node_count":6,"estimated_rows":1}})golden"},
+      {"GET", "/stats", "", 200, R"golden({"server":{"queries":1,"datalog_queries":2,"structure_loads":0,"admission_rejected":3,"heavy_lane_entries":0,"heavy_lane_rejected":0,"errors":3},"http":{"connections_accepted":0,"connections_rejected":0,"requests_handled":0,"requests_shed":0,"parse_errors":0,"timeouts":0,"bytes_in":0,"bytes_out":0},"plan_cache":{"formulas":{"hits":0,"misses":2,"entries":2},"programs":{"hits":0,"misses":4,"entries":4}},"structures":1})golden"},
+  });
+}
+
+// The admission measures /datalog reports (rules, recursion shape, the
+// n^arity row estimate), pinned for the serve_mix program templates: an
+// estimated-row budget below one rejects every program and prints them.
+TEST_F(QueryServerTest, DatalogAdmissionMeasuresArePinned) {
+  QueryServerOptions options;
+  options.planner.cache = &cache_;
+  options.admission.max_estimated_rows = 0.5;
+  QueryServer strict(options);
+  strict.PutStructure(
+      "g",
+      *ParseStructure("domain 6\nrelation E/2 { (0 1) (1 2) (2 3) (3 4) "
+                      "(4 5) (5 0) (0 3) }\nrelation S/1 { (0) }\n"),
+      "test");
+  ExpectGoldenBodies(strict, {
+      {"POST", "/datalog",
+       R"js({"structure":"g","program":"node(x) :- E(x,y).\nnode(y) :- E(x,y).\nreach(x) :- S(x).\nreach(y) :- reach(x), E(x,y).\nunreach(x) :- node(x), !reach(x).\n"})js",
+       429, R"golden({"error":"request rejected by admission control","admission":{"rejected":true,"reason":"estimated IDB rows 18 exceeds budget 0.5","rules":5,"recursive":true,"nonlinear":false,"estimated_rows":18}})golden"},
+      {"POST", "/datalog",
+       R"js({"structure":"g","program":"hop2(x,y) :- E(x,z), E(z,y).\nmeet(x) :- hop2(x,x).\nmeet(x) :- E(x,x).\n","outputs":["meet"]})js",
+       429, R"golden({"error":"request rejected by admission control","admission":{"rejected":true,"reason":"estimated IDB rows 42 exceeds budget 0.5","rules":3,"recursive":false,"nonlinear":false,"estimated_rows":42}})golden"},
+      {"POST", "/datalog",
+       R"js({"structure":"g","program":"sg(x,y) :- E(p,x), E(p,y).\nsg(x,y) :- E(a,x), sg(a,b), E(b,y).\n"})js",
+       429, R"golden({"error":"request rejected by admission control","admission":{"rejected":true,"reason":"estimated IDB rows 36 exceeds budget 0.5","rules":2,"recursive":true,"nonlinear":false,"estimated_rows":36}})golden"},
+      {"POST", "/datalog",
+       R"js({"structure":"g","program":"tc(x,y) :- E(x,y).\ntc(x,z) :- tc(x,y), E(y,z).\ngoal(x) :- tc(3,x).\n","outputs":["goal"]})js",
+       429, R"golden({"error":"request rejected by admission control","admission":{"rejected":true,"reason":"estimated IDB rows 42 exceeds budget 0.5","rules":3,"recursive":true,"nonlinear":false,"estimated_rows":42}})golden"},
+      {"POST", "/datalog",
+       R"js({"structure":"g","program":"sg(x,y) :- E(p,x), E(p,y).\nsg(x,y) :- E(a,x), sg(a,b), E(b,y).\ngoal(y) :- sg(2,y).\n","outputs":["goal"]})js",
+       429, R"golden({"error":"request rejected by admission control","admission":{"rejected":true,"reason":"estimated IDB rows 42 exceeds budget 0.5","rules":3,"recursive":true,"nonlinear":false,"estimated_rows":42}})golden"},
+      {"POST", "/datalog",
+       R"js({"structure":"g","program":"tc(x,y) :- E(x,y).\ntc(x,z) :- tc(x,y), E(y,z).\n"})js",
+       429, R"golden({"error":"request rejected by admission control","admission":{"rejected":true,"reason":"estimated IDB rows 36 exceeds budget 0.5","rules":2,"recursive":true,"nonlinear":false,"estimated_rows":36}})golden"},
+      {"POST", "/datalog",
+       R"js({"structure":"g","program":"tc(x,y) :- E(x,y).\ntc(x,z) :- tc(x,y), tc(y,z).\n"})js",
+       429, R"golden({"error":"request rejected by admission control","admission":{"rejected":true,"reason":"estimated IDB rows 36 exceeds budget 0.5","rules":2,"recursive":true,"nonlinear":true,"estimated_rows":36}})golden"},
+  });
 }
 
 // --- Concurrency hammer (the TSan CI leg runs this binary) ------------------
