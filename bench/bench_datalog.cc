@@ -32,7 +32,6 @@ using fmtk::DatalogStrategy;
 using fmtk::EvaluateDatalog;
 using fmtk::MakeDirectedPath;
 using fmtk::MakeFullBinaryTree;
-using fmtk::ParallelPolicy;
 using fmtk::Structure;
 
 DatalogStats RunOnce(const DatalogProgram& program, const Structure& base,
@@ -107,14 +106,13 @@ void PrintTable() {
 // --json: wall-clock is the best of `reps` runs, counters from the last.
 void EmitJsonLine(const std::string& bench, std::size_t n,
                   const DatalogProgram& program, const Structure& base,
-                  DatalogStrategy strategy, int reps,
-                  ParallelPolicy policy = {}) {
+                  DatalogStrategy strategy, int reps) {
   double best_ms = 0;
   DatalogStats stats;
   for (int r = 0; r < reps; ++r) {
     DatalogStats run_stats;
     const auto start = std::chrono::steady_clock::now();
-    (void)*EvaluateDatalog(program, base, strategy, &run_stats, policy);
+    (void)*EvaluateDatalog(program, base, strategy, &run_stats);
     const auto stop = std::chrono::steady_clock::now();
     const double ms =
         std::chrono::duration<double, std::milli>(stop - start).count();
@@ -149,13 +147,6 @@ void RunJsonSuite() {
     const std::size_t n = tree.domain_size();
     EmitJsonLine("sg_tree_compiled", n, sg, tree,
                  DatalogStrategy::kSemiNaive, 3);
-  }
-  {
-    Structure tree = MakeFullBinaryTree(6);
-    ParallelPolicy policy;
-    policy.enabled = true;
-    EmitJsonLine("sg_tree_compiled_par", tree.domain_size(), sg, tree,
-                 DatalogStrategy::kSemiNaive, 3, policy);
   }
   for (std::size_t n : {24, 48}) {
     Structure chain = MakeDirectedPath(n);

@@ -13,39 +13,24 @@
 #include <cstring>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "core/locality/gaifman_local.h"
 #include "core/locality/locality_engine.h"
-#include "core/locality/neighborhood.h"
 #include "logic/parser.h"
 #include "queries/relation_query.h"
 #include "structures/generators.h"
-#include "structures/graph.h"
-#include "structures/isomorphism.h"
 
 namespace {
 
-using fmtk::Adjacency;
-using fmtk::Element;
 using fmtk::FindGaifmanViolation;
-using fmtk::GaifmanAdjacency;
 using fmtk::GaifmanLocalRadiusOn;
-using fmtk::GaifmanViolation;
-using fmtk::IsomorphismInvariant;
 using fmtk::LocalityEngine;
 using fmtk::LocalityStats;
 using fmtk::MakeDirectedPath;
-using fmtk::Neighborhood;
-using fmtk::NeighborhoodOf;
-using fmtk::NeighborhoodsIsomorphic;
 using fmtk::ParseFormula;
 using fmtk::Relation;
 using fmtk::RelationQuery;
 using fmtk::Structure;
-using fmtk::Tuple;
 
 void PrintTable() {
   std::printf("=== E8: Gaifman locality (Thm 3.6) ===\n");
@@ -89,68 +74,13 @@ void PrintTable() {
       "the FO control is local at a fixed small radius.\n\n");
 }
 
-// --- --json mode: engine path vs a replica of the seed algorithm ----------
+// --- --json mode: the engine path ----------------------------------------
 //
-// The seed rebuilt the Gaifman adjacency on every call, materialized every
-// tuple's neighborhood by scanning the whole structure, and compared
-// neighborhoods through invariant buckets with pairwise isomorphism tests.
-// The engine overload shares one adjacency across radii and compares by
-// canonical code.
-
-void AllTuplesOver(std::size_t n, std::size_t m, std::vector<Tuple>& out) {
-  Tuple t(m, 0);
-  if (m == 0 || n == 0) {
-    return;
-  }
-  while (true) {
-    out.push_back(t);
-    std::size_t pos = m;
-    while (pos > 0) {
-      --pos;
-      if (t[pos] + 1 < n) {
-        ++t[pos];
-        break;
-      }
-      t[pos] = 0;
-      if (pos == 0) {
-        return;
-      }
-    }
-  }
-}
-
-std::optional<GaifmanViolation> SeedFindViolation(const Structure& s,
-                                                  const Relation& output,
-                                                  std::size_t radius) {
-  Adjacency gaifman = GaifmanAdjacency(s);
-  std::vector<Tuple> tuples;
-  AllTuplesOver(s.domain_size(), output.arity(), tuples);
-  struct Entry {
-    Tuple tuple;
-    Neighborhood neighborhood;
-    bool in_output;
-  };
-  std::unordered_map<std::size_t, std::vector<Entry>> buckets;
-  for (const Tuple& t : tuples) {
-    Neighborhood n = NeighborhoodOf(s, gaifman, t, radius);
-    std::size_t invariant =
-        IsomorphismInvariant(n.structure, n.distinguished);
-    std::vector<Entry>& bucket = buckets[invariant];
-    const bool in_output = output.Contains(t);
-    for (const Entry& other : bucket) {
-      if (other.in_output != in_output &&
-          NeighborhoodsIsomorphic(other.neighborhood, n)) {
-        return in_output ? GaifmanViolation{t, other.tuple}
-                         : GaifmanViolation{other.tuple, t};
-      }
-    }
-    bucket.push_back(Entry{t, std::move(n), in_output});
-  }
-  return std::nullopt;
-}
+// One shared adjacency across radii, neighborhoods compared by canonical
+// code.
 
 // Scans radii 0..max_radius, counting how many have a violation — the
-// E8 "largest violated radius" loop both modes run identically.
+// E8 "largest violated radius" loop.
 template <typename FindFn>
 std::size_t CountViolatedRadii(std::size_t max_radius, const FindFn& find) {
   std::size_t violated = 0;
@@ -164,15 +94,14 @@ std::size_t CountViolatedRadii(std::size_t max_radius, const FindFn& find) {
   return violated;
 }
 
-void EmitJsonLine(const char* bench, const char* mode, std::size_t n,
-                  double wall_ms, std::size_t result,
-                  const LocalityStats& stats) {
+void EmitJsonLine(const char* bench, std::size_t n, double wall_ms,
+                  std::size_t result, const LocalityStats& stats) {
   std::printf(
-      "{\"bench\":\"%s\",\"mode\":\"%s\",\"n\":%zu,\"wall_ms\":%.3f,"
+      "{\"bench\":\"%s\",\"n\":%zu,\"wall_ms\":%.3f,"
       "\"result\":%zu,\"balls_extracted\":%llu,\"bfs_node_visits\":%llu,"
       "\"canon_codes\":%llu,\"canon_hits\":%llu,\"iso_tests\":%llu,"
       "\"frontier_reuses\":%llu}\n",
-      bench, mode, n, wall_ms, result,
+      bench, n, wall_ms, result,
       static_cast<unsigned long long>(stats.balls_extracted),
       static_cast<unsigned long long>(stats.bfs_node_visits),
       static_cast<unsigned long long>(stats.canon_codes),
@@ -182,8 +111,7 @@ void EmitJsonLine(const char* bench, const char* mode, std::size_t n,
 }
 
 template <typename Fn>
-void TimeAndEmit(const char* bench, const char* mode, std::size_t n,
-                 int reps, const Fn& fn) {
+void TimeAndEmit(const char* bench, std::size_t n, int reps, const Fn& fn) {
   double best_ms = 0;
   std::size_t result = 0;
   LocalityStats stats;
@@ -199,7 +127,7 @@ void TimeAndEmit(const char* bench, const char* mode, std::size_t n,
     }
     stats = run_stats;
   }
-  EmitJsonLine(bench, mode, n, best_ms, result, stats);
+  EmitJsonLine(bench, n, best_ms, result, stats);
 }
 
 void RunJsonSuite() {
@@ -207,21 +135,13 @@ void RunJsonSuite() {
   for (std::size_t n : {8, 16, 24, 32}) {
     Structure chain = MakeDirectedPath(n);
     Relation tc_out = *tc.Evaluate(chain);
-    TimeAndEmit("gaifman_tc_chain", "engine", n, 5,
-                [&](LocalityStats* stats) {
-                  LocalityEngine engine(chain);
-                  std::size_t violated =
-                      CountViolatedRadii(2, [&](std::size_t r) {
-                        return *FindGaifmanViolation(engine, tc_out, r);
-                      });
-                  *stats = engine.stats();
-                  return violated;
-                });
-    TimeAndEmit("gaifman_tc_chain", "seed", n, 3, [&](LocalityStats* stats) {
-      (void)stats;
-      return CountViolatedRadii(2, [&](std::size_t r) {
-        return SeedFindViolation(chain, tc_out, r);
+    TimeAndEmit("gaifman_tc_chain", n, 5, [&](LocalityStats* stats) {
+      LocalityEngine engine(chain);
+      std::size_t violated = CountViolatedRadii(2, [&](std::size_t r) {
+        return *FindGaifmanViolation(engine, tc_out, r);
       });
+      *stats = engine.stats();
+      return violated;
     });
   }
 }

@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <optional>
 #include <string>
 
@@ -19,14 +18,10 @@
 #include "core/locality/neighborhood.h"
 #include "queries/boolean_query.h"
 #include "structures/generators.h"
-#include "structures/graph.h"
 
 namespace {
 
-using fmtk::Adjacency;
 using fmtk::BooleanQuery;
-using fmtk::Element;
-using fmtk::GaifmanAdjacency;
 using fmtk::HanfEquivalent;
 using fmtk::LargestHanfRadius;
 using fmtk::LocalityEngine;
@@ -35,7 +30,6 @@ using fmtk::MakeDirectedCycle;
 using fmtk::MakeDirectedPath;
 using fmtk::MakeDisjointCycles;
 using fmtk::MakePathPlusCycle;
-using fmtk::NeighborhoodOf;
 using fmtk::NeighborhoodSweep;
 using fmtk::NeighborhoodTypeIndex;
 using fmtk::Structure;
@@ -80,43 +74,10 @@ void PrintTable() {
       "query columns always differ.\n\n");
 }
 
-// --- --json mode: engine sweeps vs a replica of the seed algorithm --------
+// --- --json mode: the engine's radius sweep --------------------------------
 //
-// The seed computed each radius from scratch: one GaifmanAdjacency per
-// histogram call, one full-structure scan per neighborhood, and type
-// resolution through invariant buckets plus pairwise isomorphism tests.
-// The engine shares one adjacency, extends balls radius-incrementally, and
-// resolves types by canonical code.
-
-std::map<NeighborhoodTypeIndex::TypeId, std::size_t> SeedHistogram(
-    const Structure& s, std::size_t radius, NeighborhoodTypeIndex& index) {
-  Adjacency gaifman = GaifmanAdjacency(s);
-  std::map<NeighborhoodTypeIndex::TypeId, std::size_t> histogram;
-  for (Element v = 0; v < s.domain_size(); ++v) {
-    ++histogram[index.TypeOf(NeighborhoodOf(s, gaifman, {v}, radius))];
-  }
-  return histogram;
-}
-
-std::optional<std::size_t> SeedLargestHanfRadius(const Structure& a,
-                                                const Structure& b,
-                                                std::size_t max_radius) {
-  if (!(a.signature() == b.signature()) ||
-      a.domain_size() != b.domain_size()) {
-    return std::nullopt;
-  }
-  NeighborhoodTypeIndex::Options options;
-  options.use_canonical_codes = false;  // the seed's bucket-only regime
-  NeighborhoodTypeIndex index(options);
-  std::optional<std::size_t> best;
-  for (std::size_t r = 0; r <= max_radius; ++r) {
-    if (SeedHistogram(a, r, index) != SeedHistogram(b, r, index)) {
-      break;
-    }
-    best = r;
-  }
-  return best;
-}
+// One adjacency per structure, balls extended radius-incrementally, types
+// resolved by canonical code.
 
 std::optional<std::size_t> EngineLargestHanfRadius(const Structure& a,
                                                   const Structure& b,
@@ -145,15 +106,14 @@ std::optional<std::size_t> EngineLargestHanfRadius(const Structure& a,
   return best;
 }
 
-void EmitJsonLine(const char* bench, const char* mode, std::size_t n,
-                  double wall_ms, std::size_t result,
-                  const LocalityStats& stats) {
+void EmitJsonLine(const char* bench, std::size_t n, double wall_ms,
+                  std::size_t result, const LocalityStats& stats) {
   std::printf(
-      "{\"bench\":\"%s\",\"mode\":\"%s\",\"n\":%zu,\"wall_ms\":%.3f,"
+      "{\"bench\":\"%s\",\"n\":%zu,\"wall_ms\":%.3f,"
       "\"result\":%zu,\"balls_extracted\":%llu,\"bfs_node_visits\":%llu,"
       "\"canon_codes\":%llu,\"canon_hits\":%llu,\"iso_tests\":%llu,"
       "\"frontier_reuses\":%llu}\n",
-      bench, mode, n, wall_ms, result,
+      bench, n, wall_ms, result,
       static_cast<unsigned long long>(stats.balls_extracted),
       static_cast<unsigned long long>(stats.bfs_node_visits),
       static_cast<unsigned long long>(stats.canon_codes),
@@ -164,8 +124,7 @@ void EmitJsonLine(const char* bench, const char* mode, std::size_t n,
 
 // Wall-clock is the best of `reps` runs; counters come from the last run.
 template <typename Fn>
-void TimeAndEmit(const char* bench, const char* mode, std::size_t n,
-                 int reps, const Fn& fn) {
+void TimeAndEmit(const char* bench, std::size_t n, int reps, const Fn& fn) {
   double best_ms = 0;
   std::size_t result = 0;
   LocalityStats stats;
@@ -181,38 +140,25 @@ void TimeAndEmit(const char* bench, const char* mode, std::size_t n,
     }
     stats = run_stats;
   }
-  EmitJsonLine(bench, mode, n, best_ms, result, stats);
+  EmitJsonLine(bench, n, best_ms, result, stats);
 }
 
 void RunJsonSuite() {
   for (std::size_t m : {5, 9, 13, 17, 21}) {
     Structure g1 = MakeDisjointCycles(2, m);
     Structure g2 = MakeDirectedCycle(2 * m);
-    TimeAndEmit("hanf_cycles", "engine", 2 * m, 5,
-                [&](LocalityStats* stats) {
-                  auto r = EngineLargestHanfRadius(g1, g2, m, stats);
-                  return r.has_value() ? *r + 1 : 0;  // 0 = none
-                });
-    TimeAndEmit("hanf_cycles", "seed", 2 * m, 3, [&](LocalityStats* stats) {
-      (void)stats;
-      auto r = SeedLargestHanfRadius(g1, g2, m);
-      return r.has_value() ? *r + 1 : 0;
+    TimeAndEmit("hanf_cycles", 2 * m, 5, [&](LocalityStats* stats) {
+      auto r = EngineLargestHanfRadius(g1, g2, m, stats);
+      return r.has_value() ? *r + 1 : 0;  // 0 = none
     });
   }
   for (std::size_t m : {8, 12, 16}) {
     Structure g1 = MakeDirectedPath(2 * m);
     Structure g2 = MakePathPlusCycle(m);
-    TimeAndEmit("hanf_chain_vs_lollipop", "engine", 2 * m, 5,
-                [&](LocalityStats* stats) {
-                  auto r = EngineLargestHanfRadius(g1, g2, m, stats);
-                  return r.has_value() ? *r + 1 : 0;
-                });
-    TimeAndEmit("hanf_chain_vs_lollipop", "seed", 2 * m, 3,
-                [&](LocalityStats* stats) {
-                  (void)stats;
-                  auto r = SeedLargestHanfRadius(g1, g2, m);
-                  return r.has_value() ? *r + 1 : 0;
-                });
+    TimeAndEmit("hanf_chain_vs_lollipop", 2 * m, 5, [&](LocalityStats* stats) {
+      auto r = EngineLargestHanfRadius(g1, g2, m, stats);
+      return r.has_value() ? *r + 1 : 0;
+    });
   }
 }
 

@@ -12,12 +12,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "core/locality/bndp.h"
 #include "core/locality/gaifman_local.h"
@@ -27,34 +23,23 @@
 #include "queries/boolean_query.h"
 #include "queries/relation_query.h"
 #include "structures/generators.h"
-#include "structures/graph.h"
-#include "structures/isomorphism.h"
 
 namespace {
 
-using fmtk::Adjacency;
 using fmtk::BooleanQuery;
 using fmtk::DegreeCount;
-using fmtk::Element;
 using fmtk::FindGaifmanViolation;
-using fmtk::GaifmanAdjacency;
-using fmtk::GaifmanViolation;
-using fmtk::IsomorphismInvariant;
 using fmtk::LargestHanfRadius;
 using fmtk::LocalityEngine;
 using fmtk::LocalityStats;
 using fmtk::MakeDirectedCycle;
 using fmtk::MakeDirectedPath;
 using fmtk::MakeDisjointCycles;
-using fmtk::Neighborhood;
-using fmtk::NeighborhoodOf;
-using fmtk::NeighborhoodsIsomorphic;
 using fmtk::NeighborhoodSweep;
 using fmtk::NeighborhoodTypeIndex;
 using fmtk::Relation;
 using fmtk::RelationQuery;
 using fmtk::Structure;
-using fmtk::Tuple;
 
 void PrintTable() {
   std::printf("=== E10: the tool hierarchy (Thm 3.9) ===\n");
@@ -95,37 +80,8 @@ void PrintTable() {
 
 // --- --json mode ----------------------------------------------------------
 //
-// The CI smoke suite: the full E10 hierarchy pass (Hanf radius search on
-// the cycle pairs, Gaifman violation scan on TC chains, BNDP profiling) in
-// "engine" mode against a replica of the seed algorithms — per-call
-// Gaifman adjacency, full-structure neighborhood scans, invariant buckets
-// with pairwise isomorphism tests, a fresh BFS per radius.
-
-std::map<NeighborhoodTypeIndex::TypeId, std::size_t> SeedHistogram(
-    const Structure& s, std::size_t radius, NeighborhoodTypeIndex& index) {
-  Adjacency gaifman = GaifmanAdjacency(s);
-  std::map<NeighborhoodTypeIndex::TypeId, std::size_t> histogram;
-  for (Element v = 0; v < s.domain_size(); ++v) {
-    ++histogram[index.TypeOf(NeighborhoodOf(s, gaifman, {v}, radius))];
-  }
-  return histogram;
-}
-
-std::optional<std::size_t> SeedLargestHanfRadius(const Structure& a,
-                                                const Structure& b,
-                                                std::size_t max_radius) {
-  NeighborhoodTypeIndex::Options options;
-  options.use_canonical_codes = false;  // the seed's bucket-only regime
-  NeighborhoodTypeIndex index(options);
-  std::optional<std::size_t> best;
-  for (std::size_t r = 0; r <= max_radius; ++r) {
-    if (SeedHistogram(a, r, index) != SeedHistogram(b, r, index)) {
-      break;
-    }
-    best = r;
-  }
-  return best;
-}
+// The E10 hierarchy pass through the locality engine: Hanf radius search
+// on the cycle pairs and the Gaifman violation scan on TC chains.
 
 std::optional<std::size_t> EngineLargestHanfRadius(const Structure& a,
                                                   const Structure& b,
@@ -148,67 +104,14 @@ std::optional<std::size_t> EngineLargestHanfRadius(const Structure& a,
   return best;
 }
 
-void AllTuplesOver(std::size_t n, std::size_t m, std::vector<Tuple>& out) {
-  Tuple t(m, 0);
-  if (m == 0 || n == 0) {
-    return;
-  }
-  while (true) {
-    out.push_back(t);
-    std::size_t pos = m;
-    while (pos > 0) {
-      --pos;
-      if (t[pos] + 1 < n) {
-        ++t[pos];
-        break;
-      }
-      t[pos] = 0;
-      if (pos == 0) {
-        return;
-      }
-    }
-  }
-}
-
-std::optional<GaifmanViolation> SeedFindViolation(const Structure& s,
-                                                  const Relation& output,
-                                                  std::size_t radius) {
-  Adjacency gaifman = GaifmanAdjacency(s);
-  std::vector<Tuple> tuples;
-  AllTuplesOver(s.domain_size(), output.arity(), tuples);
-  struct Entry {
-    Tuple tuple;
-    Neighborhood neighborhood;
-    bool in_output;
-  };
-  std::unordered_map<std::size_t, std::vector<Entry>> buckets;
-  for (const Tuple& t : tuples) {
-    Neighborhood n = NeighborhoodOf(s, gaifman, t, radius);
-    std::size_t invariant =
-        IsomorphismInvariant(n.structure, n.distinguished);
-    std::vector<Entry>& bucket = buckets[invariant];
-    const bool in_output = output.Contains(t);
-    for (const Entry& other : bucket) {
-      if (other.in_output != in_output &&
-          NeighborhoodsIsomorphic(other.neighborhood, n)) {
-        return in_output ? GaifmanViolation{t, other.tuple}
-                         : GaifmanViolation{other.tuple, t};
-      }
-    }
-    bucket.push_back(Entry{t, std::move(n), in_output});
-  }
-  return std::nullopt;
-}
-
-void EmitJsonLine(const char* bench, const char* mode, std::size_t n,
-                  double wall_ms, std::size_t result,
-                  const LocalityStats& stats) {
+void EmitJsonLine(const char* bench, std::size_t n, double wall_ms,
+                  std::size_t result, const LocalityStats& stats) {
   std::printf(
-      "{\"bench\":\"%s\",\"mode\":\"%s\",\"n\":%zu,\"wall_ms\":%.3f,"
+      "{\"bench\":\"%s\",\"n\":%zu,\"wall_ms\":%.3f,"
       "\"result\":%zu,\"balls_extracted\":%llu,\"bfs_node_visits\":%llu,"
       "\"canon_codes\":%llu,\"canon_hits\":%llu,\"iso_tests\":%llu,"
       "\"frontier_reuses\":%llu}\n",
-      bench, mode, n, wall_ms, result,
+      bench, n, wall_ms, result,
       static_cast<unsigned long long>(stats.balls_extracted),
       static_cast<unsigned long long>(stats.bfs_node_visits),
       static_cast<unsigned long long>(stats.canon_codes),
@@ -218,8 +121,7 @@ void EmitJsonLine(const char* bench, const char* mode, std::size_t n,
 }
 
 template <typename Fn>
-void TimeAndEmit(const char* bench, const char* mode, std::size_t n,
-                 int reps, const Fn& fn) {
+void TimeAndEmit(const char* bench, std::size_t n, int reps, const Fn& fn) {
   double best_ms = 0;
   std::size_t result = 0;
   LocalityStats stats;
@@ -235,7 +137,7 @@ void TimeAndEmit(const char* bench, const char* mode, std::size_t n,
     }
     stats = run_stats;
   }
-  EmitJsonLine(bench, mode, n, best_ms, result, stats);
+  EmitJsonLine(bench, n, best_ms, result, stats);
 }
 
 void RunJsonSuite() {
@@ -243,47 +145,27 @@ void RunJsonSuite() {
   for (std::size_t m : {9, 13, 17, 21}) {
     Structure g1 = MakeDisjointCycles(2, m);
     Structure g2 = MakeDirectedCycle(2 * m);
-    TimeAndEmit("hierarchy_hanf", "engine", 2 * m, 9,
-                [&](LocalityStats* stats) {
-                  auto r = EngineLargestHanfRadius(g1, g2, m, stats);
-                  return r.has_value() ? *r + 1 : 0;  // 0 = none
-                });
-    TimeAndEmit("hierarchy_hanf", "seed", 2 * m, 5,
-                [&](LocalityStats* stats) {
-                  (void)stats;
-                  auto r = SeedLargestHanfRadius(g1, g2, m);
-                  return r.has_value() ? *r + 1 : 0;
-                });
+    TimeAndEmit("hierarchy_hanf", 2 * m, 9, [&](LocalityStats* stats) {
+      auto r = EngineLargestHanfRadius(g1, g2, m, stats);
+      return r.has_value() ? *r + 1 : 0;  // 0 = none
+    });
   }
   // Gaifman leg: violation scan for TC on chains, radii 0..2.
   RelationQuery tc = RelationQuery::TransitiveClosure();
   for (std::size_t n : {16, 24, 32}) {
     Structure chain = MakeDirectedPath(n);
     Relation tc_out = *tc.Evaluate(chain);
-    TimeAndEmit("hierarchy_gaifman", "engine", n, 9,
-                [&](LocalityStats* stats) {
-                  LocalityEngine engine(chain);
-                  std::size_t violated = 0;
-                  for (std::size_t r = 0; r <= 2; ++r) {
-                    if ((*FindGaifmanViolation(engine, tc_out, r))
-                            .has_value()) {
-                      ++violated;
-                    }
-                  }
-                  *stats = engine.stats();
-                  return violated;
-                });
-    TimeAndEmit("hierarchy_gaifman", "seed", n, 5,
-                [&](LocalityStats* stats) {
-                  (void)stats;
-                  std::size_t violated = 0;
-                  for (std::size_t r = 0; r <= 2; ++r) {
-                    if (SeedFindViolation(chain, tc_out, r).has_value()) {
-                      ++violated;
-                    }
-                  }
-                  return violated;
-                });
+    TimeAndEmit("hierarchy_gaifman", n, 9, [&](LocalityStats* stats) {
+      LocalityEngine engine(chain);
+      std::size_t violated = 0;
+      for (std::size_t r = 0; r <= 2; ++r) {
+        if ((*FindGaifmanViolation(engine, tc_out, r)).has_value()) {
+          ++violated;
+        }
+      }
+      *stats = engine.stats();
+      return violated;
+    });
   }
 }
 

@@ -58,10 +58,16 @@ bool IntervalEq(std::size_t m, std::size_t k, std::size_t n,
     const std::size_t from = side == 0 ? m : k;
     const std::size_t to = side == 0 ? k : m;
     for (std::size_t a = 1; a <= from && duplicator_wins; ++a) {
-      bool answered = false;
+      auto answers = [&](std::size_t b) {
+        return IntervalEq(a - 1, b - 1, n - 1, memo) &&
+               IntervalEq(from - a, to - b, n - 1, memo);
+      };
+      // Try the answers at a's distance from either end first: above the
+      // threshold one of them wins, which spares the scan over every b.
+      bool answered = (a <= to && answers(a)) ||
+                      (from - a < to && answers(to - (from - a)));
       for (std::size_t b = 1; b <= to && !answered; ++b) {
-        answered = IntervalEq(a - 1, b - 1, n - 1, memo) &&
-                   IntervalEq(from - a, to - b, n - 1, memo);
+        answered = answers(b);
       }
       duplicator_wins = answered;
     }

@@ -4,7 +4,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -220,7 +219,6 @@ Status EngineImpl::CompileRule(const DlRule& rule) {
         step.role = AtomRole::kEdb;
       } else if (delta_at.has_value() && i == *delta_at) {
         step.role = AtomRole::kDelta;
-        variant.delta_step = k;
       } else if (!delta_at.has_value() || i < *delta_at) {
         step.role = AtomRole::kFull;
       } else {
@@ -508,13 +506,7 @@ Status VariantRun::Step(std::size_t depth) {
     }
   }
   const JoinStep& s = variant_.steps[depth];
-  // A chunked worker runs one slice of the variant's single delta scan;
-  // the driver counts that scan's atom visit (and probe) once so the
-  // counters match the sequential execution exactly.
-  const bool chunked_scan = depth == 0 && step0_range_.has_value();
-  if (!chunked_scan) {
-    ++acc_.atom_visits;
-  }
+  ++acc_.atom_visits;
   // Resolve the store, the index range, and the per-column index array the
   // step reads, by role and mode. In batch mode EDB steps read the whole
   // immutable relation through the indexes pre-bound at compile time; in
@@ -613,10 +605,6 @@ Status VariantRun::Step(std::size_t depth) {
       return Step<kCheck>(depth + 1);
     }
   }
-  if (depth == 0 && step0_range_.has_value()) {
-    begin = step0_range_->first;
-    end = step0_range_->second;
-  }
   if (begin >= end) {
     return Status::OK();
   }
@@ -632,9 +620,7 @@ Status VariantRun::Step(std::size_t depth) {
   Relation::ColumnIndex::View view;
   bool single_view = false;
   if (!s.probe_cols.empty()) {
-    if (!chunked_scan) {
-      ++acc_.index_probes;
-    }
+    ++acc_.index_probes;
     auto view_of = [&](std::size_t c) {
       const PosAction& a = s.actions[c];
       const Element value =
@@ -798,17 +784,13 @@ Status VariantRun::Derive() {
       out_.push_back(env_[t.slot]);
     }
   }
-  if (buffer_ != nullptr) {
-    buffer_->push_back(out_);
-  } else {
-    // The B/F forward pass collects deletion candidates in a side store;
-    // everything else inserts straight into the IDB.
-    Relation& target = rs_.deletion_mode ? (*rs_.candidates)[rule_.head_pred]
-                                         : rs_.idb[rule_.head_pred];
-    if (target.AddCopy(out_)) {
-      changed_ = true;
-      ++tuples_new_;
-    }
+  // The B/F forward pass collects deletion candidates in a side store;
+  // everything else inserts straight into the IDB.
+  Relation& target = rs_.deletion_mode ? (*rs_.candidates)[rule_.head_pred]
+                                       : rs_.idb[rule_.head_pred];
+  if (target.AddCopy(out_)) {
+    changed_ = true;
+    ++tuples_new_;
   }
   return Status::OK();
 }
@@ -829,7 +811,7 @@ const std::vector<std::string>& CompiledDatalogEngine::join_orders() const {
 }
 
 Result<std::map<std::string, Relation>> CompiledDatalogEngine::Evaluate(
-    DatalogStats* stats, ParallelPolicy policy) {
+    DatalogStats* stats) {
   EngineImpl& impl = *impl_;
   RunState rs;
   rs.idb.reserve(impl.idb_names.size());
@@ -846,13 +828,6 @@ Result<std::map<std::string, Relation>> CompiledDatalogEngine::Evaluate(
   // Seed fact schemas: head variables range over the whole domain, exactly
   // like the interpreter (not counted as derivations there either).
   FMTK_RETURN_IF_ERROR(internal_datalog::SeedFacts(impl, rs.idb));
-
-  // hardware_concurrency() reads sysfs on every call (glibc get_nprocs);
-  // resolve the thread budget once, not per rule per round.
-  const std::size_t hw_threads =
-      policy.num_threads != 0
-          ? policy.num_threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
   StatsAcc acc;
   std::uint64_t rule_applications = 0;
@@ -893,66 +868,10 @@ Result<std::map<std::string, Relation>> CompiledDatalogEngine::Evaluate(
         }
         for (const Variant& variant : rule.variants) {
           ++rule_applications;
-          const bool parallel_eligible = policy.enabled &&
-                                         variant.delta_step.has_value() &&
-                                         !variant.steps.empty();
-          std::size_t delta_size = 0;
-          if (parallel_eligible) {
-            const JoinStep& s0 = variant.steps.front();
-            delta_size = rs.delta_end[s0.pred] - rs.delta_begin[s0.pred];
-          }
-          const std::size_t threads = std::min(hw_threads, delta_size);
-          if (parallel_eligible && delta_size >= policy.min_domain &&
-              threads > 1) {
-            // Fan the delta partition out in contiguous chunks.
-            // Derivations within a round never feed back into the round's
-            // (frozen) views, so per-thread buffers merged in chunk order
-            // reproduce the sequential insertion order, counters included.
-            const JoinStep& s0 = variant.steps.front();
-            const std::size_t begin = rs.delta_begin[s0.pred];
-            const std::size_t chunk = (delta_size + threads - 1) / threads;
-            std::vector<StatsAcc> worker_acc(threads);
-            std::vector<std::vector<Tuple>> worker_out(threads);
-            std::vector<Status> worker_status(threads, Status::OK());
-            std::vector<std::thread> workers;
-            workers.reserve(threads);
-            for (std::size_t t = 0; t < threads; ++t) {
-              workers.emplace_back([&, t] {
-                const std::size_t lo = begin + t * chunk;
-                const std::size_t hi =
-                    std::min(begin + (t + 1) * chunk, begin + delta_size);
-                VariantRun run(impl, rule, variant, rs, worker_acc[t]);
-                run.set_buffer(&worker_out[t]);
-                run.set_step0_range(lo, hi);
-                worker_status[t] = run.Execute();
-              });
-            }
-            for (std::thread& w : workers) {
-              w.join();
-            }
-            for (std::size_t t = 0; t < threads; ++t) {
-              FMTK_RETURN_IF_ERROR(worker_status[t]);
-              acc.MergeFrom(worker_acc[t]);
-              for (Tuple& tuple : worker_out[t]) {
-                if (rs.idb[rule.head_pred].Add(std::move(tuple))) {
-                  changed = true;
-                  ++tuples_new;
-                }
-              }
-            }
-            // The workers split one delta scan between them; count its
-            // atom visit (and probe, if any) once, like the sequential
-            // path does.
-            ++acc.atom_visits;
-            if (!s0.probe_cols.empty()) {
-              ++acc.index_probes;
-            }
-          } else {
-            VariantRun run(impl, rule, variant, rs, acc);
-            FMTK_RETURN_IF_ERROR(run.Execute());
-            changed = changed || run.changed();
-            tuples_new += run.tuples_new();
-          }
+          VariantRun run(impl, rule, variant, rs, acc);
+          FMTK_RETURN_IF_ERROR(run.Execute());
+          changed = changed || run.changed();
+          tuples_new += run.tuples_new();
         }
       }
       first_round = false;

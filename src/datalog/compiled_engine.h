@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "base/parallel.h"
 #include "base/result.h"
 #include "datalog/evaluator.h"
 #include "datalog/program.h"
@@ -60,7 +59,7 @@ class CompiledDatalogEngine {
   /// Runs the fixpoint from scratch and returns the IDB relations by name.
   /// Callable repeatedly (each call restarts from the seeded facts).
   Result<std::map<std::string, Relation>> Evaluate(
-      DatalogStats* stats = nullptr, ParallelPolicy policy = {});
+      DatalogStats* stats = nullptr);
 
   /// The join-order description lines also reported via
   /// DatalogStats::join_orders.

@@ -73,7 +73,6 @@ struct JoinStep {
 
 // One (rule, delta position) execution plan with its own join order.
 struct Variant {
-  std::optional<std::size_t> delta_step;  // Index into steps (always 0).
   std::vector<JoinStep> steps;
 };
 
@@ -99,21 +98,13 @@ struct RuleExec {
   std::optional<Variant> rederive;
 };
 
-// Thread-mergeable subset of DatalogStats (everything the join recursion
-// itself touches; rule_applications and tuples_new stay on the main
-// thread).
+// The subset of DatalogStats the join recursion itself touches
+// (rule_applications and tuples_new are counted by the round loop).
 struct StatsAcc {
   std::uint64_t atom_visits = 0;
   std::uint64_t tuples_derived = 0;
   std::uint64_t index_probes = 0;
   std::uint64_t tuples_scanned = 0;
-
-  void MergeFrom(const StatsAcc& other) {
-    atom_visits += other.atom_visits;
-    tuples_derived += other.tuples_derived;
-    index_probes += other.index_probes;
-    tuples_scanned += other.tuples_scanned;
-  }
 };
 
 struct EngineImpl {
@@ -218,8 +209,8 @@ class CheckHooks {
 };
 
 // One in-flight execution of a rule variant: inserting directly into the
-// derive target (sequential), buffering derivations (parallel worker), or
-// enumerating the instances that support one head tuple (a B/F check run).
+// derive target, or enumerating the instances that support one head tuple
+// (a B/F check run).
 class VariantRun {
  public:
   VariantRun(const EngineImpl& impl, const RuleExec& rule,
@@ -231,11 +222,6 @@ class VariantRun {
         acc_(acc),
         env_(rule.slot_count, 0),
         isect_(variant.steps.size()) {}
-
-  void set_buffer(std::vector<Tuple>* buffer) { buffer_ = buffer; }
-  void set_step0_range(std::size_t begin, std::size_t end) {
-    step0_range_ = {begin, end};
-  }
 
   bool changed() const { return changed_; }
   std::uint64_t tuples_new() const { return tuples_new_; }
@@ -265,8 +251,6 @@ class VariantRun {
   std::vector<Element> env_;
   Tuple out_;
   Tuple probe_;  // Scratch for negated-step membership probes.
-  std::vector<Tuple>* buffer_ = nullptr;
-  std::optional<std::pair<std::size_t, std::size_t>> step0_range_;
   CheckHooks* hooks_ = nullptr;
   bool found_ = false;  // A check run's OnInstance asked to stop.
   bool changed_ = false;

@@ -270,11 +270,11 @@ class NaiveEngine {
 
 Result<std::map<std::string, Relation>> EvaluateDatalog(
     const DatalogProgram& program, const Structure& edb,
-    DatalogStrategy strategy, DatalogStats* stats, ParallelPolicy policy) {
+    DatalogStrategy strategy, DatalogStats* stats) {
   if (strategy == DatalogStrategy::kSemiNaive) {
     FMTK_ASSIGN_OR_RETURN(CompiledDatalogEngine engine,
                           CompiledDatalogEngine::Create(program, edb));
-    return engine.Evaluate(stats, policy);
+    return engine.Evaluate(stats);
   }
   NaiveEngine engine(program, edb, stats);
   return engine.Run();

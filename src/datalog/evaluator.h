@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "base/parallel.h"
 #include "base/result.h"
 #include "datalog/program.h"
 #include "structures/relation.h"
@@ -68,13 +67,11 @@ enum class DatalogStrategy {
 /// read the completed relations of strictly lower strata) over the EDB
 /// given by a structure's relations. Returns the IDB relations by
 /// predicate name. Unstratifiable programs are rejected through the
-/// analyzer front door (FMTK110). `policy` (used by kSemiNaive only)
-/// optionally fans the per-round delta partition out over threads; results
-/// and counters are identical to the sequential run.
+/// analyzer front door (FMTK110).
 Result<std::map<std::string, Relation>> EvaluateDatalog(
     const DatalogProgram& program, const Structure& edb,
     DatalogStrategy strategy = DatalogStrategy::kSemiNaive,
-    DatalogStats* stats = nullptr, ParallelPolicy policy = {});
+    DatalogStats* stats = nullptr);
 
 }  // namespace fmtk
 

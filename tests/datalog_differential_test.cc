@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "analysis/program_optimizer.h"
-#include "base/parallel.h"
 #include "datalog/evaluator.h"
 #include "datalog/program.h"
 #include "structures/generators.h"
@@ -223,22 +222,6 @@ TEST(DatalogDifferentialTest, RandomProgramsAgreeAcrossStrategies) {
     tuples_derived += compiled_stats.tuples_derived;
     if (gen.has_multi_idb_rule) {
       ++multi_idb_programs;
-    }
-
-    if (trial % 10 == 0) {
-      ParallelPolicy policy;
-      policy.enabled = true;
-      policy.num_threads = 3;
-      policy.min_domain = 1;
-      DatalogStats parallel_stats;
-      Result<std::map<std::string, Relation>> parallel = EvaluateDatalog(
-          gen.program, base, DatalogStrategy::kSemiNaive, &parallel_stats,
-          policy);
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      EXPECT_TRUE(*compiled == *parallel);
-      EXPECT_EQ(compiled_stats.tuples_derived, parallel_stats.tuples_derived);
-      EXPECT_EQ(compiled_stats.tuples_new, parallel_stats.tuples_new);
-      EXPECT_EQ(compiled_stats.atom_visits, parallel_stats.atom_visits);
     }
   }
   // The generator must actually exercise the interesting shape: rules with

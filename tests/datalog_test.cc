@@ -285,30 +285,6 @@ TEST(DatalogEvalTest, CompiledEngineUsesIndexes) {
   EXPECT_TRUE(has_probe);
 }
 
-TEST(DatalogEvalTest, ParallelDeltaFanOutMatchesSequential) {
-  Structure tree = MakeFullBinaryTree(5);
-  DatalogStats sequential;
-  DatalogStats parallel;
-  Result<std::map<std::string, Relation>> a =
-      EvaluateDatalog(DatalogProgram::SameGeneration(), tree,
-                      DatalogStrategy::kSemiNaive, &sequential);
-  ParallelPolicy policy;
-  policy.enabled = true;
-  policy.num_threads = 3;
-  policy.min_domain = 1;
-  Result<std::map<std::string, Relation>> b =
-      EvaluateDatalog(DatalogProgram::SameGeneration(), tree,
-                      DatalogStrategy::kSemiNaive, &parallel, policy);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_TRUE(*a == *b);
-  // The fan-out only partitions the delta: every counter is unchanged.
-  EXPECT_EQ(sequential.iterations, parallel.iterations);
-  EXPECT_EQ(sequential.tuples_derived, parallel.tuples_derived);
-  EXPECT_EQ(sequential.tuples_new, parallel.tuples_new);
-  EXPECT_EQ(sequential.atom_visits, parallel.atom_visits);
-  EXPECT_EQ(sequential.tuples_scanned, parallel.tuples_scanned);
-}
-
 TEST(DatalogParserTest, NegationMarkers) {
   Result<DatalogProgram> bang = ParseDatalogProgram(
       "r(x) :- E(x,y). u(x) :- E(x,x), !r(x).", /*validate=*/false);

@@ -270,6 +270,15 @@ TEST(LinearOrderTest, TheoremThresholds) {
   EXPECT_TRUE(LinearOrdersEquivalent(6, 6, 3));     // Equal sizes always.
   EXPECT_TRUE(LinearOrdersEquivalent(3, 4, 2));     // 2^2-1 = 3.
   EXPECT_FALSE(LinearOrdersEquivalent(2, 3, 2));
+  // The least s with L_s ≡n L_{s+1} is 2^n - 1, by the composition DP.
+  LinearOrderGameTable table;
+  for (std::size_t n = 1; n <= 6; ++n) {
+    std::size_t s = 1;
+    while (!table.Equivalent(s, s + 1, n)) {
+      ++s;
+    }
+    EXPECT_EQ(s, (std::size_t{1} << n) - 1) << "n=" << n;
+  }
 }
 
 TEST(LinearOrderTest, EvenNotExpressibleWitness) {

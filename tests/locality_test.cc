@@ -287,17 +287,18 @@ TEST(GaifmanLocalTest, OutputOutsideDomainRejected) {
 // --- BNDP (E7) ---------------------------------------------------------------
 
 TEST(BndpTest, TcOnChainsGrowsDegrees) {
-  // TC of an n-chain realizes n distinct degrees; the profile explodes even
-  // though inputs have degree <= 2.
+  // TC of an n-chain realizes exactly n distinct degrees; the profile
+  // explodes even though inputs have degree <= 2.
   BndpProfile profile;
-  for (std::size_t n = 4; n <= 16; n += 4) {
+  for (std::size_t n : {4, 8, 12, 16, 32, 64, 128}) {
     Structure chain = MakeDirectedPath(n);
     Result<Relation> tc = RelationQuery::TransitiveClosure().Evaluate(chain);
     ASSERT_TRUE(tc.ok());
+    EXPECT_EQ(DegreeCount(*tc, n), n);
     profile.Observe(chain, 0, *tc);
   }
-  EXPECT_EQ(profile.observations(), 4u);
-  EXPECT_EQ(profile.MaxObserved(), 16u);
+  EXPECT_EQ(profile.observations(), 7u);
+  EXPECT_EQ(profile.MaxObserved(), 128u);
   EXPECT_FALSE(profile.WithinBound(8));
   // All inputs had max degree 2.
   ASSERT_EQ(profile.profile().size(), 1u);
@@ -305,15 +306,19 @@ TEST(BndpTest, TcOnChainsGrowsDegrees) {
 }
 
 TEST(BndpTest, SameGenerationOnBinaryTreesExplodes) {
-  // The survey: on a depth-n full binary tree, same-generation realizes
-  // degrees 1, 2, 4, ..., 2^n.
-  Structure tree = MakeFullBinaryTree(4);
-  Result<Relation> sg = RelationQuery::SameGeneration().Evaluate(tree);
-  ASSERT_TRUE(sg.ok());
-  std::set<std::size_t> degs = DegreeSet(*sg, tree.domain_size());
-  for (std::size_t level = 0; level <= 4; ++level) {
-    EXPECT_TRUE(degs.count(std::size_t{1} << level))
-        << "missing degree " << (std::size_t{1} << level);
+  // The survey: on a depth-d full binary tree, same-generation realizes
+  // degrees 1, 2, 4, ..., 2^d, and 2^d is the largest.
+  for (std::size_t depth = 2; depth <= 7; ++depth) {
+    Structure tree = MakeFullBinaryTree(depth);
+    Result<Relation> sg = RelationQuery::SameGeneration().Evaluate(tree);
+    ASSERT_TRUE(sg.ok());
+    std::set<std::size_t> degs = DegreeSet(*sg, tree.domain_size());
+    for (std::size_t level = 0; level <= depth; ++level) {
+      EXPECT_TRUE(degs.count(std::size_t{1} << level))
+          << "depth " << depth << " missing degree "
+          << (std::size_t{1} << level);
+    }
+    EXPECT_EQ(*degs.rbegin(), std::size_t{1} << depth) << "depth " << depth;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "core/zeroone/almost_sure.h"
 #include "core/zeroone/mu.h"
@@ -47,6 +48,21 @@ TEST(ExactMuTest, EmptySignature) {
   ASSERT_TRUE(mu1.ok() && mu2.ok());
   EXPECT_DOUBLE_EQ(mu1->value, 0.0);
   EXPECT_DOUBLE_EQ(mu2->value, 1.0);
+  // EVEN itself on sizes up to 8, as an FO(Cnt) size test: exactly 2, 4,
+  // 6 or 8 elements.
+  std::string even;
+  for (int k = 2; k <= 8; k += 2) {
+    even += std::string(even.empty() ? "" : " | ") + "((atleast " +
+            std::to_string(k) + " x. x = x) & !(atleast " +
+            std::to_string(k + 1) + " x. x = x))";
+  }
+  const Formula even_up_to_8 = *ParseFormula(even);
+  for (std::size_t n = 1; n <= 8; ++n) {
+    Result<MuEstimate> mu = ExactMu(even_up_to_8, Signature::Empty(), n);
+    ASSERT_TRUE(mu.ok()) << mu.status().ToString();
+    EXPECT_EQ(mu->total, 1u);
+    EXPECT_DOUBLE_EQ(mu->value, n % 2 == 0 ? 1.0 : 0.0) << "n=" << n;
+  }
 }
 
 TEST(ExactMuTest, RefusesHugeEnumerations) {
