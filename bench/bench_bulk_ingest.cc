@@ -216,7 +216,7 @@ std::vector<Measurement> RunIngestSuite(std::size_t edge_target) {
       const auto start = Clock::now();
       Relation built(2);
       for (const Tuple& e : forest.edges) {
-        built.AddCopy(e);
+        built.Add(e);
       }
       for (std::size_t c = 0; c < 2; ++c) {
         (void)built.column_index(c);
@@ -399,7 +399,7 @@ void BM_RelationIncrementalAdd(benchmark::State& state) {
   for (auto _ : state) {
     Relation r(2);
     for (const Tuple& e : forest.edges) {
-      r.AddCopy(e);
+      r.Add(e);
     }
     for (std::size_t c = 0; c < 2; ++c) {
       benchmark::DoNotOptimize(&r.column_index(c));

@@ -1,10 +1,11 @@
 // E14 — Datalog fixed points: the survey's non-FO contrast class.
 //
-// Claims reproduced: same-generation and transitive closure need a number
-// of fixpoint rounds that grows with the input (no FO formula can do
-// that), and the compiled, index-driven semi-naive engine beats naive
-// iteration — fewer derivations (each derivable combination exactly once)
-// and posting-list probes instead of relation scans. The seed's
+// Claims: same-generation and transitive closure need a number of fixpoint
+// rounds that grows with the input (no FO formula can do that), and the
+// compiled, index-driven semi-naive engine beats naive iteration — fewer
+// derivations (each derivable combination exactly once) and posting-list
+// probes instead of relation scans. ClaimsTest and DatalogEvalTest assert
+// the counters; this suite times the engines. The seed's
 // per-position semi-naive interpreter, the earlier "before" point, is
 // gone; its rows remain in BENCH_pr6.json through BENCH_pr10.json.
 //
@@ -33,75 +34,6 @@ using fmtk::EvaluateDatalog;
 using fmtk::MakeDirectedPath;
 using fmtk::MakeFullBinaryTree;
 using fmtk::Structure;
-
-DatalogStats RunOnce(const DatalogProgram& program, const Structure& base,
-                     DatalogStrategy strategy) {
-  DatalogStats stats;
-  (void)*EvaluateDatalog(program, base, strategy, &stats);
-  return stats;
-}
-
-void PrintTable() {
-  std::printf("=== E14: Datalog fixed points (TC, same-generation) ===\n");
-  std::printf(
-      "paper: fixpoint queries iterate to a data-dependent depth — beyond "
-      "any fixed FO quantifier rank\n\n");
-  std::printf("-- transitive closure on chains --\n");
-  std::printf("%6s %6s %15s %15s %15s %15s\n", "n", "iters",
-              "derived(comp)", "derived(naive)", "scanned(comp)",
-              "scanned(naive)");
-  for (std::size_t n : {8, 16, 32, 64}) {
-    Structure chain = MakeDirectedPath(n);
-    const DatalogProgram tc = DatalogProgram::TransitiveClosure();
-    DatalogStats comp = RunOnce(tc, chain, DatalogStrategy::kSemiNaive);
-    DatalogStats naive = RunOnce(tc, chain, DatalogStrategy::kNaive);
-    std::printf("%6zu %6zu %15llu %15llu %15llu %15llu\n", n,
-                comp.iterations,
-                static_cast<unsigned long long>(comp.tuples_derived),
-                static_cast<unsigned long long>(naive.tuples_derived),
-                static_cast<unsigned long long>(comp.tuples_scanned),
-                static_cast<unsigned long long>(naive.tuples_scanned));
-  }
-  std::printf("\n-- same-generation on full binary trees --\n");
-  std::printf("%6s %6s %6s %10s %15s %15s\n", "depth", "n", "iters",
-              "firings", "atom_visits", "scanned(comp)");
-  for (std::size_t depth = 2; depth <= 5; ++depth) {
-    Structure tree = MakeFullBinaryTree(depth);
-    const DatalogProgram sg = DatalogProgram::SameGeneration();
-    DatalogStats comp = RunOnce(sg, tree, DatalogStrategy::kSemiNaive);
-    std::printf("%6zu %6zu %6zu %10llu %15llu %15llu\n", depth,
-                tree.domain_size(), comp.iterations,
-                static_cast<unsigned long long>(comp.rule_applications),
-                static_cast<unsigned long long>(comp.atom_visits),
-                static_cast<unsigned long long>(comp.tuples_scanned));
-  }
-  std::printf(
-      "\n-- nonlinear TC on a chain (two recursive body atoms) --\n");
-  std::printf("%6s %15s %12s\n", "n", "derived(comp)", "tuples_new");
-  for (std::size_t n : {16, 32, 48}) {
-    Structure chain = MakeDirectedPath(n);
-    const DatalogProgram nltc = DatalogProgram::NonlinearTransitiveClosure();
-    DatalogStats comp = RunOnce(nltc, chain, DatalogStrategy::kSemiNaive);
-    std::printf("%6zu %15llu %12llu\n", n,
-                static_cast<unsigned long long>(comp.tuples_derived),
-                static_cast<unsigned long long>(comp.tuples_new));
-  }
-  {
-    Structure tree = MakeFullBinaryTree(3);
-    DatalogStats stats;
-    (void)*EvaluateDatalog(DatalogProgram::SameGeneration(), tree,
-                           DatalogStrategy::kSemiNaive, &stats);
-    std::printf("\n-- compiled join orders (same-generation) --\n");
-    for (const std::string& line : stats.join_orders) {
-      std::printf("  %s\n", line.c_str());
-    }
-  }
-  std::printf(
-      "\nshape check: iteration count grows with the input (linearly for "
-      "TC-on-chains, with depth for SG); the compiled engine derives and "
-      "scans far fewer tuples than naive iteration, and on nonlinear TC "
-      "derives each tuple combination exactly once.\n\n");
-}
 
 // --json: wall-clock is the best of `reps` runs, counters from the last.
 void EmitJsonLine(const std::string& bench, std::size_t n,
@@ -208,7 +140,6 @@ int main(int argc, char** argv) {
       return 0;
     }
   }
-  PrintTable();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

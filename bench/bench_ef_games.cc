@@ -1,10 +1,11 @@
 // E4 — Ehrenfeucht–Fraïssé games and the EVEN-on-sets example (survey §3.2).
 //
-// Claims reproduced: (a) duplicator wins the n-round game on any two sets
-// of size >= n (so EVEN is not FO over sets — A_n = 2n-set vs
-// B_n = (2n+1)-set); (b) A ∼Gn B coincides with rank-n type equality (the
-// fundamental theorem); (c) exact game search cost explodes with rounds —
-// the "combinatorially heavy" warning.
+// Claims: (a) duplicator wins the n-round game on any two sets of size
+// >= n (so EVEN is not FO over sets — A_n = 2n-set vs B_n = (2n+1)-set);
+// (b) A ∼Gn B coincides with rank-n type equality (the fundamental
+// theorem); (c) exact game search cost explodes with rounds — the
+// "combinatorially heavy" warning. EfGameTest, RankTypeTest and
+// GameStatsTest assert (a)–(c); this suite times the searches.
 
 // `--json` skips the google-benchmark harness and emits one
 // {"bench":...,"n":...,"wall_ms":...,"nodes":...} line per run, for
@@ -26,68 +27,11 @@ namespace {
 using fmtk::EfGameSolver;
 using fmtk::GameOptions;
 using fmtk::MakeDirectedCycle;
-using fmtk::MakeDirectedPath;
 using fmtk::MakeLinearOrder;
 using fmtk::MakeSet;
 using fmtk::PebbleGameSolver;
 using fmtk::RankTypeIndex;
 using fmtk::Structure;
-
-void PrintTable() {
-  std::printf("=== E4: EF games on sets (EVEN is not FO) ===\n");
-  std::printf(
-      "paper: duplicator wins G_n(A,B) whenever |A|,|B| >= n; take 2n vs "
-      "2n+1 to kill EVEN\n\n");
-  std::printf("%6s %8s %8s %14s %12s\n", "rounds", "|A|", "|B|",
-              "duplicator", "positions");
-  for (std::size_t n = 1; n <= 4; ++n) {
-    for (std::size_t delta = 0; delta <= 1; ++delta) {
-      Structure a = MakeSet(2 * n);
-      Structure b = MakeSet(2 * n + 1 + delta);
-      EfGameSolver solver(a, b);
-      bool wins = *solver.DuplicatorWins(n);
-      std::printf("%6zu %8zu %8zu %14s %12llu\n", n, a.domain_size(),
-                  b.domain_size(), wins ? "wins" : "loses",
-                  static_cast<unsigned long long>(solver.nodes_explored()));
-    }
-  }
-  std::printf("\n-- spoiler's exact requirement: sets of sizes s vs s+1 --\n");
-  std::printf("%6s %6s %18s\n", "s", "s+1", "spoiler needs");
-  for (std::size_t s = 1; s <= 4; ++s) {
-    Structure a = MakeSet(s);
-    Structure b = MakeSet(s + 1);
-    EfGameSolver solver(a, b);
-    auto needed = *solver.SpoilerNeeds(6);
-    std::printf("%6zu %6zu %18s\n", s, s + 1,
-                needed.has_value() ? std::to_string(*needed).c_str() : ">6");
-  }
-  std::printf(
-      "\n-- fundamental theorem cross-check (game == rank types) --\n");
-  std::printf("%-28s %7s %7s %7s\n", "pair", "n=1", "n=2", "n=3");
-  struct Pair {
-    const char* name;
-    Structure a;
-    Structure b;
-  };
-  std::vector<Pair> pairs;
-  pairs.push_back({"path3 vs path4", MakeDirectedPath(3), MakeDirectedPath(4)});
-  pairs.push_back({"cycle3 vs cycle4", MakeDirectedCycle(3),
-                   MakeDirectedCycle(4)});
-  pairs.push_back({"set4 vs set5", MakeSet(4), MakeSet(5)});
-  RankTypeIndex index;
-  for (const Pair& p : pairs) {
-    std::printf("%-28s", p.name);
-    for (std::size_t n = 1; n <= 3; ++n) {
-      EfGameSolver solver(p.a, p.b);
-      bool game = *solver.DuplicatorWins(n);
-      bool types = index.EquivalentUpToRank(p.a, p.b, n);
-      std::printf(" %s/%s%s", game ? "D" : "S", types ? "D" : "S",
-                  game == types ? "" : "!!");
-    }
-    std::printf("   (D = duplicator wins, S = spoiler; game/types)\n");
-  }
-  std::printf("\nshape check: the two letters always agree.\n\n");
-}
 
 void BM_EfGameRounds(benchmark::State& state) {
   const std::size_t rounds = static_cast<std::size_t>(state.range(0));
@@ -185,7 +129,6 @@ int main(int argc, char** argv) {
       return 0;
     }
   }
-  PrintTable();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1,12 +1,11 @@
 // E1 — Combined complexity of FO model checking (survey §2).
 //
-// Claim reproduced: the naive recursive algorithm runs in time O(n^k) where
-// n is the structure size and k the quantifier depth — polynomial in the
-// data for a fixed query, exponential in the query. The table prints the
-// work counter (quantifier instantiations) for a domain sweep at fixed
-// rank, and for a rank sweep at fixed domain; the timed benchmarks measure
-// the same two axes for both evaluators (interpreting ModelChecker and the
-// compiled slot-based evaluator).
+// Claim: the naive recursive algorithm runs in time O(n^k) where n is the
+// structure size and k the quantifier depth — polynomial in the data for a
+// fixed query, exponential in the query. ClaimsTest asserts that shape on
+// the exact work counters; this suite times the same two axes (a domain
+// sweep at fixed rank, a rank sweep at fixed domain) for both evaluators
+// (interpreting ModelChecker and the compiled slot-based evaluator).
 //
 // `--json` skips the google-benchmark harness and emits one
 // {"bench":...,"n":...,"wall_ms":...,"node_visits":...} line per run, for
@@ -18,7 +17,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "eval/compiled_eval.h"
 #include "eval/model_check.h"
@@ -44,41 +42,6 @@ Formula FullExplorationSentence(std::size_t rank) {
   }
   text += "E(x1,x1)";
   return *ParseFormula(text);
-}
-
-void PrintTable() {
-  std::printf("=== E1: combined complexity of FO model checking ===\n");
-  std::printf(
-      "paper: time O(n^k); polynomial data complexity, exponential in the "
-      "query (PSPACE-complete combined)\n\n");
-  std::printf("-- fixed query (rank 3), growing data --\n");
-  std::printf("%8s %20s %12s\n", "n", "quant.instantiations", "per n^3");
-  for (std::size_t n : {8, 16, 32, 64, 128}) {
-    Structure g = MakeDirectedCycle(n);
-    ModelChecker checker(g);
-    (void)checker.Check(FullExplorationSentence(3));
-    const double work =
-        static_cast<double>(checker.stats().quantifier_instantiations);
-    std::printf("%8zu %20.0f %12.4f\n", n, work,
-                work / (static_cast<double>(n) * n * n));
-  }
-  std::printf("\n-- fixed data (n = 12), growing quantifier rank --\n");
-  std::printf("%8s %20s %16s\n", "rank", "quant.instantiations",
-              "growth factor");
-  double prev = 0;
-  for (std::size_t k = 1; k <= 6; ++k) {
-    Structure g = MakeDirectedCycle(12);
-    ModelChecker checker(g);
-    (void)checker.Check(FullExplorationSentence(k));
-    const double work =
-        static_cast<double>(checker.stats().quantifier_instantiations);
-    std::printf("%8zu %20.0f %16.2f\n", k, work,
-                prev > 0 ? work / prev : 0.0);
-    prev = work;
-  }
-  std::printf(
-      "\nshape check: per-n^3 column flat (poly data complexity); growth "
-      "factor ~n per rank (exponential in query).\n\n");
 }
 
 void BM_ModelCheckDataSweep(benchmark::State& state) {
@@ -208,7 +171,6 @@ int main(int argc, char** argv) {
       return 0;
     }
   }
-  PrintTable();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1,11 +1,13 @@
 // X5/E16 (ext) — the "library of winning strategies" the survey calls for
 // (§3.2, citing [10]).
 //
-// Claims reproduced: the set-mirror and order-gap strategies are verified
-// winning strategies exactly where the theory predicts (sets >= n;
-// orders at the 2^n - 1 threshold), and verifying a strategy is orders of
-// magnitude cheaper than solving the game exactly — one duplicator reply
-// per spoiler line instead of minimax over all replies.
+// Claims: the set-mirror and order-gap strategies are verified winning
+// strategies exactly where the theory predicts (sets >= n; orders at the
+// 2^n - 1 threshold), and verifying a strategy is orders of magnitude
+// cheaper than solving the game exactly — one duplicator reply per spoiler
+// line instead of minimax over all replies. SetMirrorStrategyTest and
+// OrderGapStrategyTest assert both; this suite times the referee against
+// the solver.
 
 // `--json` skips the google-benchmark harness and emits one
 // {"bench":...,"n":...,"wall_ms":...,"nodes":...} line per run: the
@@ -33,49 +35,6 @@ using fmtk::OrderGapStrategy;
 using fmtk::SetMirrorStrategy;
 using fmtk::StrategySurvives;
 using fmtk::Structure;
-
-void PrintTable() {
-  std::printf("=== E16 (ext): the library of winning strategies ===\n");
-  std::printf(
-      "paper (3.2): \"[10] suggested that we build a library of winning "
-      "strategies for the duplicator\"\n\n");
-  std::printf("-- order-gap strategy vs Theorem 3.1, n = 3 (threshold 7) --\n");
-  std::printf("%4s %4s %18s %14s\n", "m", "k", "strategy survives",
-              "theorem says");
-  OrderGapStrategy gap;
-  for (std::size_t m : {5, 6, 7, 8, 10}) {
-    for (std::size_t k : {7, 8}) {
-      Structure a = MakeLinearOrder(m);
-      Structure b = MakeLinearOrder(k);
-      bool survives = *StrategySurvives(a, b, 3, gap);
-      bool theorem = fmtk::LinearOrdersEquivalent(m, k, 3);
-      std::printf("%4zu %4zu %18s %14s%s\n", m, k, survives ? "yes" : "no",
-                  theorem ? "yes" : "no", survives == theorem ? "" : "  !!");
-    }
-  }
-  std::printf(
-      "\n-- verification cost: strategy referee vs exact solver, orders of "
-      "size 2^n - 1 --\n");
-  std::printf("%4s %20s %20s\n", "n", "referee (positions)",
-              "solver (positions)");
-  OrderGapStrategy referee_gap;
-  for (std::size_t n = 2; n <= 4; ++n) {
-    const std::size_t m = (std::size_t{1} << n) - 1;
-    Structure a = MakeLinearOrder(m);
-    Structure b = MakeLinearOrder(m + 1);
-    std::uint64_t referee_nodes = 0;
-    (void)*StrategySurvives(a, b, n, referee_gap, 20'000'000, &referee_nodes);
-    EfGameSolver solver(a, b);
-    (void)*solver.DuplicatorWins(n);
-    std::printf("%4zu %20llu %20llu\n", n,
-                static_cast<unsigned long long>(referee_nodes),
-                static_cast<unsigned long long>(solver.nodes_explored()));
-  }
-  std::printf(
-      "\nshape check: strategy column equals theorem column everywhere; "
-      "the timed benchmarks below show the referee scaling far better than "
-      "the solver.\n\n");
-}
 
 void BM_StrategyReferee(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -164,7 +123,6 @@ int main(int argc, char** argv) {
       return 0;
     }
   }
-  PrintTable();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -177,9 +177,8 @@ bool HasNegation(const DatalogProgram& program) {
 
 class FoLowering {
  public:
-  FoLowering(const DatalogProgram& program, const std::set<std::string>& idb,
-             std::size_t atom_budget)
-      : idb_(idb), atom_budget_(atom_budget) {
+  FoLowering(const DatalogProgram& program, const std::set<std::string>& idb)
+      : idb_(idb) {
     for (const DlRule& rule : program.rules()) {
       rules_of_[rule.head.predicate].push_back(&rule);
     }
@@ -259,7 +258,9 @@ class FoLowering {
  private:
   const std::set<std::string>& idb_;
   std::map<std::string, std::vector<const DlRule*>> rules_of_;
-  std::size_t atom_budget_;
+  // The lowering gives up once the unfolded formula exceeds this many atoms
+  // (rule unfolding can be exponential in the predicate depth).
+  std::size_t atom_budget_ = 2048;
   std::size_t fresh_ = 0;
   bool ok_ = true;
 };
@@ -482,38 +483,34 @@ Result<OptimizedDatalogProgram> OptimizeDatalogProgram(
   };
 
   // --- duplicate rules (FMTK112) -------------------------------------------
-  if (options.remove_duplicate_rules) {
-    std::map<std::string, std::size_t> seen;
-    for (std::size_t i = 0; i < rules.size(); ++i) {
-      auto [it, inserted] = seen.emplace(CanonicalRuleText(rules[i]), i);
-      if (!inserted) {
-        dead[i] = true;
-        record("duplicate-rule", DiagCode::kDuplicateRule, rules[i],
-               "dropped '" + FormatRule(rules[i]) +
-                   "': duplicates rule '" + FormatRule(rules[it->second]) +
-                   "' up to renaming");
-      }
+  std::map<std::string, std::size_t> seen;
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    auto [it, inserted] = seen.emplace(CanonicalRuleText(rules[i]), i);
+    if (!inserted) {
+      dead[i] = true;
+      record("duplicate-rule", DiagCode::kDuplicateRule, rules[i],
+             "dropped '" + FormatRule(rules[i]) +
+                 "': duplicates rule '" + FormatRule(rules[it->second]) +
+                 "' up to renaming");
     }
   }
 
   // --- subsumed rules (FMTK113) --------------------------------------------
-  if (options.remove_subsumed_rules) {
-    for (std::size_t j = 0; j < rules.size(); ++j) {
-      if (dead[j]) {
+  for (std::size_t j = 0; j < rules.size(); ++j) {
+    if (dead[j]) {
+      continue;
+    }
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+      if (i == j || dead[i] ||
+          rules[i].head.predicate != rules[j].head.predicate) {
         continue;
       }
-      for (std::size_t i = 0; i < rules.size(); ++i) {
-        if (i == j || dead[i] ||
-            rules[i].head.predicate != rules[j].head.predicate) {
-          continue;
-        }
-        if (Subsumes(rules[i], rules[j])) {
-          dead[j] = true;
-          record("subsumed-rule", DiagCode::kSubsumedRule, rules[j],
-                 "dropped '" + FormatRule(rules[j]) + "': subsumed by '" +
-                     FormatRule(rules[i]) + "'");
-          break;
-        }
+      if (Subsumes(rules[i], rules[j])) {
+        dead[j] = true;
+        record("subsumed-rule", DiagCode::kSubsumedRule, rules[j],
+               "dropped '" + FormatRule(rules[j]) + "': subsumed by '" +
+                   FormatRule(rules[i]) + "'");
+        break;
       }
     }
   }
@@ -522,43 +519,41 @@ Result<OptimizedDatalogProgram> OptimizeDatalogProgram(
   // A rule whose body repeats its own head atom verbatim can only rederive
   // tuples that are already present; dropping it may turn the recursion
   // into a bounded (non-recursive) one.
-  if (options.detect_bounded_recursion) {
-    for (std::size_t i = 0; i < rules.size(); ++i) {
-      if (dead[i]) {
-        continue;
-      }
-      for (const DlAtom& atom : rules[i].body) {
-        if (!atom.negated && atom.predicate == rules[i].head.predicate &&
-            atom.terms == rules[i].head.terms) {
-          // Keep the predicate's last defining rule when other rules still
-          // reference it: dropping it would demote the (provably empty)
-          // IDB predicate to an unknown EDB symbol and change what the
-          // referencing rules mean.
-          bool last_definition = true;
-          bool referenced_elsewhere = false;
-          for (std::size_t j = 0; j < rules.size(); ++j) {
-            if (j == i || dead[j]) {
-              continue;
-            }
-            last_definition = last_definition &&
-                              rules[j].head.predicate !=
-                                  rules[i].head.predicate;
-            for (const DlAtom& other : rules[j].body) {
-              referenced_elsewhere = referenced_elsewhere ||
-                                     other.predicate ==
-                                         rules[i].head.predicate;
-            }
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    if (dead[i]) {
+      continue;
+    }
+    for (const DlAtom& atom : rules[i].body) {
+      if (!atom.negated && atom.predicate == rules[i].head.predicate &&
+          atom.terms == rules[i].head.terms) {
+        // Keep the predicate's last defining rule when other rules still
+        // reference it: dropping it would demote the (provably empty)
+        // IDB predicate to an unknown EDB symbol and change what the
+        // referencing rules mean.
+        bool last_definition = true;
+        bool referenced_elsewhere = false;
+        for (std::size_t j = 0; j < rules.size(); ++j) {
+          if (j == i || dead[j]) {
+            continue;
           }
-          if (last_definition && referenced_elsewhere) {
-            break;
+          last_definition = last_definition &&
+                            rules[j].head.predicate !=
+                                rules[i].head.predicate;
+          for (const DlAtom& other : rules[j].body) {
+            referenced_elsewhere = referenced_elsewhere ||
+                                   other.predicate ==
+                                       rules[i].head.predicate;
           }
-          dead[i] = true;
-          record("bounded-recursion", DiagCode::kBoundedRecursion, rules[i],
-                 "dropped '" + FormatRule(rules[i]) +
-                     "': the body repeats the head atom, so the rule "
-                     "cannot derive new tuples");
+        }
+        if (last_definition && referenced_elsewhere) {
           break;
         }
+        dead[i] = true;
+        record("bounded-recursion", DiagCode::kBoundedRecursion, rules[i],
+               "dropped '" + FormatRule(rules[i]) +
+                   "': the body repeats the head atom, so the rule "
+                   "cannot derive new tuples");
+        break;
       }
     }
   }
@@ -576,7 +571,7 @@ Result<OptimizedDatalogProgram> OptimizeDatalogProgram(
   // --- dead rules relative to the outputs (FMTK106) ------------------------
   // Reuses the analyzer's reachability (the same roots fmtk_lint --output
   // feeds FMTK106), computed on the post-drop program.
-  if (options.eliminate_dead_rules && !options.outputs.empty()) {
+  if (!options.outputs.empty()) {
     DatalogProgram current = alive_program();
     DatalogAnalysis analysis = AnalyzeProgram(current, analyzer_options);
     std::size_t alive_index = 0;
@@ -620,8 +615,7 @@ Result<OptimizedDatalogProgram> OptimizeDatalogProgram(
   // Constants are excluded because Datalog literals are raw domain elements
   // while FO constants are named symbols of the signature.
   const std::set<std::string> idb = out.program.IdbPredicates();
-  if (options.lower_bounded_to_fo && !out.program.rules().empty() &&
-      !HasConstants(out.program)) {
+  if (!out.program.rules().empty() && !HasConstants(out.program)) {
     bool all_bounded = true;
     for (const DatalogSccInfo& scc : out.analysis.sccs) {
       all_bounded = all_bounded && !scc.recursive;
@@ -637,7 +631,7 @@ Result<OptimizedDatalogProgram> OptimizeDatalogProgram(
           }
         }
       }
-      FoLowering lowering(out.program, idb, options.max_fo_lowering_atoms);
+      FoLowering lowering(out.program, idb);
       bool all_lowered = !requested.empty();
       std::map<std::string, Formula> queries;
       std::map<std::string, std::size_t> arity_of;
@@ -681,8 +675,8 @@ Result<OptimizedDatalogProgram> OptimizeDatalogProgram(
   // Only for explicit outputs (otherwise every predicate is demanded in
   // full) and negation-free programs (pushing demand through negation is
   // not generally sound without the full doubled-program construction).
-  if (options.magic_sets && !options.outputs.empty() &&
-      !out.program.rules().empty() && !HasNegation(out.program)) {
+  if (!options.outputs.empty() && !out.program.rules().empty() &&
+      !HasNegation(out.program)) {
     std::optional<MagicResult> magic = MagicTransform(
         out.program, options.outputs, idb, out.program.EdbPredicates());
     if (magic.has_value()) {

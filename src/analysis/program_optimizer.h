@@ -56,18 +56,6 @@ struct DatalogOptimizerOptions {
   /// optimizer never disagree about liveness. Empty = every IDB predicate
   /// is an output: nothing is dead and magic sets do not apply.
   std::vector<std::string> outputs;
-
-  bool remove_duplicate_rules = true;
-  bool remove_subsumed_rules = true;
-  bool detect_bounded_recursion = true;
-  bool eliminate_dead_rules = true;
-  bool magic_sets = true;
-  /// Lower bounded (non-recursive) constant-free programs to FO formulas
-  /// for engine routing.
-  bool lower_bounded_to_fo = true;
-  /// Abort the FO lowering when the unfolded formula exceeds this many
-  /// atoms (rule unfolding can be exponential in the predicate depth).
-  std::size_t max_fo_lowering_atoms = 2048;
 };
 
 /// The optimizer's result: the rewritten program, its analysis (strata,

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -58,7 +59,10 @@ void HashCombine(std::size_t& seed, const T& value) {
 /// unrelated buckets in both the high and low bits.
 template <typename T>
 struct VectorHash {
-  std::size_t operator()(const std::vector<T>& v) const {
+  std::size_t operator()(const std::vector<T>& v) const { return Hash(v); }
+
+  /// The same hash over any contiguous run, e.g. a relation row.
+  static std::size_t Hash(std::span<const T> v) {
     std::size_t seed = v.size();
     for (const T& x : v) {
       HashCombine(seed, x);

@@ -227,7 +227,7 @@ Result<std::vector<bool>> EncodeStructure(const Structure& s) {
   std::size_t offset = 0;
   for (std::size_t r = 0; r < s.signature().relation_count(); ++r) {
     const std::size_t arity = s.signature().relation(r).arity;
-    for (const Tuple& t : s.relation(r).tuples()) {
+    for (const auto t : s.relation(r).rows()) {
       std::size_t index = 0;
       for (Element e : t) {
         index = index * s.domain_size() + e;

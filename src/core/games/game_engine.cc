@@ -23,10 +23,11 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
 bool SwapIsAutomorphism(const Structure& s, const OccurrenceLists& occ,
                         Element u, Element v) {
   for (std::size_t r = 0; r < occ.size(); ++r) {
-    for (const std::vector<const Tuple*>* lists :
+    const std::size_t arity = s.relation(r).arity();
+    for (const std::vector<const Element*>* lists :
          {&occ[r][u], &occ[r][v]}) {
-      for (const Tuple* t : *lists) {
-        Tuple swapped = *t;
+      for (const Element* t : *lists) {
+        Tuple swapped(t, t + arity);
         for (Element& e : swapped) {
           e = e == u ? v : (e == v ? u : e);
         }
@@ -70,13 +71,13 @@ OccurrenceLists BuildOccurrenceLists(const Structure& s) {
   OccurrenceLists occ(s.signature().relation_count());
   for (std::size_t r = 0; r < occ.size(); ++r) {
     occ[r].resize(s.domain_size());
-    for (const Tuple& t : s.relation(r).tuples()) {
-      Tuple sorted = t;
+    for (const auto t : s.relation(r).rows()) {
+      Tuple sorted(t.begin(), t.end());
       std::sort(sorted.begin(), sorted.end());
       Element last = kUnmapped;
       for (Element e : sorted) {
         if (e != last) {
-          occ[r][e].push_back(&t);
+          occ[r][e].push_back(t.data());
           last = e;
         }
       }
@@ -158,11 +159,12 @@ bool PositionState::NewPairRespectsRelations(Element x, Element y) const {
   // mirror contains y), so checking the occurrence lists of x and y is
   // complete. Tuples already fully mapped were validated earlier.
   for (std::size_t r = 0; r < occ_a_->size(); ++r) {
-    for (const Tuple* t : (*occ_a_)[r][x]) {
+    const std::size_t arity = a_->relation(r).arity();
+    for (const Element* t : (*occ_a_)[r][x]) {
       Tuple mapped;
-      mapped.reserve(t->size());
+      mapped.reserve(arity);
       bool complete = true;
-      for (Element e : *t) {
+      for (Element e : std::span(t, arity)) {
         const Element img = e == x ? y : a_map_[e];
         if (img == kUnmapped) {
           complete = false;
@@ -174,11 +176,11 @@ bool PositionState::NewPairRespectsRelations(Element x, Element y) const {
         return false;
       }
     }
-    for (const Tuple* t : (*occ_b_)[r][y]) {
+    for (const Element* t : (*occ_b_)[r][y]) {
       Tuple mapped;
-      mapped.reserve(t->size());
+      mapped.reserve(arity);
       bool complete = true;
-      for (Element e : *t) {
+      for (Element e : std::span(t, arity)) {
         const Element pre = e == y ? x : b_map_[e];
         if (pre == kUnmapped) {
           complete = false;

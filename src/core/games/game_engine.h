@@ -52,10 +52,11 @@ namespace game_engine {
 
 inline constexpr Element kUnmapped = static_cast<Element>(-1);
 
-/// occ[r][e] = pointers into relation r's tuple store for the tuples
-/// containing element e (each tuple listed once per distinct element).
-/// Pointers stay valid while the structure is unmodified.
-using OccurrenceLists = std::vector<std::vector<std::vector<const Tuple*>>>;
+/// occ[r][e] = pointers into relation r's flat row store (arity elements
+/// each) for the rows containing element e (each row listed once per
+/// distinct element). Pointers stay valid while the structure is unmodified.
+using OccurrenceLists =
+    std::vector<std::vector<std::vector<const Element*>>>;
 OccurrenceLists BuildOccurrenceLists(const Structure& s);
 
 /// signature hash -> bitset of the elements carrying it, where an element's

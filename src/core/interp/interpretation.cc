@@ -61,9 +61,9 @@ Result<Structure> Interpretation::Apply(const Structure& input) const {
   std::vector<Element> domain_elements;
   if (domain_.has_value()) {
     FMTK_ASSIGN_OR_RETURN(
-        Relation rows,
+        Relation members,
         EvaluateQuery(input, domain_->formula, domain_->variables));
-    for (const Tuple& t : rows.tuples()) {
+    for (const auto t : members.rows()) {
       domain_elements.push_back(t[0]);
     }
     std::sort(domain_elements.begin(), domain_elements.end());
@@ -81,9 +81,9 @@ Result<Structure> Interpretation::Apply(const Structure& input) const {
   Structure output(output_signature_, domain_elements.size());
   for (std::size_t r = 0; r < definitions_.size(); ++r) {
     const RelationDef& def = *definitions_[r];
-    FMTK_ASSIGN_OR_RETURN(Relation rows,
+    FMTK_ASSIGN_OR_RETURN(Relation defined,
                           EvaluateQuery(input, def.formula, def.variables));
-    for (const Tuple& t : rows.tuples()) {
+    for (const auto t : defined.rows()) {
       Tuple mapped;
       mapped.reserve(t.size());
       bool keep = true;

@@ -54,7 +54,7 @@ Result<std::optional<GaifmanViolation>> FindGaifmanViolation(
     return Status::InvalidArgument(
         "Gaifman locality concerns m-ary queries with m > 0");
   }
-  for (const Tuple& t : output.tuples()) {
+  for (const auto t : output.rows()) {
     for (Element e : t) {
       if (e >= s.domain_size()) {
         return Status::InvalidArgument(

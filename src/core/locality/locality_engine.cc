@@ -189,9 +189,9 @@ Neighborhood LocalityEngine::MaterializeFromBall(
     const Relation& rel = s_->relation(r);
     if (rel.arity() == 0) {
       // Propositional flags have no members and thus no occurrence entries;
-      // they survive induction verbatim.
-      for (const Tuple& t : rel.tuples()) {
-        induced.AddTuple(r, t);
+      // they survive induction verbatim (the empty tuple, if present).
+      if (!rel.empty()) {
+        induced.AddTuple(r, {});
       }
       continue;
     }
@@ -266,8 +266,8 @@ std::size_t LocalityEngine::BallContentHash(Scratch& scratch,
     std::size_t count = 0;
     if (rel.arity() == 0) {
       count = rel.size();
-      for (const Tuple& t : rel.tuples()) {
-        folded += tuple_hash(t);
+      for (const auto t : rel.rows()) {
+        folded += tuple_hash.Hash(t);
       }
     } else {
       const Occurrences& occ = occurrences_[r];
@@ -352,7 +352,7 @@ bool LocalityEngine::BallContentMatches(Scratch& scratch,
   }
   for (std::size_t r = 0; r < s_->signature().relation_count(); ++r) {
     const Relation& rel = s_->relation(r);
-    const std::vector<Tuple>& out = n.structure.relation(r).tuples();
+    const Relation& out = n.structure.relation(r);
     if (rel.arity() == 0) {
       if (out.size() != rel.size()) {
         return false;
@@ -385,7 +385,7 @@ bool LocalityEngine::BallContentMatches(Scratch& scratch,
         if (idx == out.size()) {
           return false;
         }
-        const Tuple& o = out[idx];
+        const Element* o = out.TupleData(idx);
         for (std::size_t i = 0; i < arity; ++i) {
           if (o[i] != static_cast<Element>(scratch.local[t[i]])) {
             return false;

@@ -20,8 +20,8 @@ std::size_t ContentHash(const Neighborhood& n) {
   VectorHash<Element> tuple_hash;
   for (std::size_t r = 0; r < n.structure.signature().relation_count(); ++r) {
     std::size_t folded = n.structure.relation(r).size();
-    for (const Tuple& t : n.structure.relation(r).tuples()) {
-      folded += tuple_hash(t);
+    for (const auto t : n.structure.relation(r).rows()) {
+      folded += tuple_hash.Hash(t);
     }
     HashCombine(h, folded);
   }
@@ -206,7 +206,7 @@ CanonicalCode SerializeUnder(const Structure& s, const Tuple& distinguished,
       // sorting words skips the per-tuple vector allocations.
       std::vector<std::uint64_t> packed;
       packed.reserve(rel.size());
-      for (const Tuple& t : rel.tuples()) {
+      for (const auto t : rel.rows()) {
         std::uint64_t w = 0;
         for (Element x : t) {
           w = (w << 8) | label[x];
@@ -223,7 +223,7 @@ CanonicalCode SerializeUnder(const Structure& s, const Tuple& distinguished,
     } else {
       std::vector<Tuple> mapped;
       mapped.reserve(rel.size());
-      for (const Tuple& t : rel.tuples()) {
+      for (const auto t : rel.rows()) {
         Tuple m(t.size());
         for (std::size_t i = 0; i < t.size(); ++i) {
           m[i] = label[t[i]];
@@ -335,7 +335,7 @@ std::size_t InitialColors(const Structure& s, const Tuple& distinguished,
   std::size_t col = 0;
   for (std::size_t r = 0; r < s.signature().relation_count(); ++r) {
     const Relation& rel = s.relation(r);
-    for (const Tuple& t : rel.tuples()) {
+    for (const auto t : rel.rows()) {
       for (std::size_t i = 0; i < t.size(); ++i) {
         ++flat[t[i] * width + col + i];
         for (std::size_t j = 0; j < i; ++j) {
@@ -363,7 +363,7 @@ std::size_t InitialColors(const Structure& s, const Tuple& distinguished,
   // only separate with a pass per layer plus individualization branches.
   Adjacency fwd(b), bwd(b);
   for (std::size_t r = 0; r < s.signature().relation_count(); ++r) {
-    for (const Tuple& t : s.relation(r).tuples()) {
+    for (const auto t : s.relation(r).rows()) {
       for (std::size_t i = 0; i < t.size(); ++i) {
         for (std::size_t j = i + 1; j < t.size(); ++j) {
           if (t[i] != t[j]) {

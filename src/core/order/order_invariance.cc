@@ -35,8 +35,8 @@ Result<Structure> ExpandWithOrder(const Structure& s,
   }
   Structure out(expanded_sig, s.domain_size());
   for (std::size_t r = 0; r < s.signature().relation_count(); ++r) {
-    for (const Tuple& t : s.relation(r).tuples()) {
-      out.AddTuple(r, t);
+    for (const auto t : s.relation(r).rows()) {
+      out.AddTuple(r, Tuple(t.begin(), t.end()));
     }
   }
   const std::size_t less = *expanded_sig->FindRelation("<");

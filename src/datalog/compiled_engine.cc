@@ -720,8 +720,7 @@ Status VariantRun::Step(std::size_t depth) {
   } else {
     // Fixed [begin, end) prefix by index: the recursion can Add into this
     // very relation (head predicate in its own body), reallocating the
-    // tuple buffer — so re-fetch tuples() each step, never hold
-    // iterators.
+    // flat row store — so re-fetch each row by index, never hold pointers.
     for (std::size_t i = begin; i < end; ++i) {
       FMTK_RETURN_IF_ERROR(TryTuple<kCheck>(depth, s, *rel, i));
       if (found_) {
@@ -770,8 +769,8 @@ Status VariantRun::TryTuple(std::size_t depth, const JoinStep& s,
 Status VariantRun::Derive() {
   ++acc_.tuples_derived;
   // Build the head into a reused scratch: most derivations in a recursive
-  // fixpoint are duplicates, and AddCopy() only copies on actual insert,
-  // so the reject path allocates nothing.
+  // fixpoint are duplicates, and Add() only copies on actual insert, so
+  // the reject path allocates nothing.
   out_.clear();
   for (const SlotTerm& t : rule_.head) {
     if (t.is_const) {
@@ -788,7 +787,7 @@ Status VariantRun::Derive() {
   // everything else inserts straight into the IDB.
   Relation& target = rs_.deletion_mode ? (*rs_.candidates)[rule_.head_pred]
                                        : rs_.idb[rule_.head_pred];
-  if (target.AddCopy(out_)) {
+  if (target.Add(out_)) {
     changed_ = true;
     ++tuples_new_;
   }

@@ -34,7 +34,7 @@ struct EngineImpl;
 ///    delta atom leads, then the atom with the most bound positions
 ///    (tie-break: smaller estimated relation) until the body is ordered.
 ///  * Each join step probes the most selective bound column through
-///    Relation::ColumnIndex posting lists instead of scanning tuples()
+///    Relation::ColumnIndex posting lists instead of scanning every row
 ///    end to end; relations are never copied — "old" / "full-new" /
 ///    "delta" views are index ranges over the append-only tuple store,
 ///    and the generation-tagged ColumnIndex is synced once per round.

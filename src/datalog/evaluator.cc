@@ -27,9 +27,10 @@ namespace {
 
 using Bindings = std::unordered_map<std::string, Element>;
 
-// Matches `tuple` against `atom`'s terms under `bindings`; extends them on
-// success (returns the variables newly bound so the caller can undo).
-bool MatchAtom(const DlAtom& atom, const Tuple& tuple, Bindings& bindings,
+// Matches the row `tuple` (one element per term) against `atom`'s terms
+// under `bindings`; extends them on success (returns the variables newly
+// bound so the caller can undo).
+bool MatchAtom(const DlAtom& atom, const Element* tuple, Bindings& bindings,
                std::vector<std::string>& newly_bound) {
   for (std::size_t i = 0; i < atom.terms.size(); ++i) {
     const DlTerm& t = atom.terms[i];
@@ -157,7 +158,7 @@ class NaiveEngine {
                         std::size_t index, Bindings& bindings) {
     if (index == vars.size()) {
       FMTK_ASSIGN_OR_RETURN(Tuple head, InstantiateHead(rule.head, bindings));
-      idb_.at(rule.head.predicate).Add(std::move(head));
+      idb_.at(rule.head.predicate).Add(head);
       return Status::OK();
     }
     for (Element d = 0; d < edb_.domain_size(); ++d) {
@@ -206,7 +207,7 @@ class NaiveEngine {
     if (index == info.order.size()) {
       ++stats_->tuples_derived;
       FMTK_ASSIGN_OR_RETURN(Tuple head, InstantiateHead(rule.head, bindings));
-      if (idb_.at(rule.head.predicate).Add(std::move(head))) {
+      if (idb_.at(rule.head.predicate).Add(head)) {
         changed = true;
         ++stats_->tuples_new;
       }
@@ -242,15 +243,14 @@ class NaiveEngine {
     const Relation& relation = RelationFor(atom);
     // The recursive call can derive into this very relation when the rule's
     // head predicate also appears in its body (e.g. naive TC), reallocating
-    // the tuple store — so walk a fixed prefix by index and re-fetch the
-    // buffer each step instead of holding iterators across the recursion.
-    const std::size_t count = relation.tuples().size();
+    // the row store — so walk a fixed prefix by index and re-fetch the row
+    // each step instead of holding a pointer across the recursion.
+    const std::size_t count = relation.size();
     ++stats_->atom_visits;
     stats_->tuples_scanned += count;
     for (std::size_t i = 0; i < count; ++i) {
-      const Tuple& tuple = relation.tuples()[i];
       std::vector<std::string> newly_bound;
-      if (MatchAtom(atom, tuple, bindings, newly_bound)) {
+      if (MatchAtom(atom, relation.TupleData(i), bindings, newly_bound)) {
         FMTK_RETURN_IF_ERROR(
             JoinBody(rule, info, index + 1, bindings, changed));
       }

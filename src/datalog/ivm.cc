@@ -489,7 +489,7 @@ struct IncrementalDatalogSession::Impl {
           }
           if (!*proved) {
             row.assign(t, t + arity);
-            disproved[p].AddCopy(row);
+            disproved[p].Add(row);
             grew = true;
           }
         }
@@ -666,7 +666,7 @@ Status IncrementalDatalogSession::ApplyDelete(
   }
   for (const Tuple& t : tuples) {
     if (impl.edb.relation(*r).Contains(t)) {
-      del_edb[*r].AddCopy(t);
+      del_edb[*r].Add(t);
     }
   }
   impl.stats.edb_changed = del_edb[*r].size();

@@ -37,7 +37,8 @@ void DedupRows(Table& t) {
   t.rows = std::move(unique);
 }
 
-// All |domain|^k tuples, invoked as fn(tuple).
+// All |domain|^k tuples in odometer order (last column fastest), invoked
+// as fn(tuple) until fn returns false.
 template <typename Fn>
 void ForEachDomainTuple(std::size_t domain, std::size_t k, const Fn& fn) {
   Tuple t(k, 0);
@@ -49,7 +50,9 @@ void ForEachDomainTuple(std::size_t domain, std::size_t k, const Fn& fn) {
     return;
   }
   while (true) {
-    fn(t);
+    if (!fn(t)) {
+      return;
+    }
     std::size_t pos = k;
     while (pos > 0) {
       --pos;
@@ -104,6 +107,7 @@ Table ExtendTo(const Table& t, const std::vector<std::string>& target_vars,
         extended[new_pos[i]] = extra[i];
       }
       out.rows.push_back(std::move(extended));
+      return true;
     });
   }
   return out;
@@ -197,6 +201,7 @@ Table Complement(const Table& t, std::size_t domain) {
     if (present.find(row) == present.end()) {
       out.rows.push_back(row);
     }
+    return true;
   });
   return out;
 }
@@ -319,7 +324,7 @@ class BottomUpEvaluator {
         fixed[i] = e;
       }
     }
-    for (const Tuple& tuple : s_.relation(*index).tuples()) {
+    for (const auto tuple : s_.relation(*index).rows()) {
       std::map<std::string, Element> binding;
       bool match = true;
       for (std::size_t i = 0; i < tuple.size() && match; ++i) {
@@ -520,7 +525,7 @@ Result<Relation> EvaluateQuery(
     for (std::size_t p : positions) {
       out_row.push_back(row[p]);
     }
-    answers.Add(std::move(out_row));
+    answers.Add(out_row);
   }
   return answers;
 }
@@ -544,35 +549,44 @@ Result<Relation> EvaluateQueryNaive(
   // no per-candidate signature validation or string-keyed environment.
   FMTK_ASSIGN_OR_RETURN(CompiledEvaluator compiled,
                         CompiledEvaluator::Compile(structure, f));
-  const std::vector<std::string>& free_vars = compiled.free_variables();
-  // free_vars[i] = output_variables[row_source[i]] (free vars are a subset).
+  return EnumerateAnswers(compiled, structure.domain_size(), output_variables);
+}
+
+Result<Relation> EnumerateAnswers(
+    CompiledEvaluator& evaluator, std::size_t domain_size,
+    const std::vector<std::string>& output_variables) {
+  const std::vector<std::string>& free_vars = evaluator.free_variables();
+  // free_vars[i] = output_variables[row_source[i]].
   std::vector<std::size_t> row_source;
   row_source.reserve(free_vars.size());
   for (const std::string& v : free_vars) {
-    row_source.push_back(static_cast<std::size_t>(
-        std::find(output_variables.begin(), output_variables.end(), v) -
-        output_variables.begin()));
+    const auto it =
+        std::find(output_variables.begin(), output_variables.end(), v);
+    if (it == output_variables.end()) {
+      return Status::InvalidArgument(
+          "output variables must cover free variable " + v);
+    }
+    row_source.push_back(
+        static_cast<std::size_t>(it - output_variables.begin()));
   }
   Relation answers(output_variables.size());
   Status error = Status::OK();
   std::vector<Element> row(free_vars.size(), 0);
   ForEachDomainTuple(
-      structure.domain_size(), output_variables.size(),
+      domain_size, output_variables.size(),
       [&](const Tuple& candidate) {
-        if (!error.ok()) {
-          return;
-        }
         for (std::size_t i = 0; i < row_source.size(); ++i) {
           row[i] = candidate[row_source[i]];
         }
-        Result<bool> holds = compiled.EvaluateRow(row);
+        Result<bool> holds = evaluator.EvaluateRow(row);
         if (!holds.ok()) {
           error = holds.status();
-          return;
+          return false;
         }
         if (*holds) {
           answers.Add(candidate);
         }
+        return true;
       });
   if (!error.ok()) {
     return error;

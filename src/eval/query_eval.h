@@ -12,6 +12,8 @@
 
 namespace fmtk {
 
+class CompiledEvaluator;
+
 /// Options of the analyzed (checked) query entry points.
 struct QueryEvalOptions {
   /// Reject formulas the static analyzer does not certify safe-range
@@ -51,6 +53,16 @@ Result<Relation> EvaluateQuery(const Structure& structure, const Formula& f,
 /// the O(n^k) baseline in benches.
 Result<Relation> EvaluateQueryNaive(
     const Structure& structure, const Formula& f,
+    const std::vector<std::string>& output_variables);
+
+/// The domain^m enumeration behind EvaluateQueryNaive and the planner's
+/// compiled route: every candidate tuple over {0..domain_size-1} for
+/// `output_variables`, in odometer order (last column fastest), is checked
+/// with `evaluator.EvaluateRow` and kept when it holds. The first
+/// evaluation error is returned as is; an output list that misses one of
+/// the evaluator's free variables is InvalidArgument.
+Result<Relation> EnumerateAnswers(
+    CompiledEvaluator& evaluator, std::size_t domain_size,
     const std::vector<std::string>& output_variables);
 
 }  // namespace fmtk

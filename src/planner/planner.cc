@@ -74,6 +74,14 @@ double BallEstimate(std::size_t degree, std::size_t radius, std::size_t n) {
 // bench), which is what makes the estimates comparable across engines.
 constexpr double kRelationalRowCost = 30.0;
 
+// Bounded-degree route: the largest estimated r-ball worth the histogram
+// pass, and the safety factor — the pass must be estimated at most this
+// fraction of the compiled scan before the route is taken, so even a
+// verdict-cache miss (one compiled check on top) costs at most
+// (1 + safety) of the compiled route.
+constexpr double kBoundedDegreeMaxBall = 256.0;
+constexpr double kBoundedDegreeSafety = 0.15;
+
 struct RelEst {
   double rows = 0.0;
   double cost = 0.0;
@@ -381,10 +389,10 @@ EngineKind Route(const Structure& s, const CachedFormulaPlan& plan,
     if (!bd.structurally_eligible) {
       costs.push_back(
           MakeCost(EngineKind::kBoundedDegree, false, 0.0, bd.reason));
-    } else if (bd.ball > static_cast<double>(opts.bounded_degree_max_ball)) {
+    } else if (bd.ball > kBoundedDegreeMaxBall) {
       costs.push_back(MakeCost(EngineKind::kBoundedDegree, false, hist,
                                "estimated ball too large"));
-    } else if (hist <= opts.bounded_degree_safety * compiled_cost) {
+    } else if (hist <= kBoundedDegreeSafety * compiled_cost) {
       costs.push_back(MakeCost(EngineKind::kBoundedDegree, true, hist));
     } else {
       costs.push_back(MakeCost(
@@ -536,64 +544,14 @@ Result<bool> RunSentence(EngineKind kind, const Structure& s,
   return Status::Internal("planner: unknown engine");
 }
 
-// domain^m enumeration over the cached compiled plan — the same candidate
-// order and verdicts as EvaluateQueryNaive, minus the recompilation.
+// domain^m enumeration over the cached compiled plan — EvaluateQueryNaive's
+// loop, minus the recompilation.
 Result<Relation> EnumerateWithPlan(
     const Structure& s, const CachedFormulaPlan& plan,
     const std::vector<std::string>& output_variables) {
   FMTK_ASSIGN_OR_RETURN(CompiledEvaluator evaluator,
                         CompiledEvaluator::Bind(plan.plan, s));
-  const std::vector<std::string>& free_vars = evaluator.free_variables();
-  std::vector<std::size_t> source(free_vars.size(), 0);
-  for (std::size_t i = 0; i < free_vars.size(); ++i) {
-    bool found = false;
-    for (std::size_t j = 0; j < output_variables.size(); ++j) {
-      if (output_variables[j] == free_vars[i]) {
-        source[i] = j;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::InvalidArgument(
-          "output variables must cover free variable " + free_vars[i]);
-    }
-  }
-  const std::size_t m = output_variables.size();
-  const std::size_t n = s.domain_size();
-  Relation answers(m);
-  if (m == 0) {
-    FMTK_ASSIGN_OR_RETURN(bool holds, evaluator.EvaluateRow({}));
-    if (holds) {
-      answers.Add({});
-    }
-    return answers;
-  }
-  if (n == 0) {
-    return answers;
-  }
-  std::vector<Element> tuple(m, 0);
-  std::vector<Element> row(free_vars.size(), 0);
-  while (true) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      row[i] = tuple[source[i]];
-    }
-    FMTK_ASSIGN_OR_RETURN(bool holds, evaluator.EvaluateRow(row));
-    if (holds) {
-      answers.Add(tuple);
-    }
-    std::size_t pos = m;
-    while (pos > 0) {
-      --pos;
-      if (++tuple[pos] < n) {
-        break;
-      }
-      tuple[pos] = 0;
-      if (pos == 0) {
-        return answers;
-      }
-    }
-  }
+  return EnumerateAnswers(evaluator, s.domain_size(), output_variables);
 }
 
 Result<Relation> RunQuery(EngineKind kind, const Structure& s,
@@ -650,12 +608,12 @@ Result<Relation> RunQuery(EngineKind kind, const Structure& s,
         return std::move(raw);
       }
       Relation answers(output_variables.size());
-      for (const Tuple& t : raw.tuples()) {
+      for (const auto t : raw.rows()) {
         Tuple reordered(t.size());
         for (std::size_t j = 0; j < perm.size(); ++j) {
           reordered[j] = t[perm[j]];
         }
-        answers.Add(std::move(reordered));
+        answers.Add(reordered);
       }
       return answers;
     }

@@ -61,13 +61,6 @@ struct PlannerOptions {
   PlanCache* cache = nullptr;
   /// Threads the parallel route may assume; 0 = hardware concurrency.
   std::size_t threads = 0;
-  /// Bounded-degree route: largest estimated r-ball size worth the
-  /// histogram pass, and the safety factor — the histogram pass must be
-  /// estimated at most this fraction of the compiled scan before the
-  /// route is taken (so even a verdict-cache miss, which falls back to one
-  /// compiled check, costs at most (1 + safety) of the compiled route).
-  std::size_t bounded_degree_max_ball = 256;
-  double bounded_degree_safety = 0.15;
   /// Datalog route: output predicates — the liveness/demand roots dead-rule
   /// elimination and the magic-set transformation rewrite against (the same
   /// root set fmtk_lint --output feeds FMTK106). Empty = every IDB

@@ -385,10 +385,6 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
              plan->variable_width > policy.max_variable_width) {
     rejection = "variable width " + std::to_string(plan->variable_width) +
                 " exceeds budget " + std::to_string(policy.max_variable_width);
-  } else if (policy.max_node_count > 0 &&
-             plan->node_count > policy.max_node_count) {
-    rejection = "formula size " + std::to_string(plan->node_count) +
-                " exceeds budget " + std::to_string(policy.max_node_count);
   } else if (policy.max_cost_units > 0 && cost_units > policy.max_cost_units) {
     rejection = "estimated cost " + JsonNumber(cost_units) +
                 " exceeds budget " + JsonNumber(policy.max_cost_units);
@@ -513,8 +509,6 @@ HttpResponse QueryServer::HandleDatalog(const HttpRequest& request) {
       plan->rule_count > policy.max_datalog_rules) {
     rejection = "program has " + std::to_string(plan->rule_count) +
                 " rules, budget " + std::to_string(policy.max_datalog_rules);
-  } else if (policy.reject_recursion && plan->recursive) {
-    rejection = "recursive programs are not admitted";
   } else if (policy.reject_nonlinear_recursion && plan->nonlinear) {
     rejection = "nonlinear recursion is not admitted";
   } else if (policy.max_estimated_rows > 0 &&

@@ -38,7 +38,6 @@ struct AdmissionPolicy {
   /// 0 = unlimited, for every count-valued budget below.
   std::size_t max_quantifier_rank = 0;
   std::size_t max_variable_width = 0;
-  std::size_t max_node_count = 0;
   /// Hard ceiling on the planner's chosen-engine cost estimate
   /// (compiled-slot-op units; 0 = unlimited).
   double max_cost_units = 0.0;
@@ -48,9 +47,6 @@ struct AdmissionPolicy {
 
   /// Datalog budgets: rule count and recursion shape.
   std::size_t max_datalog_rules = 0;
-  /// Reject recursive programs outright (admit only the nonrecursive,
-  /// bounded-iteration fragment).
-  bool reject_recursion = false;
   /// Reject nonlinear recursion (two+ recursive atoms per rule body) while
   /// still admitting linear recursion.
   bool reject_nonlinear_recursion = false;

@@ -196,7 +196,7 @@ std::string SerializeStructure(const Structure& s) {
     const RelationSymbol& symbol = s.signature().relation(r);
     out += "relation " + symbol.name + "/" + std::to_string(symbol.arity) +
            " {";
-    for (const Tuple& t : s.relation(r).tuples()) {
+    for (const auto t : s.relation(r).rows()) {
       out += " (";
       for (std::size_t i = 0; i < t.size(); ++i) {
         if (i > 0) {

@@ -84,7 +84,7 @@ std::vector<std::size_t> AtomicInvariant(const Structure& s, Element e) {
     const std::size_t arity = s.signature().relation(r).arity;
     std::vector<std::size_t> per_position(arity, 0);
     std::size_t with_repeat = 0;
-    for (const Tuple& t : s.relation(r).tuples()) {
+    for (const auto t : s.relation(r).rows()) {
       bool contains = false;
       for (std::size_t i = 0; i < arity; ++i) {
         if (t[i] == e) {
@@ -113,21 +113,21 @@ std::vector<std::size_t> AtomicInvariant(const Structure& s, Element e) {
   return inv;
 }
 
-// Occurrence lists: for each relation, for each element, the tuples
-// containing it.
-std::vector<std::vector<std::vector<const Tuple*>>> OccurrenceLists(
+// Occurrence lists: for each relation, for each element, the rows (flat
+// store pointers, arity elements each) containing it.
+std::vector<std::vector<std::vector<const Element*>>> OccurrenceLists(
     const Structure& s) {
-  std::vector<std::vector<std::vector<const Tuple*>>> occ(
+  std::vector<std::vector<std::vector<const Element*>>> occ(
       s.signature().relation_count());
   for (std::size_t r = 0; r < occ.size(); ++r) {
     occ[r].resize(s.domain_size());
-    for (const Tuple& t : s.relation(r).tuples()) {
+    for (const auto t : s.relation(r).rows()) {
       Element last = kUnmapped;
-      Tuple sorted = t;
+      Tuple sorted(t.begin(), t.end());
       std::sort(sorted.begin(), sorted.end());
       for (Element e : sorted) {
         if (e != last) {
-          occ[r][e].push_back(&t);
+          occ[r][e].push_back(t.data());
           last = e;
         }
       }
@@ -271,11 +271,12 @@ class IsoSearch {
   // directions.
   bool CheckLocal(Element a, Element b) {
     for (std::size_t r = 0; r < occ_a_.size(); ++r) {
-      for (const Tuple* t : occ_a_[r][a]) {
+      const std::size_t arity = a_.relation(r).arity();
+      for (const Element* t : occ_a_[r][a]) {
         Tuple mapped;
-        mapped.reserve(t->size());
+        mapped.reserve(arity);
         bool complete = true;
-        for (Element e : *t) {
+        for (Element e : std::span(t, arity)) {
           if (forward_[e] == kUnmapped) {
             complete = false;
             break;
@@ -286,11 +287,11 @@ class IsoSearch {
           return false;
         }
       }
-      for (const Tuple* t : occ_b_[r][b]) {
+      for (const Element* t : occ_b_[r][b]) {
         Tuple mapped;
-        mapped.reserve(t->size());
+        mapped.reserve(arity);
         bool complete = true;
-        for (Element e : *t) {
+        for (Element e : std::span(t, arity)) {
           if (backward_[e] == kUnmapped) {
             complete = false;
             break;
@@ -310,8 +311,8 @@ class IsoSearch {
   std::size_t n_;
   std::vector<Element> forward_;
   std::vector<Element> backward_;
-  std::vector<std::vector<std::vector<const Tuple*>>> occ_a_;
-  std::vector<std::vector<std::vector<const Tuple*>>> occ_b_;
+  std::vector<std::vector<std::vector<const Element*>>> occ_a_;
+  std::vector<std::vector<std::vector<const Element*>>> occ_b_;
   std::vector<std::size_t> class_a_;
   std::vector<std::size_t> class_b_;
   Adjacency adjacency_a_;

@@ -28,10 +28,7 @@ Relation::Relation(const Relation& other)
       sorted_upto_(other.sorted_upto_),
       run_starts_(other.run_starts_),
       packed_index_(other.packed_index_),
-      index_(other.index_),
-      tuples_(other.tuples_) {
-  rows_synced_.store(tuples_.size(), std::memory_order_relaxed);
-}
+      index_(other.index_) {}
 
 Relation& Relation::operator=(const Relation& other) {
   if (this != &other) {
@@ -42,8 +39,6 @@ Relation& Relation::operator=(const Relation& other) {
     run_starts_ = other.run_starts_;
     packed_index_ = other.packed_index_;
     index_ = other.index_;
-    tuples_ = other.tuples_;
-    rows_synced_.store(tuples_.size(), std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(column_mutex_);
     column_indexes_.clear();
   }
@@ -58,13 +53,10 @@ Relation::Relation(Relation&& other) noexcept
       run_starts_(std::move(other.run_starts_)),
       packed_index_(std::move(other.packed_index_)),
       index_(std::move(other.index_)),
-      tuples_(std::move(other.tuples_)),
       column_indexes_(std::move(other.column_indexes_)) {
-  rows_synced_.store(tuples_.size(), std::memory_order_relaxed);
   other.row_count_ = 0;
   other.sorted_upto_ = 0;
   other.run_starts_.clear();
-  other.rows_synced_.store(0, std::memory_order_relaxed);
 }
 
 Relation& Relation::operator=(Relation&& other) noexcept {
@@ -76,12 +68,9 @@ Relation& Relation::operator=(Relation&& other) noexcept {
     run_starts_ = std::move(other.run_starts_);
     packed_index_ = std::move(other.packed_index_);
     index_ = std::move(other.index_);
-    tuples_ = std::move(other.tuples_);
-    rows_synced_.store(tuples_.size(), std::memory_order_relaxed);
     other.row_count_ = 0;
     other.sorted_upto_ = 0;
     other.run_starts_.clear();
-    other.rows_synced_.store(0, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(column_mutex_);
     column_indexes_ = std::move(other.column_indexes_);
   }
@@ -123,35 +112,6 @@ Relation Relation::FromSortedPackedRows(std::size_t arity,
   r.BuildRunDirectory();
   if (build_column_indexes) {
     r.BuildColumnIndexesBulk();
-  }
-  return r;
-}
-
-Relation Relation::FromRowsUnique(std::size_t arity,
-                                  const std::vector<Element>& rows) {
-  FMTK_CHECK(arity > 0) << "bulk construction needs positive arity";
-  FMTK_CHECK(rows.size() % arity == 0)
-      << "flat row data of " << rows.size() << " elements for arity " << arity;
-  Relation r(arity);
-  const std::size_t n = rows.size() / arity;
-  r.flat_.reserve(rows.size());
-  if (arity <= 2) {
-    r.packed_index_.Reserve(n);
-  } else {
-    r.index_.Reserve(n);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const Element* row = rows.data() + i * arity;
-    const auto position = static_cast<std::uint32_t>(r.row_count_);
-    const bool inserted =
-        arity <= 2
-            ? r.packed_index_.TryEmplace(PackedKey(row, arity), position)
-                  .second
-            : r.index_.TryEmplace(Tuple(row, row + arity), position).second;
-    if (inserted) {
-      r.flat_.insert(r.flat_.end(), row, row + arity);
-      ++r.row_count_;
-    }
   }
   return r;
 }
@@ -249,35 +209,7 @@ std::size_t Relation::Position(const Element* row) const {
   return pos == nullptr ? kNoPosition : *pos;
 }
 
-bool Relation::Add(Tuple tuple) {
-  FMTK_CHECK(tuple.size() == arity_)
-      << "tuple of size " << tuple.size() << " added to relation of arity "
-      << arity_;
-  if (sorted_upto_ > 0 && SortedPrefixContains(tuple.data())) {
-    return false;
-  }
-  const auto position = static_cast<std::uint32_t>(row_count_);
-  const bool inserted =
-      arity_ <= 2
-          ? packed_index_.TryEmplace(PackedKey(tuple.data(), arity_), position)
-                .second
-          : index_.TryEmplace(tuple, position).second;
-  if (inserted) {
-    // Column indexes are left as-is (generation-tagged at indexed_upto);
-    // the next column_index() call appends postings for the new suffix.
-    flat_.insert(flat_.end(), tuple.begin(), tuple.end());
-    ++row_count_;
-    // The tuples() cache is extended only while it is already complete —
-    // a lazily materialized (bulk-built) relation catches up on demand.
-    if (tuples_.size() + 1 == row_count_) {
-      tuples_.push_back(std::move(tuple));
-      rows_synced_.store(row_count_, std::memory_order_release);
-    }
-  }
-  return inserted;
-}
-
-bool Relation::AddCopy(const Tuple& tuple) {
+bool Relation::Add(const Tuple& tuple) {
   FMTK_CHECK(tuple.size() == arity_)
       << "tuple of size " << tuple.size() << " added to relation of arity "
       << arity_;
@@ -293,24 +225,12 @@ bool Relation::AddCopy(const Tuple& tuple) {
                 .second
           : index_.TryEmplace(tuple, position).second;
   if (inserted) {
+    // Column indexes are left as-is (generation-tagged at indexed_upto);
+    // the next column_index() call appends postings for the new suffix.
     flat_.insert(flat_.end(), tuple.begin(), tuple.end());
     ++row_count_;
-    if (tuples_.size() + 1 == row_count_) {
-      tuples_.push_back(tuple);
-      rows_synced_.store(row_count_, std::memory_order_release);
-    }
   }
   return inserted;
-}
-
-void Relation::MaterializeTuples() const {
-  std::lock_guard<std::mutex> lock(column_mutex_);
-  tuples_.reserve(row_count_);
-  for (std::size_t i = tuples_.size(); i < row_count_; ++i) {
-    const Element* row = flat_.data() + i * arity_;
-    tuples_.emplace_back(row, row + arity_);
-  }
-  rows_synced_.store(row_count_, std::memory_order_release);
 }
 
 Relation::ColumnIndex::View Relation::ColumnIndex::Find(Element e) const {
@@ -470,8 +390,6 @@ std::size_t Relation::EraseRows(const Relation& doomed) {
     const std::size_t removed = row_count_;
     row_count_ = 0;
     packed_index_.clear();
-    tuples_.clear();
-    rows_synced_.store(0, std::memory_order_release);
     std::lock_guard<std::mutex> lock(column_mutex_);
     column_indexes_.clear();
     return removed;
@@ -575,8 +493,6 @@ std::size_t Relation::EraseRows(const Relation& doomed) {
       store_position(flat_.data() + i * arity_, i);
     }
   }
-  tuples_.clear();
-  rows_synced_.store(0, std::memory_order_release);
   std::lock_guard<std::mutex> lock(column_mutex_);
   column_indexes_.clear();
   return removed;
@@ -628,8 +544,6 @@ void Relation::Consolidate() {
   }
   sorted_upto_ = row_count_;
   BuildRunDirectory();
-  tuples_.clear();
-  rows_synced_.store(0, std::memory_order_release);
   std::lock_guard<std::mutex> lock(column_mutex_);
   column_indexes_.clear();
 }

@@ -1,11 +1,12 @@
 #ifndef FMTK_STRUCTURES_RELATION_H_
 #define FMTK_STRUCTURES_RELATION_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,13 +24,10 @@ using Tuple = std::vector<Element>;
 /// A finite relation instance: a set of fixed-arity tuples with O(1)
 /// membership tests and stable insertion-order iteration.
 ///
-/// Storage is columnar-friendly: the authoritative store is `flat_`, one
-/// arity-strided row-major Element array (struct-of-arrays per tuple, no
-/// per-tuple vector), reachable through TupleData(). The tuples() view of
-/// std::vector<Tuple> is a cache materialized on first use — generator-built
-/// relations keep it in sync for free, while bulk-loaded relations with 10^7
-/// rows never pay the per-tuple allocation unless some caller still walks
-/// the legacy view.
+/// Storage is one flat, arity-strided row-major Element array (`flat_`):
+/// no per-tuple vector, so a row costs 4·arity bytes plus its membership
+/// entry. Rows are read straight from it, either as the rows() range of
+/// spans or by position through TupleData().
 class Relation {
  public:
   /// Per-column posting lists, built lazily on first use and maintained
@@ -64,7 +62,7 @@ class Relation {
     /// cache-line walk, no bucket-node chase.
     FlatHashMap<Element, std::vector<std::uint32_t>> postings;
 
-    /// Generation tag: tuples()[0, indexed_upto) are covered by the index.
+    /// Generation tag: rows [0, indexed_upto) are covered by the index.
     /// column_index() advances it to size() before returning; a caller that
     /// keeps the reference across Add()s sees a stale but well-formed index
     /// for the prefix it was synced to.
@@ -114,12 +112,6 @@ class Relation {
                                        const std::vector<std::uint64_t>& keys,
                                        bool build_column_indexes = true);
 
-  /// Bulk construction from distinct `rows` in caller order (not
-  /// necessarily sorted) — the incremental-maintenance rebuild path.
-  /// Membership goes into the hash index (pre-sized once, no rehash);
-  /// column indexes stay lazy. Duplicate rows are skipped.
-  static Relation FromRowsUnique(std::size_t arity, const std::vector<Element>& rows);
-
   std::size_t arity() const { return arity_; }
   std::size_t size() const { return row_count_; }
   bool empty() const { return row_count_ == 0; }
@@ -128,16 +120,13 @@ class Relation {
   /// Callers use this to decide when a Consolidate() pays off.
   std::size_t unsorted_rows() const { return row_count_ - sorted_upto_; }
 
-  /// Inserts `tuple`; returns false when it was already present.
-  /// Arity mismatch is a fatal programming error. Column indexes are NOT
-  /// rebuilt: they catch up incrementally on the next column_index() /
+  /// Inserts `tuple`; returns false when it was already present. The row
+  /// is copied into the flat store only on an actual insert, so fixpoint
+  /// loops that derive mostly duplicates allocate nothing on the reject
+  /// path. Arity mismatch is a fatal programming error. Column indexes are
+  /// NOT rebuilt: they catch up incrementally on the next column_index() /
   /// MatchesAt() call (appended postings, merged values).
-  bool Add(Tuple tuple);
-
-  /// Like Add(), but the caller keeps ownership: `tuple` is copied only
-  /// when it is actually new. Fixpoint loops that derive mostly duplicates
-  /// use this to skip the per-candidate allocation on the reject path.
-  bool AddCopy(const Tuple& tuple);
+  bool Add(const Tuple& tuple);
 
   bool Contains(const Tuple& tuple) const {
     return tuple.size() == arity_ && ContainsRow(tuple.data());
@@ -152,22 +141,23 @@ class Relation {
   static constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);
   std::size_t Position(const Element* row) const;
 
-  /// Tuples in insertion order. Materialized from the flat store on first
-  /// call (thread-safe); bulk-built relations that are only read through
-  /// TupleData() never pay for it.
-  const std::vector<Tuple>& tuples() const {
-    if (rows_synced_.load(std::memory_order_acquire) == row_count_) {
-      return tuples_;
-    }
-    MaterializeTuples();
-    return tuples_;
-  }
-
   /// Pointer to tuple i's elements in the arity-strided flat store: the
   /// engines' inner loops read columns through this without the per-tuple
   /// vector indirection. Invalidated by Add().
   const Element* TupleData(std::size_t i) const {
     return flat_.data() + i * arity_;
+  }
+
+  /// The rows in store order (insertion order for Add-built relations), each
+  /// an arity-long span over the flat store. The range covers the rows
+  /// present when it was created; each span is invalidated by Add(), so a
+  /// loop that inserts into the relation it walks reads by position
+  /// through TupleData() instead.
+  auto rows() const {
+    return std::views::iota(std::size_t{0}, row_count_) |
+           std::views::transform([this](std::size_t i) {
+             return std::span<const Element>(TupleData(i), arity_);
+           });
   }
 
   /// The posting-list index for `column` (< arity), synced to cover every
@@ -199,8 +189,8 @@ class Relation {
   /// batch and the rows moved, not with a per-row predicate over the whole
   /// store. Column indexes are discarded (positions shift); the next
   /// column_index() call rebuilds them in bulk. References previously
-  /// returned by column_index()/tuples() are invalidated. Returns the
-  /// number of rows removed.
+  /// returned by column_index() and rows read before the call are
+  /// invalidated. Returns the number of rows removed.
   std::size_t EraseRows(const Relation& doomed);
 
   /// Re-sorts the whole store so every row joins the sorted prefix and the
@@ -255,8 +245,6 @@ class Relation {
   // that moves sorted_upto_ calls it.
   void BuildRunDirectory();
 
-  void MaterializeTuples() const;
-
   // Counting-sort materialization of every ColumnIndex (fresh relation,
   // rows [0, row_count_) only).
   void BuildColumnIndexesBulk();
@@ -291,16 +279,12 @@ class Relation {
   FlatU64Map<std::uint32_t> packed_index_;
   FlatHashMap<Tuple, std::uint32_t, VectorHash<Element>> index_;
 
-  // Lazy caches, both guarded by column_mutex_ for concurrent build:
-  // tuples_ mirrors the flat store row by row (rows_synced_ = how many rows
-  // it covers, advanced with release ordering so readers on the fast path
-  // skip the lock); column_indexes_ is sized to arity_ on first use, each
-  // ColumnIndex allocated once and then extended in place (generation-
-  // tagged by indexed_upto), so references handed out stay stable for the
-  // relation's lifetime. Copy/move reset the column cache.
+  // Lazy column cache, guarded by column_mutex_ for concurrent build:
+  // column_indexes_ is sized to arity_ on first use, each ColumnIndex
+  // allocated once and then extended in place (generation-tagged by
+  // indexed_upto), so references handed out stay stable for the relation's
+  // lifetime. Copy resets it; move carries it over.
   mutable std::mutex column_mutex_;
-  mutable std::vector<Tuple> tuples_;
-  mutable std::atomic<std::size_t> rows_synced_{0};
   mutable std::vector<std::shared_ptr<ColumnIndex>> column_indexes_;
 };
 

@@ -103,7 +103,7 @@ bool Structure::AddTuple(std::size_t index, Tuple tuple) {
         << "element " << e << " outside domain of size " << domain_size_;
   }
   ++generation_;
-  return relations_[index].Add(std::move(tuple));
+  return relations_[index].Add(tuple);
 }
 
 bool Structure::AddTuple(std::string_view name, Tuple tuple) {
@@ -127,7 +127,7 @@ Status Structure::TryAddTuple(std::string_view name, Tuple tuple) {
     }
   }
   ++generation_;
-  relations_[index].Add(std::move(tuple));
+  relations_[index].Add(tuple);
   return Status::OK();
 }
 
@@ -200,7 +200,7 @@ Structure InducedSubstructure(const Structure& s,
   }
   Structure out(s.signature_ptr(), subdomain.size());
   for (std::size_t r = 0; r < s.signature().relation_count(); ++r) {
-    for (const Tuple& t : s.relation(r).tuples()) {
+    for (const auto t : s.relation(r).rows()) {
       Tuple mapped;
       mapped.reserve(t.size());
       bool keep = true;
@@ -238,11 +238,11 @@ Result<Structure> DisjointUnion(const Structure& a, const Structure& b) {
   Structure out(a.signature_ptr(), a.domain_size() + b.domain_size());
   const Element shift = static_cast<Element>(a.domain_size());
   for (std::size_t r = 0; r < a.signature().relation_count(); ++r) {
-    for (const Tuple& t : a.relation(r).tuples()) {
-      out.AddTuple(r, t);
+    for (const auto t : a.relation(r).rows()) {
+      out.AddTuple(r, Tuple(t.begin(), t.end()));
     }
-    for (const Tuple& t : b.relation(r).tuples()) {
-      Tuple shifted = t;
+    for (const auto t : b.relation(r).rows()) {
+      Tuple shifted(t.begin(), t.end());
       for (Element& e : shifted) {
         e += shift;
       }

@@ -490,7 +490,7 @@ TEST(FrontDoorTest, QueryEvalSafeRangeOptIn) {
   // Default: domain-relative semantics still evaluates the complement.
   Result<Relation> lenient = EvaluateQuery(g, f.formula, {"x", "y"});
   ASSERT_TRUE(lenient.ok()) << lenient.status().ToString();
-  EXPECT_EQ(lenient->tuples().size(), 9u - 2u);
+  EXPECT_EQ(lenient->size(), 9u - 2u);
   // Opt-in: the analyzer rejects with the safe-range diagnostics.
   QueryEvalOptions options;
   options.require_safe_range = true;
@@ -599,7 +599,7 @@ TEST(PropertyTest, RandomFormulasLintCleanOfErrors) {
 std::set<Element> ActiveDomain(const Structure& s) {
   std::set<Element> active;
   for (std::size_t i = 0; i < s.signature().relation_count(); ++i) {
-    for (const Tuple& t : s.relation(i).tuples()) {
+    for (const auto t : s.relation(i).rows()) {
       active.insert(t.begin(), t.end());
     }
   }
@@ -639,7 +639,7 @@ TEST(PropertyTest, SafeRangeAnswersStayInTheActiveDomain) {
     Result<Relation> answers = EvaluateQuery(g, f, outputs, eval_options);
     ASSERT_TRUE(answers.ok())
         << f.ToString() << ": " << answers.status().ToString();
-    for (const Tuple& t : answers->tuples()) {
+    for (const auto t : answers->rows()) {
       for (const Element e : t) {
         EXPECT_TRUE(active.count(e) > 0)
             << f.ToString() << " produced non-active element "

@@ -16,7 +16,7 @@ namespace {
 Relation Incremental(std::size_t arity, const std::vector<Tuple>& rows) {
   Relation r(arity);
   for (const Tuple& t : rows) {
-    r.AddCopy(t);
+    r.Add(t);
   }
   return r;
 }
@@ -120,10 +120,10 @@ TEST(RelationBuilderTest, BulkColumnIndexesMatchIncremental) {
       // compare the tuple multisets they select.
       std::vector<Tuple> a, c;
       for (std::size_t i : bulk.MatchesAt(col, e)) {
-        a.push_back(bulk.tuples()[i]);
+        a.emplace_back(bulk.TupleData(i), bulk.TupleData(i) + 2);
       }
       for (std::size_t i : reference.MatchesAt(col, e)) {
-        c.push_back(reference.tuples()[i]);
+        c.emplace_back(reference.TupleData(i), reference.TupleData(i) + 2);
       }
       std::sort(a.begin(), a.end());
       std::sort(c.begin(), c.end());
@@ -144,14 +144,6 @@ TEST(RelationBuilderTest, AddAfterBulkBuildStillWorks) {
   EXPECT_TRUE(r.Contains({1, 1}));
   // Column index catches up over the appended suffix.
   EXPECT_EQ(r.MatchesAt(0, 1).size(), 1u);
-}
-
-TEST(RelationTest, FromRowsUniqueSkipsDuplicates) {
-  Relation r = Relation::FromRowsUnique(2, {5, 1, 0, 2, 5, 1, 3, 3});
-  EXPECT_EQ(r.size(), 3u);
-  EXPECT_TRUE(r.Contains({5, 1}));
-  EXPECT_TRUE(r.Contains({3, 3}));
-  EXPECT_FALSE(r.Contains({1, 5}));
 }
 
 TEST(StringInternerTest, DenseIdsInFirstAppearanceOrder) {

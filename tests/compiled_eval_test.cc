@@ -201,8 +201,8 @@ TEST(CompiledDifferentialTest, AgreesWithInterpreterOn500RandomPairs) {
       // "uninterpreted constant" error path.
       Structure bare(sig, n);
       for (std::size_t r = 0; r < sig->relation_count(); ++r) {
-        for (const Tuple& t : s.relation(r).tuples()) {
-          bare.AddTuple(r, t);
+        for (const auto t : s.relation(r).rows()) {
+          bare.AddTuple(r, Tuple(t.begin(), t.end()));
         }
       }
       s = std::move(bare);
@@ -347,7 +347,10 @@ Structure GuardTestStructure(const std::shared_ptr<Signature>& sig,
   }
   Structure rebuilt(sig, n);
   for (std::size_t r = 0; r < sig->relation_count(); ++r) {
-    std::vector<Tuple> tuples = s.relation(r).tuples();
+    std::vector<Tuple> tuples;
+    for (const auto t : s.relation(r).rows()) {
+      tuples.emplace_back(t.begin(), t.end());
+    }
     if (storage == 1 && !tuples.empty() && tuples[0].size() > 0) {
       std::sort(tuples.begin(), tuples.end());
       std::vector<Element> rows;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "datalog/evaluator.h"
 #include "datalog/program.h"
 #include "queries/relation_query.h"
@@ -231,6 +233,55 @@ TEST(DatalogEvalTest, StandardDeltaDecompositionDerivesLess) {
   EXPECT_TRUE(a->at("tc") == b->at("tc"));
   EXPECT_EQ(compiled.tuples_derived, 2047u);
   EXPECT_EQ(compiled.tuples_new, 276u);  // = |tc| = 24 * 23 / 2.
+}
+
+TEST(DatalogEvalTest, NaiveIterationRederivesEveryRound) {
+  // TC on an n-chain: naive iteration re-derives the whole relation every
+  // round, while the compiled semi-naive engine derives each of the
+  // n(n-1)/2 tuples once and scans two candidates per derivation.
+  struct Expected {
+    std::uint64_t n, naive_derived, naive_scanned;
+  };
+  for (const Expected& want : {Expected{8, 161, 1169},
+                               Expected{16, 1345, 20065},
+                               Expected{32, 10881, 334273}}) {
+    Structure chain = MakeDirectedPath(want.n);
+    DatalogStats naive, compiled;
+    ASSERT_TRUE(EvaluateDatalog(DatalogProgram::TransitiveClosure(), chain,
+                                DatalogStrategy::kNaive, &naive)
+                    .ok());
+    ASSERT_TRUE(EvaluateDatalog(DatalogProgram::TransitiveClosure(), chain,
+                                DatalogStrategy::kSemiNaive, &compiled)
+                    .ok());
+    EXPECT_EQ(naive.tuples_derived, want.naive_derived) << "n=" << want.n;
+    EXPECT_EQ(naive.tuples_scanned, want.naive_scanned) << "n=" << want.n;
+    EXPECT_EQ(compiled.tuples_scanned, want.n * (want.n - 1))
+        << "n=" << want.n;
+  }
+}
+
+TEST(DatalogEvalTest, SameGenerationRoundsGrowWithDepth) {
+  // SG on the full binary tree of depth d closes in d + 1 rounds (one rule
+  // firing each): the iteration depth follows the data.
+  struct Expected {
+    std::size_t depth;
+    std::uint64_t atom_visits, tuples_scanned;
+  };
+  for (const Expected& want :
+       {Expected{2, 34, 51}, Expected{3, 131, 211}, Expected{4, 516, 851},
+        Expected{5, 2053, 3411}}) {
+    DatalogStats stats;
+    ASSERT_TRUE(EvaluateDatalog(DatalogProgram::SameGeneration(),
+                                MakeFullBinaryTree(want.depth),
+                                DatalogStrategy::kSemiNaive, &stats)
+                    .ok());
+    EXPECT_EQ(stats.iterations, want.depth + 1) << "depth " << want.depth;
+    EXPECT_EQ(stats.rule_applications, want.depth + 1)
+        << "depth " << want.depth;
+    EXPECT_EQ(stats.atom_visits, want.atom_visits) << "depth " << want.depth;
+    EXPECT_EQ(stats.tuples_scanned, want.tuples_scanned)
+        << "depth " << want.depth;
+  }
 }
 
 TEST(DatalogEvalTest, PureEdbRuleFiresOnlyInRoundOne) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 
 #include "core/games/ef_game.h"
@@ -46,12 +47,24 @@ TEST(EfGameTest, SpoilerWinsOnSmallSets) {
   // elements in the larger set) but not 2.
   EXPECT_TRUE(DupWins(MakeSet(2), MakeSet(3), 2));
   EXPECT_FALSE(DupWins(MakeSet(2), MakeSet(3), 3));
+  // In general the spoiler needs exactly s+1 rounds on sets of sizes s and
+  // s+1.
+  for (std::size_t s = 1; s <= 4; ++s) {
+    const Structure small = MakeSet(s);
+    const Structure large = MakeSet(s + 1);
+    EfGameSolver solver(small, large);
+    Result<std::optional<std::size_t>> needed = solver.SpoilerNeeds(6);
+    ASSERT_TRUE(needed.ok()) << needed.status().ToString();
+    EXPECT_EQ(*needed, std::optional<std::size_t>(s + 1)) << "s=" << s;
+  }
 }
 
 TEST(EfGameTest, EvenWitnessFamily) {
-  // A_n = 2n-element set, B_n = (2n+1)-element set, A_n ≡n B_n.
-  for (std::size_t n = 1; n <= 3; ++n) {
-    EXPECT_TRUE(DupWins(MakeSet(2 * n), MakeSet(2 * n + 1), n));
+  // A_n = 2n-element set, B_n = (2n+1)-element set, A_n ≡n B_n (and so
+  // is the (2n+2)-element set: EVEN is not FO).
+  for (std::size_t n = 1; n <= 4; ++n) {
+    EXPECT_TRUE(DupWins(MakeSet(2 * n), MakeSet(2 * n + 1), n)) << n;
+    EXPECT_TRUE(DupWins(MakeSet(2 * n), MakeSet(2 * n + 2), n)) << n;
   }
 }
 

@@ -140,7 +140,7 @@ TEST(IsoTest, RandomGraphSelfIsomorphicUnderPermutation) {
     }
     std::shuffle(perm.begin(), perm.end(), rng);
     Structure h(Signature::Graph(), 7);
-    for (const Tuple& t : g.relation(0).tuples()) {
+    for (const auto t : g.relation(0).rows()) {
       h.AddTuple(0, {perm[t[0]], perm[t[1]]});
     }
     EXPECT_TRUE(AreIsomorphic(g, h));

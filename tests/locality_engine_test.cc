@@ -46,7 +46,7 @@ Structure Permuted(const Structure& s, std::mt19937_64& rng) {
   std::shuffle(pi.begin(), pi.end(), rng);
   Structure out(s.signature_ptr(), s.domain_size());
   for (std::size_t r = 0; r < s.signature().relation_count(); ++r) {
-    for (const Tuple& t : s.relation(r).tuples()) {
+    for (const auto t : s.relation(r).rows()) {
       Tuple mapped;
       mapped.reserve(t.size());
       for (Element e : t) {

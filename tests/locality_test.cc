@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/locality/bndp.h"
 #include "logic/parser.h"
 #include "core/locality/gaifman_local.h"
 #include "core/locality/hanf.h"
 #include "core/locality/neighborhood.h"
+#include "queries/boolean_query.h"
 #include "queries/relation_query.h"
 #include "structures/generators.h"
 #include "structures/graph.h"
@@ -127,28 +130,39 @@ TEST(NeighborhoodTypeIndexTest, TypeOfFastPathsKickIn) {
 // --- Hanf locality: the survey's cycle example (E9) ------------------------
 
 TEST(HanfTest, TwoCyclesVsOneBigCycle) {
-  // G1 = two m-cycles, G2 = one 2m-cycle: ⇆r iff m > 2r + 1.
-  for (std::size_t m = 3; m <= 9; ++m) {
+  // G1 = two m-cycles, G2 = one 2m-cycle: ⇆r iff m > 2r + 1, so the
+  // largest such r is (m - 2) / 2; yet the pair always differs on CONN.
+  const BooleanQuery conn = BooleanQuery::Connectivity();
+  for (std::size_t m = 3; m <= 13; ++m) {
     Structure g1 = MakeDisjointCycles(2, m);
     Structure g2 = MakeDirectedCycle(2 * m);
-    for (std::size_t r = 0; r <= 4; ++r) {
+    for (std::size_t r = 0; r <= 6; ++r) {
       const bool expected = m > 2 * r + 1;
       EXPECT_EQ(HanfEquivalent(g1, g2, r), expected)
           << "m=" << m << " r=" << r;
     }
+    EXPECT_EQ(LargestHanfRadius(g1, g2, m),
+              std::optional<std::size_t>((m - 2) / 2))
+        << "m=" << m;
+    EXPECT_FALSE(*conn.Evaluate(g1)) << "m=" << m;
+    EXPECT_TRUE(*conn.Evaluate(g2)) << "m=" << m;
   }
 }
 
 TEST(HanfTest, TreeExample) {
-  // Chain of 2m vs chain m ⊎ cycle m: ⇆r while m > 2r + 1.
-  for (std::size_t m = 4; m <= 8; ++m) {
+  // Chain of 2m vs chain m ⊎ cycle m: ⇆r while m > 2r + 1; only the
+  // chain is a tree.
+  const BooleanQuery tree = BooleanQuery::Tree();
+  for (std::size_t m = 4; m <= 12; ++m) {
     Structure g1 = MakeDirectedPath(2 * m);
     Structure g2 = MakePathPlusCycle(m);
-    for (std::size_t r = 0; r <= 3; ++r) {
+    for (std::size_t r = 0; r <= 6; ++r) {
       const bool expected = m > 2 * r + 1;
       EXPECT_EQ(HanfEquivalent(g1, g2, r), expected)
           << "m=" << m << " r=" << r;
     }
+    EXPECT_TRUE(*tree.Evaluate(g1)) << "m=" << m;
+    EXPECT_FALSE(*tree.Evaluate(g2)) << "m=" << m;
   }
 }
 
@@ -220,18 +234,29 @@ TEST(ThresholdHanfTest, OneSidedTypeBoundary) {
 
 TEST(GaifmanLocalTest, TcOnLongChainViolatesEveryRadius) {
   // The canonical proof: on a long chain, (a,b) and (b,a) have isomorphic
-  // r-neighborhoods but TC contains only (a,b).
-  Structure chain = MakeDirectedPath(12);
-  Result<Relation> tc = RelationQuery::TransitiveClosure().Evaluate(chain);
-  ASSERT_TRUE(tc.ok());
-  for (std::size_t r = 0; r <= 2; ++r) {
-    Result<std::optional<GaifmanViolation>> v =
-        FindGaifmanViolation(chain, *tc, r);
-    ASSERT_TRUE(v.ok());
-    ASSERT_TRUE(v->has_value()) << "r=" << r;
-    // The witness really is a violation: one side in TC, the other not.
-    EXPECT_TRUE(tc->Contains((*v)->in_output));
-    EXPECT_FALSE(tc->Contains((*v)->not_in_output));
+  // r-neighborhoods but TC contains only (a,b). An n-chain hosts such a
+  // witness pair exactly for r < n/4, so violations persist to larger
+  // radii as the chain grows.
+  for (std::size_t n : {8, 12, 16, 20}) {
+    Structure chain = MakeDirectedPath(n);
+    Result<Relation> tc = RelationQuery::TransitiveClosure().Evaluate(chain);
+    ASSERT_TRUE(tc.ok());
+    for (std::size_t r = 0; r <= n / 4; ++r) {
+      Result<std::optional<GaifmanViolation>> v =
+          FindGaifmanViolation(chain, *tc, r);
+      ASSERT_TRUE(v.ok());
+      if (r == n / 4) {
+        EXPECT_FALSE(v->has_value()) << "n=" << n << " r=" << r;
+        continue;
+      }
+      ASSERT_TRUE(v->has_value()) << "n=" << n << " r=" << r;
+      // The witness really is a violation, and it is the mirrored pair:
+      // (a,b) in TC, (b,a) not.
+      const Tuple& in = (*v)->in_output;
+      EXPECT_TRUE(tc->Contains(in));
+      EXPECT_FALSE(tc->Contains((*v)->not_in_output));
+      EXPECT_EQ((*v)->not_in_output, (Tuple{in[1], in[0]}));
+    }
   }
 }
 
@@ -249,6 +274,19 @@ TEST(GaifmanLocalTest, FoQueryIsLocalAtItsRadius) {
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->has_value());
   EXPECT_LE(**r, 1u);
+  // The two-step query ∃z (E(x,z) ∧ E(z,y)) is local at radius exactly 1
+  // on chains of every length, while TC's violations keep growing.
+  const RelationQuery two_step = RelationQuery::FromFormula(
+      "two-step", *ParseFormula("exists z. E(x,z) & E(z,y)"), {"x", "y"});
+  for (std::size_t n : {8, 12, 16, 20, 24}) {
+    Structure path = MakeDirectedPath(n);
+    Result<Relation> out = two_step.Evaluate(path);
+    ASSERT_TRUE(out.ok());
+    Result<std::optional<std::size_t>> radius =
+        GaifmanLocalRadiusOn(path, *out, 4);
+    ASSERT_TRUE(radius.ok());
+    EXPECT_EQ(*radius, std::optional<std::size_t>(1)) << "n=" << n;
+  }
 }
 
 TEST(GaifmanLocalTest, ViolationVanishesOnceRadiusSeesTheWholeGraph) {

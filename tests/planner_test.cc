@@ -29,7 +29,11 @@ const std::vector<EngineKind> kAllEngines = {
 };
 
 std::multiset<Tuple> TupleSet(const Relation& r) {
-  return {r.tuples().begin(), r.tuples().end()};
+  std::multiset<Tuple> out;
+  for (const auto t : r.rows()) {
+    out.emplace(t.begin(), t.end());
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------

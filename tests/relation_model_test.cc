@@ -1,12 +1,13 @@
 // Model-based test of Relation: fixed-seed random operation sequences run
 // against a std::set<Tuple> model at arities 1, 2 and 3. After every
-// operation the relation's membership, row positions, column indexes and
-// postings must agree with the model, whichever store layout (sorted
-// prefix, hashed tail, both) the operation left behind.
+// operation the relation's membership, row positions, rows() view, column
+// indexes and postings must agree with the model, whichever store layout
+// (sorted prefix, hashed tail, both) the operation left behind.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -19,6 +20,20 @@ namespace fmtk {
 namespace {
 
 using Model = std::set<Tuple>;
+
+// The row order the relation must show through rows(): rows [0, unordered)
+// are the survivors of a swap-with-last erase, whose order is unspecified
+// (only their set is checked); every later row is in exact store order —
+// insertion order for Add, sorted for bulk builds and Consolidate.
+struct RowOrder {
+  std::vector<Tuple> rows;
+  std::size_t unordered = 0;
+
+  void Reset(std::vector<Tuple> in_order) {
+    rows = std::move(in_order);
+    unordered = 0;
+  }
+};
 
 constexpr Element kUniverse = 6;
 constexpr Element kFarProbe = Element{1} << 31;
@@ -78,10 +93,39 @@ Relation Decoy(std::size_t arity, std::mt19937& rng) {
   return Relation::FromSortedRows(arity, FlatRows(decoy));
 }
 
+void CheckRows(const Relation& r, const RowOrder& order) {
+  const std::size_t arity = r.arity();
+  std::vector<Tuple> seen;
+  std::size_t i = 0;
+  for (const auto row : r.rows()) {
+    ASSERT_EQ(row.size(), arity);
+    ASSERT_EQ(row.data(), r.TupleData(i)) << "row " << i;
+    seen.emplace_back(row.begin(), row.end());
+    ++i;
+  }
+  ASSERT_EQ(seen.size(), r.size());
+  ASSERT_EQ(seen.size(), order.rows.size());
+  const auto split = static_cast<std::ptrdiff_t>(order.unordered);
+  std::vector<Tuple> head(seen.begin(), seen.begin() + split);
+  std::vector<Tuple> expected_head(order.rows.begin(),
+                                   order.rows.begin() + split);
+  std::sort(head.begin(), head.end());
+  std::sort(expected_head.begin(), expected_head.end());
+  ASSERT_EQ(head, expected_head);
+  for (std::size_t k = order.unordered; k < seen.size(); ++k) {
+    ASSERT_EQ(seen[k], order.rows[k]) << "row " << k << " out of order";
+  }
+}
+
 void CheckAgainstModel(const Relation& r, const Model& model,
+                       const RowOrder& order,
                        const std::vector<Tuple>& universe) {
   const std::size_t arity = r.arity();
   ASSERT_EQ(r.size(), model.size());
+  CheckRows(r, order);
+  if (::testing::Test::HasFatalFailure()) {
+    return;
+  }
   for (std::size_t i = 0; i < r.size(); ++i) {
     const Element* row = r.TupleData(i);
     ASSERT_EQ(model.count(Tuple(row, row + arity)), 1u) << "stray row " << i;
@@ -130,10 +174,12 @@ void CheckAgainstModel(const Relation& r, const Model& model,
 }
 
 // Erases a random selection of the rows at positions [begin, end), plus one
-// tuple that may or may not be present.
-void EraseSomeRows(Relation& r, Model& model, std::size_t begin,
-                   std::size_t end, std::mt19937& rng) {
+// tuple that may or may not be present. A store with a sorted prefix keeps
+// the survivors' order; a fully hashed one fills gaps from the back.
+void EraseSomeRows(Relation& r, Model& model, RowOrder& order,
+                   std::size_t begin, std::size_t end, std::mt19937& rng) {
   const std::size_t arity = r.arity();
+  const bool order_preserving = r.unsorted_rows() < r.size();
   Relation doomed(arity);
   for (std::size_t i = begin; i < end; ++i) {
     if (rng() % 3 == 0) {
@@ -143,10 +189,21 @@ void EraseSomeRows(Relation& r, Model& model, std::size_t begin,
   }
   doomed.Add(RandomTuple(arity, rng));
   std::size_t expected = 0;
-  for (const Tuple& t : doomed.tuples()) {
-    expected += model.erase(t);
+  for (const auto t : doomed.rows()) {
+    expected += model.erase(Tuple(t.begin(), t.end()));
   }
   ASSERT_EQ(r.EraseRows(doomed), expected);
+  if (expected == 0) {
+    return;  // Nothing moved.
+  }
+  std::erase_if(order.rows, [&doomed](const Tuple& t) {
+    return doomed.Contains(t);
+  });
+  order.unordered = order_preserving ? 0 : order.rows.size();
+}
+
+std::vector<Tuple> Sorted(const Model& model) {
+  return {model.begin(), model.end()};
 }
 
 void RunRandomOperations(std::size_t arity, std::uint32_t seed) {
@@ -154,6 +211,7 @@ void RunRandomOperations(std::size_t arity, std::uint32_t seed) {
   const std::vector<Tuple> universe = AllTuples(arity);
   Relation r(arity);
   Model model;
+  RowOrder order;
   constexpr int kOperations = 400;
   for (int step = 0; step < kOperations; ++step) {
     const std::size_t prefix = r.size() - r.unsorted_rows();
@@ -167,66 +225,78 @@ void RunRandomOperations(std::size_t arity, std::uint32_t seed) {
         // Add-heavy, so the hashed tail grows between rebuilds.
         for (int k = 0; k < 3; ++k) {
           const Tuple t = RandomTuple(arity, rng);
-          ASSERT_EQ(r.Add(t), model.insert(t).second);
+          const bool fresh = model.insert(t).second;
+          ASSERT_EQ(r.Add(t), fresh);
+          if (fresh) {
+            order.rows.push_back(t);
+          }
         }
         break;
       }
-      case 3: {
-        const Tuple t = RandomTuple(arity, rng);
-        ASSERT_EQ(r.AddCopy(t), model.insert(t).second);
+      case 3:
+        // Re-adding a present row is rejected and moves nothing.
+        if (!r.empty()) {
+          const Element* row = r.TupleData(rng() % r.size());
+          ASSERT_FALSE(r.Add(Tuple(row, row + arity)));
+        }
         break;
-      }
       case 4:
-        EraseSomeRows(r, model, 0, prefix, rng);
+        EraseSomeRows(r, model, order, 0, prefix, rng);
         break;
       case 5:
-        EraseSomeRows(r, model, prefix, r.size(), rng);
+        EraseSomeRows(r, model, order, prefix, r.size(), rng);
         break;
       case 6:
-        EraseSomeRows(r, model, 0, r.size(), rng);
+        EraseSomeRows(r, model, order, 0, r.size(), rng);
         break;
       case 7:
         r.Consolidate();
         ASSERT_EQ(r.unsorted_rows(), 0u);
+        order.Reset(Sorted(model));
         break;
       case 8:
         r = Relation::FromSortedRows(arity, FlatRows(model), rng() % 2 == 0);
+        order.Reset(Sorted(model));
         break;
       case 9:
         if (arity <= 2) {
           r = Relation::FromSortedPackedRows(arity, PackedRows(model),
                                              rng() % 2 == 0);
+          order.Reset(Sorted(model));
         }
         break;
       case 10: {
+        // A fresh Add-built relation in shuffled order, one duplicate
+        // rejected on the way, moved in.
         std::vector<Tuple> shuffled(model.begin(), model.end());
         std::shuffle(shuffled.begin(), shuffled.end(), rng);
-        std::vector<Element> rows;
+        Relation built(arity);
         for (const Tuple& t : shuffled) {
-          rows.insert(rows.end(), t.begin(), t.end());
+          ASSERT_TRUE(built.Add(t));
         }
-        if (!shuffled.empty()) {  // One duplicate row, which is skipped.
-          rows.insert(rows.end(), shuffled[0].begin(), shuffled[0].end());
+        if (!shuffled.empty()) {
+          ASSERT_FALSE(built.Add(shuffled[0]));
         }
-        r = Relation::FromRowsUnique(arity, rows);
+        r = std::move(built);
+        order.Reset(std::move(shuffled));
         break;
       }
       case 11: {
         // Assignments land on a bulk-built relation with a different
         // sorted prefix, so a stale membership directory would show.
         const Relation copy(r);
-        CheckAgainstModel(copy, model, universe);
+        CheckAgainstModel(copy, model, order, universe);
         Relation assigned = Decoy(arity, rng);
         assigned = copy;
-        CheckAgainstModel(assigned, model, universe);
+        CheckAgainstModel(assigned, model, order, universe);
         Relation moved(std::move(assigned));
-        CheckAgainstModel(moved, model, universe);
+        CheckAgainstModel(moved, model, order, universe);
         r = Decoy(arity, rng);
         r = std::move(moved);
         break;
       }
     }
-    CheckAgainstModel(r, model, universe);
+    CheckAgainstModel(r, model, order, universe);
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
@@ -273,7 +343,7 @@ TEST(RelationModelTest, SparseRelationTakesHashFallback) {
     }
     // Growing the relation keeps the sparse column in the tail map.
     EXPECT_TRUE(r.Add({0, 1}));
-    EXPECT_FALSE(r.AddCopy({kSparse, kSparse}));
+    EXPECT_FALSE(r.Add({kSparse, kSparse}));
     EXPECT_EQ(r.MatchesAt(0, 0), (std::vector<std::size_t>{1}));
     EXPECT_EQ(r.ColumnValues(0), (std::vector<Element>{0, kSparse}));
     r.Consolidate();

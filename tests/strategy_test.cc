@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "core/games/ef_game.h"
 #include "core/games/linear_order.h"
 #include "core/games/strategy.h"
@@ -114,6 +117,24 @@ TEST(OrderGapStrategyTest, MatchesTheoremAcrossASweep) {
         }
       }
     }
+  }
+}
+
+TEST(OrderGapStrategyTest, RefereePositionsArePinned) {
+  // Verifying the gap strategy on L_{2^n - 1} vs L_{2^n} walks every
+  // spoiler line: 57 and 3616 positions at n = 2 and 3, where the exact
+  // solver expands 13 and 429.
+  OrderGapStrategy strategy;
+  for (const auto& [n, want] : {std::pair<std::size_t, std::uint64_t>{2, 57},
+                                {3, 3616}}) {
+    const std::size_t m = (std::size_t{1} << n) - 1;
+    std::uint64_t positions = 0;
+    Result<bool> survives =
+        StrategySurvives(MakeLinearOrder(m), MakeLinearOrder(m + 1), n,
+                         strategy, 20'000'000, &positions);
+    ASSERT_TRUE(survives.ok());
+    EXPECT_TRUE(*survives) << "n=" << n;
+    EXPECT_EQ(positions, want) << "n=" << n;
   }
 }
 
