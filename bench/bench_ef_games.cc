@@ -25,7 +25,6 @@
 namespace {
 
 using fmtk::EfGameSolver;
-using fmtk::GameOptions;
 using fmtk::MakeDirectedCycle;
 using fmtk::MakeLinearOrder;
 using fmtk::MakeSet;
@@ -105,18 +104,6 @@ void RunJsonSuite() {
     PebbleGameSolver solver(a, b, 2);
     const double ms = TimedMs([&] { (void)*solver.DuplicatorWins(r); });
     EmitJsonLine("pebble2_cycle5v6", r, ms, solver.nodes_explored());
-  }
-  // The largest linear-order instance again with first-round fan-out.
-  {
-    const std::size_t n = 4;
-    Structure a = MakeLinearOrder((std::size_t{1} << n) - 1);
-    Structure b = MakeLinearOrder(std::size_t{1} << n);
-    GameOptions options;
-    options.parallel.enabled = true;
-    options.parallel.min_domain = 4;
-    EfGameSolver solver(a, b, options);
-    const double ms = TimedMs([&] { (void)*solver.DuplicatorWins(n); });
-    EmitJsonLine("ef_linear_order_parallel", n, ms, solver.nodes_explored());
   }
 }
 

@@ -63,7 +63,7 @@ int main() {
   std::printf("== Bounded degree => linear time (Theorem 3.11) ==\n");
   Formula sentence = *ParseFormula("exists x. !(exists y. E(x,y))");
   BoundedDegreeEvaluator evaluator = *BoundedDegreeEvaluator::Create(
-      sentence, {.radius = 2, .threshold = 3, .parallel = {}});
+      sentence, {.radius = 2, .threshold = 3});
   std::printf("  sentence: %s\n", sentence.ToString().c_str());
   for (std::size_t n = 50; n <= 250; n += 50) {
     bool verdict = *evaluator.Evaluate(MakeDirectedPath(n));

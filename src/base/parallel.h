@@ -5,12 +5,12 @@
 
 namespace fmtk {
 
-/// Controls the optional std::thread fan-out used by the exhaustive search
-/// engines (the outermost quantifier of a compiled sentence, the first-round
-/// spoiler moves of a game solver). Off by default; the searches are then
-/// fully deterministic and single-threaded. When enabled, verdicts still
-/// match the sequential search — parallelism only changes which branch
-/// discovers a decisive answer first, never the answer itself.
+/// Controls the optional std::thread fan-out of the compiled evaluator's
+/// outermost quantifier (CompiledEvaluator, EngineKind::kParallel). Off by
+/// default; evaluation is then fully deterministic and single-threaded.
+/// When enabled, verdicts still match the sequential run — parallelism only
+/// changes which branch discovers a decisive answer first, never the answer
+/// itself.
 struct ParallelPolicy {
   bool enabled = false;
   /// 0 = std::thread::hardware_concurrency().

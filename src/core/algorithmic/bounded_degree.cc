@@ -28,23 +28,18 @@ Result<BoundedDegreeEvaluator> BoundedDegreeEvaluator::Create(
   HanfParameters params = HanfParametersForRank(QuantifierRank(sentence));
   const std::size_t radius = options.radius.value_or(params.radius);
   const std::size_t threshold = options.threshold.value_or(params.threshold);
-  return BoundedDegreeEvaluator(std::move(sentence), radius, threshold,
-                                options.parallel);
+  return BoundedDegreeEvaluator(std::move(sentence), radius, threshold);
 }
 
 BoundedDegreeEvaluator::BoundedDegreeEvaluator(Formula sentence,
                                                std::size_t radius,
-                                               std::size_t threshold,
-                                               ParallelPolicy parallel)
-    : sentence_(std::move(sentence)),
-      radius_(radius),
-      threshold_(threshold),
-      parallel_(parallel) {}
+                                               std::size_t threshold)
+    : sentence_(std::move(sentence)), radius_(radius), threshold_(threshold) {}
 
 Result<bool> BoundedDegreeEvaluator::Evaluate(const Structure& g) {
   LocalityEngine engine(g);
   std::map<NeighborhoodTypeIndex::TypeId, std::size_t> histogram =
-      engine.TypeHistogram(radius_, index_, parallel_);
+      engine.TypeHistogram(radius_, index_);
   locality_stats_ += engine.stats();
   std::vector<std::pair<std::size_t, std::size_t>> key;
   key.reserve(histogram.size());

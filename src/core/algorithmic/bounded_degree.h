@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "base/parallel.h"
 #include "base/result.h"
 #include "core/locality/locality_engine.h"
 #include "core/locality/neighborhood.h"
@@ -50,9 +49,6 @@ class BoundedDegreeEvaluator {
     /// Override the radius / threshold derived from the quantifier rank.
     std::optional<std::size_t> radius;
     std::optional<std::size_t> threshold;
-    /// Fans the per-element histogram work out across threads; verdicts,
-    /// type ids, and counters are identical to the sequential run.
-    ParallelPolicy parallel;
   };
 
   /// `sentence` must be a sentence (no free variables).
@@ -72,12 +68,11 @@ class BoundedDegreeEvaluator {
 
  private:
   BoundedDegreeEvaluator(Formula sentence, std::size_t radius,
-                         std::size_t threshold, ParallelPolicy parallel);
+                         std::size_t threshold);
 
   Formula sentence_;
   std::size_t radius_;
   std::size_t threshold_;
-  ParallelPolicy parallel_;
   LocalityStats locality_stats_;
   NeighborhoodTypeIndex index_;
   // Clipped histogram (type id -> min(count, threshold)) -> verdict.

@@ -20,19 +20,14 @@ EfGameSolver::EfGameSolver(const Structure& a, const Structure& b,
     : a_(a), b_(b), core_(a, b, options, "EF game") {}
 
 Result<bool> EfGameSolver::Wins(Context& ctx, std::size_t rounds) {
+  // Every spoiler representative needs a response that wins the rest.
   return core_.Node(ctx, rounds, [&] {
     return core_.ForEachSpoilerRepresentative(
         ctx, [&](bool in_a, Element s) {
-          return MoveSurvivable(ctx, rounds - 1, in_a, s);
+          return core_.FindResponse(ctx, in_a, s, [&](Element, Element) {
+            return Wins(ctx, rounds - 1);
+          });
         });
-  });
-}
-
-Result<bool> EfGameSolver::MoveSurvivable(Context& ctx,
-                                          std::size_t rounds_left, bool in_a,
-                                          Element s) {
-  return core_.FindResponse(ctx, in_a, s, [&](Element, Element) {
-    return Wins(ctx, rounds_left);
   });
 }
 
@@ -40,10 +35,7 @@ Result<bool> EfGameSolver::DuplicatorWins(std::size_t rounds,
                                           const PartialMap& initial) {
   return core_.SolveRoot(
       initial, rounds, game_engine::NoState{},
-      [this](Context& ctx, std::size_t r) { return Wins(ctx, r); },
-      [this](Context& ctx, std::size_t rounds_left, bool in_a, Element s) {
-        return MoveSurvivable(ctx, rounds_left, in_a, s);
-      });
+      [this](Context& ctx, std::size_t r) { return Wins(ctx, r); });
 }
 
 Result<std::optional<std::size_t>> EfGameSolver::SpoilerNeeds(

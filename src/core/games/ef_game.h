@@ -26,9 +26,8 @@ namespace fmtk {
 /// The search runs on game_engine::GameSearch, shared with
 /// PebbleGameSolver: a transposition table persistent across queries (so
 /// SpoilerNeeds' iterative deepening reuses shallow results), incremental
-/// partial-isomorphism maintenance, swap-class pruning of spoiler moves and
-/// duplicator responses, and optional first-round parallel fan-out
-/// (GameOptions::parallel). This class adds only the EF move rule: every
+/// partial-isomorphism maintenance, and swap-class pruning of spoiler moves
+/// and duplicator responses. This class adds only the EF move rule: every
 /// unpinned spoiler representative must have a surviving response.
 ///
 /// Exact game solving is still exponential in the number of rounds — the
@@ -77,9 +76,6 @@ class EfGameSolver {
 
   // Decides the game value of ctx.position with `rounds` remaining.
   Result<bool> Wins(Context& ctx, std::size_t rounds);
-  // Can the duplicator answer the spoiler move (in_a, s) and win the rest?
-  Result<bool> MoveSurvivable(Context& ctx, std::size_t rounds_left,
-                              bool in_a, Element s);
 
   // Finds the duplicator response to a spoiler move that survives longest;
   // wins==true responses preferred. (Transcript construction only.)

@@ -1,19 +1,14 @@
 #ifndef FMTK_CORE_GAMES_GAME_ENGINE_H_
 #define FMTK_CORE_GAMES_GAME_ENGINE_H_
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "base/bitset.h"
 #include "base/flat_hash.h"
-#include "base/parallel.h"
 #include "base/result.h"
 #include "structures/isomorphism.h"
 #include "structures/relation.h"
@@ -39,13 +34,6 @@ struct GameStats {
 struct GameOptions {
   /// Abort with ResourceExhausted after this many game positions.
   std::uint64_t max_nodes = 20'000'000;
-  /// Optional fan-out of the first-round spoiler moves across threads.
-  /// Verdicts match the sequential search; per-thread transposition tables
-  /// are merged into the solver's shared table on join, and the node cap is
-  /// enforced globally via one shared counter. When the cap is hit in
-  /// parallel mode, ResourceExhausted may race a concurrently found
-  /// refutation — run sequentially for bit-exact error reproduction.
-  ParallelPolicy parallel;
 };
 
 namespace game_engine {
@@ -106,8 +94,7 @@ std::uint64_t TranspositionKey(std::uint64_t position_hash,
 ///
 /// Nullary relations are invisible to the incremental check (no tuple
 /// contains a new element); GameSearch pre-checks them once per search via
-/// NullaryRelationsAgree. Copyable — parallel workers copy the root
-/// position and diverge.
+/// NullaryRelationsAgree.
 class PositionState {
  public:
   /// All referenced objects must outlive the state.
@@ -160,17 +147,12 @@ bool NullaryRelationsAgree(const Structure& a, const Structure& b);
 /// The solver-specific part of a SearchContext for a game without one.
 struct NoState {};
 
-/// One search's mutable state: the incrementally maintained position, the
-/// solver's own per-search state (the pebble game's board), the
-/// transposition table to consult (the solver's own, or a worker's private
-/// one during the parallel first round), and counters merged into the
-/// solver's GameStats when the search returns.
+/// One search's mutable state: the incrementally maintained position and
+/// the solver's own per-search state (the pebble game's board).
 template <typename State = NoState>
 struct SearchContext {
   PositionState position;
   [[no_unique_address]] State state;
-  FlatU64Map<bool>* table;
-  GameStats local;
 };
 
 /// The search machinery of the EF and pebble solvers. Each solver owns one
@@ -180,10 +162,10 @@ struct SearchContext {
 /// The core owns the per-solver tables (occurrence lists, swap classes,
 /// element signatures and their buckets, Zobrist codes, the nullary check),
 /// the transposition table (persistent across queries, so iterative
-/// deepening reuses shallow results), the global node counter and
-/// GameStats. It seeds constants, probes the table and charges the node cap
-/// at each node's head, enumerates spoiler representatives and duplicator
-/// responses, and fans the first round out across threads.
+/// deepening reuses shallow results) and GameStats, whose nodes_explored is
+/// the node counter the cap is charged against. It seeds constants, probes
+/// the table and charges the node cap at each node's head, and enumerates
+/// spoiler representatives and duplicator responses.
 class GameSearch {
  public:
   /// The structures must outlive the search and have equal signatures.
@@ -195,16 +177,11 @@ class GameSearch {
   const GameStats& stats() const { return stats_; }
 
   /// Decides the `rounds`-round game from `initial` plus the constants in a
-  /// fresh context carrying `state`, and folds its counters into stats().
-  /// `wins(ctx, r)` decides a position with r rounds to play. When the
-  /// parallel policy fans the first round out, the duplicator survives iff
-  /// every spoiler representative move (in_a, s) has
-  /// `move_survivable(ctx, rounds - 1, in_a, s)`, each decided by a worker
-  /// in its own copy of the root context.
-  template <typename State, typename Wins, typename MoveSurvivable>
+  /// fresh context carrying `state`; `wins(ctx, r)` decides a position with
+  /// r rounds to play.
+  template <typename State, typename Wins>
   Result<bool> SolveRoot(const PartialMap& initial, std::size_t rounds,
-                         State state, Wins&& wins,
-                         MoveSurvivable&& move_survivable);
+                         State state, Wins&& wins);
 
   /// Decides ctx.position with `rounds` to play. No rounds left is a win
   /// (positions are kept partial isomorphisms); a transposition hit answers
@@ -222,16 +199,16 @@ class GameSearch {
   /// it; true when every call returned true.
   template <typename Ctx, typename OnPinned, typename OnMove>
   Result<bool> ForEachSpoilerMove(Ctx& ctx, OnPinned&& on_pinned,
-                                  OnMove&& on_move) const;
+                                  OnMove&& on_move);
 
   /// ForEachSpoilerMove where pinned elements are pruned: replaying one
   /// changes nothing.
   template <typename Ctx, typename OnMove>
-  Result<bool> ForEachSpoilerRepresentative(Ctx& ctx, OnMove&& on_move) const {
+  Result<bool> ForEachSpoilerRepresentative(Ctx& ctx, OnMove&& on_move) {
     return ForEachSpoilerMove(
         ctx,
-        [&ctx](bool, Element) -> Result<bool> {
-          ++ctx.local.moves_pruned;
+        [this](bool, Element) -> Result<bool> {
+          CountPruned();
           return true;
         },
         on_move);
@@ -243,8 +220,10 @@ class GameSearch {
   /// rest of the game, and taken off again. Stops at the first winning
   /// answer or error.
   template <typename Ctx, typename Play>
-  Result<bool> FindResponse(Ctx& ctx, bool in_a, Element s,
-                            Play&& play) const;
+  Result<bool> FindResponse(Ctx& ctx, bool in_a, Element s, Play&& play);
+
+  /// Counts one move skipped without expanding a child.
+  void CountPruned() { ++stats_.moves_pruned; }
 
  private:
   // One structure's immutable search tables.
@@ -263,9 +242,6 @@ class GameSearch {
   // outright).
   bool SeedPosition(PositionState& position, const PartialMap& initial) const;
   Status NodeCapExceeded() const;
-  template <typename Ctx, typename Wins, typename MoveSurvivable>
-  Result<bool> DecideRoot(Ctx& ctx, std::size_t rounds, Wins& wins,
-                          MoveSurvivable& move_survivable);
 
   const Structure& a_;
   const Structure& b_;
@@ -276,104 +252,20 @@ class GameSearch {
   bool nullary_ok_;
 
   FlatU64Map<bool> table_;
-  std::atomic<std::uint64_t> node_count_{0};
   GameStats stats_;
 };
 
-template <typename State, typename Wins, typename MoveSurvivable>
+template <typename State, typename Wins>
 Result<bool> GameSearch::SolveRoot(const PartialMap& initial,
                                    std::size_t rounds, State state,
-                                   Wins&& wins,
-                                   MoveSurvivable&& move_survivable) {
+                                   Wins&& wins) {
   SearchContext<State> ctx{
       PositionState(a_, b_, &sides_[0].occ, &sides_[1].occ, &zobrist_),
-      std::move(state), &table_, GameStats{}};
-  Result<bool> verdict = false;
-  if (SeedPosition(ctx.position, initial)) {
-    verdict = DecideRoot(ctx, rounds, wins, move_survivable);
+      std::move(state)};
+  if (!SeedPosition(ctx.position, initial)) {
+    return false;
   }
-  stats_.table_hits += ctx.local.table_hits;
-  stats_.moves_pruned += ctx.local.moves_pruned;
-  stats_.nodes_explored = node_count_.load(std::memory_order_relaxed);
-  return verdict;
-}
-
-template <typename Ctx, typename Wins, typename MoveSurvivable>
-Result<bool> GameSearch::DecideRoot(Ctx& ctx, std::size_t rounds, Wins& wins,
-                                    MoveSurvivable& move_survivable) {
-  const ParallelPolicy& policy = options_.parallel;
-  if (rounds == 0 || !policy.enabled) {
-    return wins(ctx, rounds);
-  }
-  const std::uint64_t pruned_before = ctx.local.moves_pruned;
-  std::vector<std::pair<bool, Element>> moves;
-  (void)ForEachSpoilerRepresentative(
-      ctx, [&moves](bool in_a, Element s) -> Result<bool> {
-        moves.emplace_back(in_a, s);
-        return true;
-      });
-  // 0 threads means hardware_concurrency; never more threads than moves.
-  std::size_t threads = policy.num_threads != 0
-                            ? policy.num_threads
-                            : std::thread::hardware_concurrency();
-  threads = std::min(std::max<std::size_t>(threads, 1), moves.size());
-  if (moves.size() < policy.min_domain || threads <= 1) {
-    ctx.local.moves_pruned = pruned_before;  // wins() prunes them again.
-    return wins(ctx, rounds);
-  }
-  // Strided assignment. Workers search against private tables (no lock on
-  // the hot path), stop once any move is refuted or any error is recorded,
-  // and merge their completed subgame results on the way out, however they
-  // stopped. The first recorded error wins over a racing refutation.
-  std::atomic<bool> spoiler_wins{false};
-  std::atomic<bool> failed{false};
-  std::mutex mu;
-  Status first_error = Status::OK();
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      FlatU64Map<bool> table;
-      Ctx worker{ctx.position, ctx.state, &table, GameStats{}};
-      for (std::size_t j = t; j < moves.size(); j += threads) {
-        if (spoiler_wins.load(std::memory_order_relaxed) ||
-            failed.load(std::memory_order_relaxed)) {
-          break;
-        }
-        Result<bool> survivable =
-            move_survivable(worker, rounds - 1, moves[j].first,
-                            moves[j].second);
-        if (!survivable.ok()) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (first_error.ok()) {
-            first_error = survivable.status();
-          }
-          failed.store(true, std::memory_order_relaxed);
-          break;
-        }
-        if (!*survivable) {
-          spoiler_wins.store(true, std::memory_order_relaxed);
-          break;
-        }
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      table.ForEach([&](const std::uint64_t& key, bool& value) {
-        ctx.table->TryEmplace(key, value);
-      });
-      ctx.local.table_hits += worker.local.table_hits;
-      ctx.local.moves_pruned += worker.local.moves_pruned;
-    });
-  }
-  for (std::thread& w : workers) {
-    w.join();
-  }
-  if (!first_error.ok()) {
-    return first_error;
-  }
-  const bool duplicator_wins = !spoiler_wins.load(std::memory_order_relaxed);
-  ctx.table->TryEmplace(TranspositionKey(ctx.position.hash(), rounds),
-                        duplicator_wins);
-  return duplicator_wins;
+  return wins(ctx, rounds);
 }
 
 template <typename Ctx, typename Expand>
@@ -382,22 +274,21 @@ Result<bool> GameSearch::Node(Ctx& ctx, std::size_t rounds, Expand&& expand) {
     return true;
   }
   const std::uint64_t key = TranspositionKey(ctx.position.hash(), rounds);
-  if (const bool* cached = ctx.table->Find(key)) {
-    ++ctx.local.table_hits;
+  if (const bool* cached = table_.Find(key)) {
+    ++stats_.table_hits;
     return *cached;
   }
-  if (node_count_.fetch_add(1, std::memory_order_relaxed) + 1 >
-      options_.max_nodes) {
+  if (++stats_.nodes_explored > options_.max_nodes) {
     return NodeCapExceeded();
   }
   FMTK_ASSIGN_OR_RETURN(const bool duplicator_wins, expand());
-  ctx.table->TryEmplace(key, duplicator_wins);
+  table_.TryEmplace(key, duplicator_wins);
   return duplicator_wins;
 }
 
 template <typename Ctx, typename OnPinned, typename OnMove>
 Result<bool> GameSearch::ForEachSpoilerMove(Ctx& ctx, OnPinned&& on_pinned,
-                                            OnMove&& on_move) const {
+                                            OnMove&& on_move) {
   for (int side = 0; side < 2; ++side) {
     const bool in_a = side == 0;
     const Side& from = sides_[side];
@@ -407,7 +298,7 @@ Result<bool> GameSearch::ForEachSpoilerMove(Ctx& ctx, OnPinned&& on_pinned,
       if (in_a ? ctx.position.PinnedInA(s) : ctx.position.PinnedInB(s)) {
         FMTK_ASSIGN_OR_RETURN(go_on, on_pinned(in_a, s));
       } else if (seen[from.swap_class[s]]) {
-        ++ctx.local.moves_pruned;
+        CountPruned();
       } else {
         seen[from.swap_class[s]] = true;
         FMTK_ASSIGN_OR_RETURN(go_on, on_move(in_a, s));
@@ -422,7 +313,7 @@ Result<bool> GameSearch::ForEachSpoilerMove(Ctx& ctx, OnPinned&& on_pinned,
 
 template <typename Ctx, typename Play>
 Result<bool> GameSearch::FindResponse(Ctx& ctx, bool in_a, Element s,
-                                      Play&& play) const {
+                                      Play&& play) {
   const Side& to = sides_[in_a ? 1 : 0];
   // The response-side elements sharing the spoiler element's signature;
   // null when no element over there carries it.
@@ -436,18 +327,18 @@ Result<bool> GameSearch::FindResponse(Ctx& ctx, bool in_a, Element s,
     // decided by its representative (same automorphism argument as for
     // spoiler moves); a TryAdd failure is a broken (losing) response.
     if (in_a ? ctx.position.PinnedInB(d) : ctx.position.PinnedInA(d)) {
-      ++ctx.local.moves_pruned;
+      CountPruned();
       return false;
     }
     if (seen[to.swap_class[d]]) {
-      ++ctx.local.moves_pruned;
+      CountPruned();
       return false;
     }
     seen[to.swap_class[d]] = true;
     const Element x = in_a ? s : d;
     const Element y = in_a ? d : s;
     if (!ctx.position.TryAdd(x, y)) {
-      ++ctx.local.moves_pruned;
+      CountPruned();
       return false;
     }
     Result<bool> wins = play(x, y);

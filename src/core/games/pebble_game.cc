@@ -23,7 +23,7 @@ Result<bool> PebbleGameSolver::Wins(Context& ctx, std::size_t rounds) {
                           ctx.position.CountOfA(placement->first) == 1;
       if (!unique) {
         if (tried_free) {
-          ++ctx.local.moves_pruned;
+          core_.CountPruned();
           continue;
         }
         tried_free = true;
@@ -58,7 +58,7 @@ Result<bool> PebbleGameSolver::AllTargetsSurvivable(Context& ctx,
           // A free-equivalent pebble onto a pinned element is a pass: the
           // forced reply leaves the pair set unchanged with fewer rounds,
           // which by round monotonicity never helps the spoiler.
-          ++ctx.local.moves_pruned;
+          core_.CountPruned();
           return true;
         }
         // Lifting a unique holder shrank the set; re-pinning onto a still
@@ -73,7 +73,11 @@ Result<bool> PebbleGameSolver::AllTargetsSurvivable(Context& ctx,
         return wins;
       },
       [&](bool in_a, Element s) {
-        return ResponseExists(ctx, rounds_left, p, in_a, s);
+        // Pebble p onto unpinned s: a winning duplicator response must
+        // exist.
+        return core_.FindResponse(ctx, in_a, s, [&](Element x, Element y) {
+          return Place(ctx, rounds_left, p, x, y);
+        });
       });
 }
 
@@ -85,24 +89,10 @@ Result<bool> PebbleGameSolver::Place(Context& ctx, std::size_t rounds_left,
   return wins;
 }
 
-Result<bool> PebbleGameSolver::ResponseExists(Context& ctx,
-                                              std::size_t rounds_left,
-                                              std::size_t p, bool in_a,
-                                              Element s) {
-  return core_.FindResponse(ctx, in_a, s, [&](Element x, Element y) {
-    return Place(ctx, rounds_left, p, x, y);
-  });
-}
-
 Result<bool> PebbleGameSolver::DuplicatorWins(std::size_t rounds) {
-  // From the empty board every pebble is free-equivalent, so the first
-  // round's moves are pebble 0 onto one target per swap class.
   return core_.SolveRoot(
       {}, rounds, Board(pebbles_),
-      [this](Context& ctx, std::size_t r) { return Wins(ctx, r); },
-      [this](Context& ctx, std::size_t rounds_left, bool in_a, Element s) {
-        return ResponseExists(ctx, rounds_left, 0, in_a, s);
-      });
+      [this](Context& ctx, std::size_t r) { return Wins(ctx, r); });
 }
 
 }  // namespace fmtk

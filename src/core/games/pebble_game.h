@@ -75,10 +75,6 @@ class PebbleGameSolver {
   // duplicator win the rest?
   Result<bool> Place(Context& ctx, std::size_t rounds_left, std::size_t p,
                      Element x, Element y);
-  // Spoiler puts pebble p on unpinned element s: does a winning duplicator
-  // response exist?
-  Result<bool> ResponseExists(Context& ctx, std::size_t rounds_left,
-                              std::size_t p, bool in_a, Element s);
 
   std::size_t pebbles_;
   game_engine::GameSearch core_;

@@ -8,16 +8,15 @@
 namespace fmtk {
 
 bool HanfEquivalent(const Structure& a, const Structure& b,
-                    std::size_t radius, NeighborhoodTypeIndex& index,
-                    const ParallelPolicy& policy) {
+                    std::size_t radius, NeighborhoodTypeIndex& index) {
   if (!(a.signature() == b.signature()) ||
       a.domain_size() != b.domain_size()) {
     return false;
   }
   LocalityEngine engine_a(a);
   LocalityEngine engine_b(b);
-  return engine_a.TypeHistogram(radius, index, policy) ==
-         engine_b.TypeHistogram(radius, index, policy);
+  return engine_a.TypeHistogram(radius, index) ==
+         engine_b.TypeHistogram(radius, index);
 }
 
 bool HanfEquivalent(const Structure& a, const Structure& b,
@@ -28,17 +27,16 @@ bool HanfEquivalent(const Structure& a, const Structure& b,
 
 bool ThresholdHanfEquivalent(const Structure& a, const Structure& b,
                              std::size_t radius, std::size_t threshold,
-                             NeighborhoodTypeIndex& index,
-                             const ParallelPolicy& policy) {
+                             NeighborhoodTypeIndex& index) {
   if (!(a.signature() == b.signature())) {
     return false;
   }
   LocalityEngine engine_a(a);
   LocalityEngine engine_b(b);
   std::map<NeighborhoodTypeIndex::TypeId, std::size_t> ha =
-      engine_a.TypeHistogram(radius, index, policy);
+      engine_a.TypeHistogram(radius, index);
   std::map<NeighborhoodTypeIndex::TypeId, std::size_t> hb =
-      engine_b.TypeHistogram(radius, index, policy);
+      engine_b.TypeHistogram(radius, index);
   auto count = [](const std::map<NeighborhoodTypeIndex::TypeId, std::size_t>&
                       h,
                   NeighborhoodTypeIndex::TypeId id) -> std::size_t {

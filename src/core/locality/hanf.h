@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <optional>
 
-#include "base/parallel.h"
 #include "core/locality/neighborhood.h"
 #include "structures/structure.h"
 
@@ -15,11 +14,9 @@ namespace fmtk {
 /// decided here — the two structures have the same multiset of
 /// r-neighborhood types (Hall's theorem collapses the bijection search,
 /// since "same type" is an equivalence relation). One LocalityEngine per
-/// structure computes both histograms; `policy` fans the per-element work
-/// out without changing any verdict, id, or counter.
+/// structure computes both histograms.
 bool HanfEquivalent(const Structure& a, const Structure& b,
-                    std::size_t radius, NeighborhoodTypeIndex& index,
-                    const ParallelPolicy& policy = {});
+                    std::size_t radius, NeighborhoodTypeIndex& index);
 
 /// Convenience overload with a throwaway type index.
 bool HanfEquivalent(const Structure& a, const Structure& b,
@@ -31,8 +28,7 @@ bool HanfEquivalent(const Structure& a, const Structure& b,
 /// equal cardinalities.
 bool ThresholdHanfEquivalent(const Structure& a, const Structure& b,
                              std::size_t radius, std::size_t threshold,
-                             NeighborhoodTypeIndex& index,
-                             const ParallelPolicy& policy = {});
+                             NeighborhoodTypeIndex& index);
 
 bool ThresholdHanfEquivalent(const Structure& a, const Structure& b,
                              std::size_t radius, std::size_t threshold);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "base/bitset.h"
@@ -469,9 +468,9 @@ std::size_t LocalityEngine::CachedMaxDegree(std::size_t rel_index) const {
 }
 
 std::map<NeighborhoodTypeIndex::TypeId, std::size_t>
-LocalityEngine::TypeHistogram(std::size_t radius, NeighborhoodTypeIndex& index,
-                              const ParallelPolicy& policy) const {
-  return HistogramCore(radius, nullptr, index, policy);
+LocalityEngine::TypeHistogram(std::size_t radius,
+                              NeighborhoodTypeIndex& index) const {
+  return HistogramCore(radius, nullptr, index);
 }
 
 NeighborhoodSweep LocalityEngine::NewSweep() const {
@@ -533,144 +532,105 @@ LocalityEngine::BallSizeHistogram(std::size_t radius) const {
 std::map<NeighborhoodTypeIndex::TypeId, std::size_t>
 LocalityEngine::HistogramCore(
     std::size_t radius, const std::vector<std::vector<Element>>* stored_balls,
-    NeighborhoodTypeIndex& index, const ParallelPolicy& policy) const {
+    NeighborhoodTypeIndex& index) const {
   // Phase A: per-element balls deduplicated by literal content BEFORE any
   // materialization — each ball is stream-hashed off the occurrence lists
-  // and compared against (1) the chunk's own entries and (2) the index's
+  // and compared against (1) this pass's own entries and (2) the index's
   // exact-content cache, which previous histogram passes populated with
   // every distinct content they saw. A cache hit resolves straight to a
   // TypeId with no Structure build and no canonicalization (the second
   // structure of a Hanf comparison shares almost all its ball contents
   // with the first); only genuinely novel contents are materialized and
-  // canonicalized, once each. The index is only read here — it is mutated
-  // exclusively in the merge phase, after every chunk has joined — so
-  // concurrent chunk probes are safe. Chunks are contiguous element
-  // ranges, so every per-chunk "first element" is a chunk-local minimum
-  // and the merge below recovers the global one.
-  struct LocalEntry {
+  // canonicalized, once each. The index is only read here. Entries are
+  // created in element order, so each one's exemplar is its content's
+  // first realizing element.
+  struct Entry {
     const Neighborhood* exemplar = nullptr;  // owned or index-owned
-    Neighborhood* owned = nullptr;  // set when this chunk materialized it
+    Neighborhood* owned = nullptr;  // set when this pass materialized it
     std::optional<NeighborhoodTypeIndex::TypeId> direct;  // content-cache hit
     std::optional<CanonicalCode> code;
     std::size_t content_hash = 0;
     std::size_t count = 0;
-    Element first_elem = 0;
   };
-  struct ChunkResult {
-    std::deque<Neighborhood> owned;  // deque: stable exemplar addresses
-    std::vector<LocalEntry> entries;
-    LocalityStats stats;
-  };
-  const bool canon = index.canonical_enabled();
-  auto run_chunk = [&](Element begin, Element end, ChunkResult& out) {
-    Scratch scratch(domain_size_);
-    std::vector<Element> fresh_ball;
-    Tuple center(1);
-    FlatU64Map<std::vector<std::uint32_t>> by_hash;
-    constexpr std::uint32_t kNoPrev = static_cast<std::uint32_t>(-1);
-    std::uint32_t prev = kNoPrev;
-    for (Element v = begin; v < end; ++v) {
-      center[0] = v;
-      const std::vector<Element>* ball;
-      if (stored_balls != nullptr) {
-        ball = &(*stored_balls)[v];
-      } else {
-        BallInto(scratch, center, radius, fresh_ball, nullptr, out.stats);
-        ball = &fresh_ball;
+  std::deque<Neighborhood> owned;  // deque: stable exemplar addresses
+  std::vector<Entry> entries;
+  std::vector<Element> fresh_ball;
+  Tuple center(1);
+  FlatU64Map<std::vector<std::uint32_t>> by_hash;
+  constexpr std::uint32_t kNoPrev = static_cast<std::uint32_t>(-1);
+  std::uint32_t prev = kNoPrev;
+  for (Element v = 0; v < domain_size_; ++v) {
+    center[0] = v;
+    const std::vector<Element>* ball;
+    if (stored_balls != nullptr) {
+      ball = &(*stored_balls)[v];
+    } else {
+      BallInto(scratch_, center, radius, fresh_ball, nullptr, stats_);
+      ball = &fresh_ball;
+    }
+    IndexBall(scratch_, *ball);
+    // Identical contents come in element-contiguous runs (shifted interior
+    // balls of a regular structure), so one streaming compare against the
+    // previous element's entry usually replaces the hash + probe. A hit
+    // lands in the exact entry the by_hash probe would have found, so the
+    // outcome is unchanged.
+    if (prev != kNoPrev && BallContentMatches(scratch_, *ball, center,
+                                              *entries[prev].exemplar)) {
+      ++entries[prev].count;
+      continue;
+    }
+    const std::size_t h = BallContentHash(scratch_, *ball, center);
+    std::vector<std::uint32_t>& row = by_hash[h];
+    bool merged = false;
+    for (std::uint32_t idx : row) {
+      if (BallContentMatches(scratch_, *ball, center,
+                             *entries[idx].exemplar)) {
+        ++entries[idx].count;
+        prev = idx;
+        merged = true;
+        break;
       }
-      IndexBall(scratch, *ball);
-      // Identical contents come in element-contiguous runs (shifted interior
-      // balls of a regular structure), so one streaming compare against the
-      // previous element's entry usually replaces the hash + probe. A hit
-      // lands in the exact entry the by_hash probe would have found, so the
-      // outcome is unchanged.
-      if (prev != kNoPrev && BallContentMatches(scratch, *ball, center,
-                                                *out.entries[prev].exemplar)) {
-        ++out.entries[prev].count;
-        continue;
-      }
-      const std::size_t h = BallContentHash(scratch, *ball, center);
-      std::vector<std::uint32_t>& row = by_hash[h];
-      bool merged = false;
-      for (std::uint32_t idx : row) {
-        if (BallContentMatches(scratch, *ball, center,
-                               *out.entries[idx].exemplar)) {
-          ++out.entries[idx].count;
-          prev = idx;
-          merged = true;
+    }
+    if (merged) {
+      continue;
+    }
+    Entry entry;
+    entry.count = 1;
+    entry.content_hash = h;
+    if (const auto* cache_row = index.exact_cache_.Find(h)) {
+      for (const auto& [cached, cached_id] : *cache_row) {
+        if (BallContentMatches(scratch_, *ball, center, *cached)) {
+          entry.exemplar = cached;
+          entry.direct = cached_id;
           break;
         }
       }
-      if (merged) {
-        continue;
-      }
-      LocalEntry entry;
-      entry.count = 1;
-      entry.first_elem = v;
-      entry.content_hash = h;
-      if (const auto* cache_row = index.exact_cache_.Find(h)) {
-        for (const auto& [cached, cached_id] : *cache_row) {
-          if (BallContentMatches(scratch, *ball, center, *cached)) {
-            entry.exemplar = cached;
-            entry.direct = cached_id;
-            break;
-          }
-        }
-      }
-      if (!entry.direct.has_value()) {
-        out.owned.push_back(MaterializeFromBall(scratch, *ball, center));
-        entry.owned = &out.owned.back();
-        entry.exemplar = entry.owned;
-      }
-      prev = static_cast<std::uint32_t>(out.entries.size());
-      row.push_back(prev);
-      out.entries.push_back(std::move(entry));
     }
-    // Canonicalization is a function of content, so once per distinct
-    // content suffices; the counters stay element-based (the entry count),
-    // which keeps them independent of the chunking.
-    for (LocalEntry& en : out.entries) {
-      if (en.direct.has_value()) {
-        continue;
-      }
-      en.code = canon ? CanonicalNeighborhoodCode(*en.exemplar) : std::nullopt;
-      if (en.code.has_value()) {
-        out.stats.canon_codes += en.count;
-      }
+    if (!entry.direct.has_value()) {
+      owned.push_back(MaterializeFromBall(scratch_, *ball, center));
+      entry.owned = &owned.back();
+      entry.exemplar = entry.owned;
     }
-  };
-  std::size_t threads = 1;
-  if (policy.enabled && domain_size_ >= policy.min_domain) {
-    threads = policy.num_threads != 0 ? policy.num_threads
-                                      : std::thread::hardware_concurrency();
-    threads = std::max<std::size_t>(1, std::min(threads, domain_size_));
+    prev = static_cast<std::uint32_t>(entries.size());
+    row.push_back(prev);
+    entries.push_back(std::move(entry));
   }
-  std::vector<ChunkResult> chunks(threads);
-  if (threads == 1) {
-    run_chunk(0, static_cast<Element>(domain_size_), chunks[0]);
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(threads - 1);
-    for (std::size_t t = 1; t < threads; ++t) {
-      const Element begin = static_cast<Element>(domain_size_ * t / threads);
-      const Element end =
-          static_cast<Element>(domain_size_ * (t + 1) / threads);
-      workers.emplace_back(
-          [&run_chunk, begin, end, &chunks, t] { run_chunk(begin, end, chunks[t]); });
+  // Canonicalization is a function of content, so once per distinct
+  // content suffices; the counters stay element-based (the entry count).
+  const bool canon = index.canonical_enabled();
+  for (Entry& en : entries) {
+    if (en.direct.has_value()) {
+      continue;
     }
-    run_chunk(0, static_cast<Element>(domain_size_ / threads), chunks[0]);
-    for (std::thread& w : workers) {
-      w.join();
+    en.code = canon ? CanonicalNeighborhoodCode(*en.exemplar) : std::nullopt;
+    if (en.code.has_value()) {
+      stats_.canon_codes += en.count;
     }
   }
-  // Phase B: deterministic merge. Counts add up, the first realizing
-  // element is the minimum over chunks, and processing in element order
-  // makes TypeId assignment — and every counter — identical to the
-  // sequential (single-chunk) run regardless of thread count. Chunks cover
-  // ascending contiguous ranges, so iterating chunk entries in order also
-  // reproduces the sequential content-registration order exactly.
+  // Phase B: intern. Entries with equal codes pool their counts under the
+  // first one, and types are interned in entry (first-element) order, so
+  // TypeIds follow the first realizing element.
   struct Pending {
-    Element first_elem;
     const CanonicalCode* code;  // null marks a fallback entry
     std::size_t count;
     const Neighborhood* exemplar;
@@ -679,79 +639,51 @@ LocalityEngine::HistogramCore(
   std::vector<Pending> pendings;
   std::map<NeighborhoodTypeIndex::TypeId, std::size_t> histogram;
   std::uint64_t direct_hits = 0;
-  for (ChunkResult& chunk : chunks) {
-    for (const LocalEntry& en : chunk.entries) {
-      if (en.direct.has_value()) {
-        histogram[*en.direct] += en.count;
-        direct_hits += en.count;
-      } else if (en.code.has_value()) {
-        auto [slot, inserted] = slot_of.TryEmplace(*en.code, pendings.size());
-        if (inserted) {
-          // Point at the chunk-owned code, not into the map: the flat map
-          // relocates its keys on rehash, and the entry vectors are frozen
-          // for the rest of the merge.
-          pendings.push_back(
-              Pending{en.first_elem, &*en.code, en.count, en.exemplar});
-        } else {
-          Pending& p = pendings[*slot];
-          p.count += en.count;
-          if (en.first_elem < p.first_elem) {
-            p.first_elem = en.first_elem;
-            p.exemplar = en.exemplar;
-          }
-        }
+  for (const Entry& en : entries) {
+    if (en.direct.has_value()) {
+      histogram[*en.direct] += en.count;
+      direct_hits += en.count;
+    } else if (en.code.has_value()) {
+      auto [slot, inserted] = slot_of.TryEmplace(*en.code, pendings.size());
+      if (inserted) {
+        // Point at the entry's code, not into the map: the flat map
+        // relocates its keys on rehash, and `entries` is frozen from here.
+        pendings.push_back(Pending{&*en.code, en.count, en.exemplar});
       } else {
-        pendings.push_back(
-            Pending{en.first_elem, nullptr, en.count, en.exemplar});
+        pendings[*slot].count += en.count;
       }
+    } else {
+      pendings.push_back(Pending{nullptr, en.count, en.exemplar});
     }
   }
-  std::vector<std::size_t> order(pendings.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  std::sort(order.begin(), order.end(), [&pendings](std::size_t a,
-                                                    std::size_t b) {
-    return pendings[a].first_elem < pendings[b].first_elem;
-  });
   std::vector<NeighborhoodTypeIndex::TypeId> id_of(pendings.size(), 0);
-  LocalityStats merge_stats;
-  for (std::size_t i : order) {
+  for (std::size_t i = 0; i < pendings.size(); ++i) {
     const Pending& p = pendings[i];
     if (p.code != nullptr) {
       NeighborhoodTypeIndex::Resolution res = index.Resolve(*p.code,
                                                             *p.exemplar);
-      merge_stats.canon_hits += (res.was_new ? 0 : 1) + (p.count - 1);
-      histogram[res.id] += p.count;
+      stats_.canon_hits += (res.was_new ? 0 : 1) + (p.count - 1);
       id_of[i] = res.id;
     } else {
       const std::uint64_t before = index.stats().iso_tests;
-      const NeighborhoodTypeIndex::TypeId id =
-          index.FallbackTypeOf(*p.exemplar);
-      merge_stats.iso_tests += index.stats().iso_tests - before;
-      histogram[id] += p.count;
-      id_of[i] = id;
+      id_of[i] = index.FallbackTypeOf(*p.exemplar);
+      stats_.iso_tests += index.stats().iso_tests - before;
     }
+    histogram[id_of[i]] += p.count;
   }
   // Register every distinct coded content so later passes — in particular
   // the other structure of a Hanf comparison sharing this index — resolve
-  // it by content probe alone. This is the chunk exemplars' last use, so
+  // it by content probe alone. This is the exemplars' last use, so
   // ownership moves into the index instead of copying.
-  for (ChunkResult& chunk : chunks) {
-    for (LocalEntry& en : chunk.entries) {
-      if (en.code.has_value() && en.owned != nullptr) {
-        const std::size_t* slot = slot_of.Find(*en.code);
-        FMTK_CHECK(slot != nullptr) << "coded content missing from the merge";
-        index.RegisterContent(std::move(*en.owned), id_of[*slot],
-                              en.content_hash);
-      }
+  for (Entry& en : entries) {
+    if (en.code.has_value() && en.owned != nullptr) {
+      const std::size_t* slot = slot_of.Find(*en.code);
+      FMTK_CHECK(slot != nullptr) << "coded content missing from the merge";
+      index.RegisterContent(std::move(*en.owned), id_of[*slot],
+                            en.content_hash);
     }
   }
   index.stats_.exact_hits += direct_hits;
-  for (const ChunkResult& chunk : chunks) {
-    stats_ += chunk.stats;
-  }
-  stats_ += merge_stats;
   return histogram;
 }
 
@@ -774,8 +706,7 @@ const std::vector<Element>& NeighborhoodSweep::BallOf(Element v) const {
 
 std::map<NeighborhoodTypeIndex::TypeId, std::size_t>
 NeighborhoodSweep::HistogramAt(std::size_t radius,
-                               NeighborhoodTypeIndex& index,
-                               const ParallelPolicy& policy) {
+                               NeighborhoodTypeIndex& index) {
   FMTK_CHECK(radius >= radius_) << "sweep radii must be nondecreasing";
   while (radius_ < radius) {
     for (Element v = 0; v < engine_->domain_size(); ++v) {
@@ -784,7 +715,7 @@ NeighborhoodSweep::HistogramAt(std::size_t radius,
     }
     ++radius_;
   }
-  return engine_->HistogramCore(radius_, &balls_, index, policy);
+  return engine_->HistogramCore(radius_, &balls_, index);
 }
 
 }  // namespace fmtk

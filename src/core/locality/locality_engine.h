@@ -10,15 +10,13 @@
 #include <vector>
 
 #include "base/flat_hash.h"
-#include "base/parallel.h"
 #include "core/locality/neighborhood.h"
 #include "structures/structure.h"
 
 namespace fmtk {
 
 /// Counters for the locality engine, in the style of EvalStats / GameStats /
-/// DatalogStats. Deterministic: a parallel histogram run reports exactly the
-/// numbers of the sequential run.
+/// DatalogStats. Deterministic: a function of the structure and the calls.
 struct LocalityStats {
   /// Balls extracted by a fresh bounded BFS (radius-incremental extensions
   /// are counted under frontier_reuses instead).
@@ -56,8 +54,7 @@ class NeighborhoodSweep {
 
   /// The r-neighborhood type histogram at `radius` (>= the current radius).
   std::map<NeighborhoodTypeIndex::TypeId, std::size_t> HistogramAt(
-      std::size_t radius, NeighborhoodTypeIndex& index,
-      const ParallelPolicy& policy = {});
+      std::size_t radius, NeighborhoodTypeIndex& index);
 
   /// The current-radius ball of `v`, sorted ascending.
   const std::vector<Element>& BallOf(Element v) const;
@@ -79,8 +76,7 @@ class NeighborhoodSweep {
 /// allocations. The referenced structure must outlive the engine.
 ///
 /// Thread-safety: const methods are safe to call from one thread at a time
-/// (they share the internal scratch); TypeHistogram fans out internally
-/// with per-thread scratch when given an enabled ParallelPolicy.
+/// (they share the internal scratch and counters).
 class LocalityEngine {
  public:
   explicit LocalityEngine(const Structure& s);
@@ -96,15 +92,12 @@ class LocalityEngine {
   /// structure, set semantics) to NeighborhoodOf on the same inputs.
   Neighborhood NeighborhoodAt(const Tuple& center, std::size_t radius) const;
 
-  /// Multiset of the r-neighborhood types of all single points. With an
-  /// enabled policy the per-element work (ball extraction, neighborhood
-  /// materialization, canonicalization) fans out across threads into
-  /// thread-local code->count maps which are then merged and interned in
-  /// one deterministic pass ordered by first realizing element — TypeIds,
-  /// histograms, and stats are bit-identical to the sequential run.
+  /// Multiset of the r-neighborhood types of all single points. One scan
+  /// extracts, deduplicates and canonicalizes the balls; a second pass
+  /// interns the distinct codes ordered by first realizing element, so new
+  /// TypeIds follow element order.
   std::map<NeighborhoodTypeIndex::TypeId, std::size_t> TypeHistogram(
-      std::size_t radius, NeighborhoodTypeIndex& index,
-      const ParallelPolicy& policy = {}) const;
+      std::size_t radius, NeighborhoodTypeIndex& index) const;
 
   /// Ball-size histograms for every radius r = 0..radius in one pass:
   /// result[r][s] = number of elements v with |B_r(v)| == s. Cheaper than a
@@ -228,7 +221,7 @@ class LocalityEngine {
   std::map<NeighborhoodTypeIndex::TypeId, std::size_t> HistogramCore(
       std::size_t radius,
       const std::vector<std::vector<Element>>* stored_balls,
-      NeighborhoodTypeIndex& index, const ParallelPolicy& policy) const;
+      NeighborhoodTypeIndex& index) const;
 
   const Structure* s_;
   std::size_t domain_size_;

@@ -98,8 +98,8 @@ class NeighborhoodTypeIndex {
   /// Interns a type by its precomputed canonical code. `exemplar` must be a
   /// neighborhood whose CanonicalNeighborhoodCode is `code`; it becomes the
   /// type representative when the code is new. Used by LocalityEngine's
-  /// histogram merge, which computes codes in parallel and interns them in
-  /// one deterministic pass.
+  /// histogram, which computes every code first and then interns them in
+  /// first-element order.
   struct Resolution {
     TypeId id;
     bool was_new;

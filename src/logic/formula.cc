@@ -1,5 +1,6 @@
 #include "logic/formula.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/check.h"
@@ -11,6 +12,9 @@ using internal_logic::FormulaNode;
 Formula::Formula() : Formula(True()) {}
 
 Formula Formula::Make(FormulaNode node) {
+  for (const Formula& c : node.children) {
+    node.height = std::max(node.height, c.height() + 1);
+  }
   return Formula(std::make_shared<const FormulaNode>(std::move(node)));
 }
 

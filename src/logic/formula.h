@@ -56,6 +56,7 @@ struct FormulaNode {
   std::vector<Formula> children;   // connectives and quantifier bodies.
   std::string variable;            // quantifiers.
   std::size_t count = 0;           // kCountExists: the threshold k.
+  std::size_t height = 1;          // Set by Formula::Make.
 };
 }  // namespace internal_logic
 
@@ -100,6 +101,10 @@ class Formula {
 
   /// Number of AST nodes (for size accounting in benches).
   std::size_t NodeCount() const;
+
+  /// Nodes on the longest root-to-leaf path (an atom has height 1): the
+  /// recursion depth of every recursive pass over the formula. O(1).
+  std::size_t height() const { return node_->height; }
 
   /// Stable identity of the shared AST node — usable as a memoization key
   /// (two Formulas sharing a subtree compare equal here; structurally equal

@@ -203,14 +203,38 @@ class Parser {
     return prev.offset + prev.text.size();
   }
 
-  // Records [start, end-of-consumed-input) as the span of `f`'s node.
-  // Desugared inner nodes (nested quantifier blocks) stay untagged; the
-  // analyzer falls back to the nearest tagged ancestor.
-  Formula Tag(Formula f, std::size_t start) {
+  // Records [start, end-of-consumed-input) as the span of `f`'s node, or
+  // rejects `f` when it is taller than the nesting cap. Desugared inner
+  // nodes (nested quantifier blocks) stay untagged; the analyzer falls back
+  // to the nearest tagged ancestor.
+  Result<Formula> Tag(Formula f, std::size_t start) {
+    if (f.height() > kMaxFormulaNesting) {
+      return TooDeep(start);
+    }
     if (spans_ != nullptr) {
       spans_->Set(f, SourceSpan::Of(start, EndOfConsumed() - start));
     }
     return f;
+  }
+
+  // Runs `parse` one text nesting level deeper, opened by the token just
+  // consumed; fails past the limit before the recursion can exhaust the
+  // stack.
+  Result<Formula> Nested(Result<Formula> (Parser::*parse)()) {
+    if (depth_ == 2 * kMaxFormulaNesting) {
+      return TooDeep(tokens_[pos_ - 1].offset);
+    }
+    ++depth_;
+    Result<Formula> f = (this->*parse)();
+    --depth_;
+    return f;
+  }
+
+  // The construct starting at `offset` nests past the cap.
+  static Status TooDeep(std::size_t offset) {
+    return Status::ParseError("formula nests deeper than " +
+                              std::to_string(kMaxFormulaNesting) +
+                              " levels at offset " + std::to_string(offset));
   }
 
   Status Error(const std::string& message) const {
@@ -225,7 +249,8 @@ class Parser {
     while (Peek().kind == TokenKind::kIff) {
       Advance();
       FMTK_ASSIGN_OR_RETURN(Formula right, ParseImplies());
-      left = Tag(Formula::Iff(std::move(left), std::move(right)), start);
+      FMTK_ASSIGN_OR_RETURN(
+          left, Tag(Formula::Iff(std::move(left), std::move(right)), start));
     }
     return left;
   }
@@ -235,7 +260,7 @@ class Parser {
     FMTK_ASSIGN_OR_RETURN(Formula left, ParseOr());
     if (Peek().kind == TokenKind::kImplies) {
       Advance();
-      FMTK_ASSIGN_OR_RETURN(Formula right, ParseImplies());
+      FMTK_ASSIGN_OR_RETURN(Formula right, Nested(&Parser::ParseImplies));
       return Tag(Formula::Implies(std::move(left), std::move(right)), start);
     }
     return left;
@@ -247,7 +272,8 @@ class Parser {
     while (Peek().kind == TokenKind::kOr || IsKeyword(Peek(), "or")) {
       Advance();
       FMTK_ASSIGN_OR_RETURN(Formula right, ParseAnd());
-      left = Tag(Formula::Or(std::move(left), std::move(right)), start);
+      FMTK_ASSIGN_OR_RETURN(
+          left, Tag(Formula::Or(std::move(left), std::move(right)), start));
     }
     return left;
   }
@@ -258,7 +284,8 @@ class Parser {
     while (Peek().kind == TokenKind::kAnd || IsKeyword(Peek(), "and")) {
       Advance();
       FMTK_ASSIGN_OR_RETURN(Formula right, ParseUnary());
-      left = Tag(Formula::And(std::move(left), std::move(right)), start);
+      FMTK_ASSIGN_OR_RETURN(
+          left, Tag(Formula::And(std::move(left), std::move(right)), start));
     }
     return left;
   }
@@ -267,7 +294,7 @@ class Parser {
     const std::size_t start = Peek().offset;
     if (Peek().kind == TokenKind::kNot || IsKeyword(Peek(), "not")) {
       Advance();
-      FMTK_ASSIGN_OR_RETURN(Formula f, ParseUnary());
+      FMTK_ASSIGN_OR_RETURN(Formula f, Nested(&Parser::ParseUnary));
       return Tag(Formula::Not(std::move(f)), start);
     }
     if (IsKeyword(Peek(), "atleast")) {
@@ -296,7 +323,7 @@ class Parser {
         return Error("expected '.' after the counting quantifier");
       }
       Advance();
-      FMTK_ASSIGN_OR_RETURN(Formula body, ParseIff());
+      FMTK_ASSIGN_OR_RETURN(Formula body, Nested(&Parser::ParseIff));
       return Tag(
           Formula::CountExists(static_cast<std::size_t>(*count),
                                std::move(variable), std::move(body)),
@@ -325,8 +352,12 @@ class Parser {
       Advance();
       // The quantifier's scope extends as far right as possible. Only the
       // outermost node of the desugared block is tagged; the analyzer falls
-      // back to it for the inner per-variable quantifier nodes.
-      FMTK_ASSIGN_OR_RETURN(Formula body, ParseIff());
+      // back to it for the inner per-variable quantifier nodes, whose
+      // height is checked before they are built.
+      FMTK_ASSIGN_OR_RETURN(Formula body, Nested(&Parser::ParseIff));
+      if (body.height() + variables.size() > kMaxFormulaNesting) {
+        return TooDeep(start);
+      }
       return Tag(is_exists ? Formula::Exists(variables, std::move(body))
                            : Formula::Forall(variables, std::move(body)),
                  start);
@@ -345,7 +376,7 @@ class Parser {
     const std::size_t start = Peek().offset;
     if (Peek().kind == TokenKind::kLParen) {
       Advance();
-      FMTK_ASSIGN_OR_RETURN(Formula f, ParseIff());
+      FMTK_ASSIGN_OR_RETURN(Formula f, Nested(&Parser::ParseIff));
       if (Peek().kind != TokenKind::kRParen) {
         return Error("expected ')'");
       }
@@ -406,8 +437,9 @@ class Parser {
         Term right = ResolveTerm(Advance().text);
         // "x != y" desugars to !(x = y); tag both nodes with the surface
         // span so diagnostics on either point at the inequality.
-        Formula equal = Tag(Formula::Equal(std::move(left), std::move(right)),
-                            start);
+        FMTK_ASSIGN_OR_RETURN(
+            Formula equal,
+            Tag(Formula::Equal(std::move(left), std::move(right)), start));
         return Tag(Formula::Not(std::move(equal)), start);
       }
       case TokenKind::kLess: {
@@ -429,6 +461,7 @@ class Parser {
   const Signature* signature_;
   FormulaSpans* spans_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // nesting levels open around the current token
 };
 
 }  // namespace

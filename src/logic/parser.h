@@ -1,6 +1,7 @@
 #ifndef FMTK_LOGIC_PARSER_H_
 #define FMTK_LOGIC_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 #include <unordered_map>
 
@@ -41,6 +42,16 @@ struct ParsedFormula {
   Formula formula;
   FormulaSpans spans;
 };
+
+/// The tallest formula (Formula::height) ParseFormula admits. The text may
+/// nest at most twice as many parentheses, negations, quantifiers and "->"
+/// right operands around any point: ToString adds at most one parenthesis
+/// per node, so every formula within the cap round-trips. Deeper input is
+/// a ParseError at the offset where the limit is crossed. The cap keeps the
+/// parser and every recursive pass over an admitted formula (printing,
+/// canonicalization, analysis, compilation, evaluation, destruction) well
+/// inside a query-server worker's 8 MB thread stack.
+inline constexpr std::size_t kMaxFormulaNesting = 128;
 
 /// Parses the toolkit's FO surface syntax:
 ///

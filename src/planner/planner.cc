@@ -608,8 +608,8 @@ Result<Relation> RunQuery(EngineKind kind, const Structure& s,
         return std::move(raw);
       }
       Relation answers(output_variables.size());
+      Tuple reordered(perm.size());
       for (const auto t : raw.rows()) {
-        Tuple reordered(t.size());
         for (std::size_t j = 0; j < perm.size(); ++j) {
           reordered[j] = t[perm[j]];
         }

@@ -222,7 +222,7 @@ TEST(BoundedDegreeTest, CacheHitsOnAFamily) {
 TEST(BoundedDegreeTest, MixedFamiliesGetDistinctVerdicts) {
   Formula f = *ParseFormula("exists x. !(exists y. E(x,y))");  // Sink exists.
   Result<BoundedDegreeEvaluator> evaluator = BoundedDegreeEvaluator::Create(
-      f, {.radius = 2, .threshold = 2, .parallel = {}});
+      f, {.radius = 2, .threshold = 2});
   ASSERT_TRUE(evaluator.ok());
   // Chains have a sink; cycles do not.
   for (std::size_t n = 12; n <= 20; ++n) {
@@ -239,7 +239,7 @@ TEST(BoundedDegreeTest, MixedFamiliesGetDistinctVerdicts) {
 TEST(BoundedDegreeTest, ExplicitParametersRespected) {
   Formula f = *ParseFormula("exists x. E(x,x)");
   Result<BoundedDegreeEvaluator> evaluator = BoundedDegreeEvaluator::Create(
-      f, {.radius = 3, .threshold = 5, .parallel = {}});
+      f, {.radius = 3, .threshold = 5});
   ASSERT_TRUE(evaluator.ok());
   EXPECT_EQ(evaluator->radius(), 3u);
   EXPECT_EQ(evaluator->threshold(), 5u);

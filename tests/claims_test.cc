@@ -103,7 +103,7 @@ TEST(ClaimsTest, BoundedDegreePassIsLinearWhereNaiveCheckIsQuadratic) {
         << "n=" << n;
 
     Result<BoundedDegreeEvaluator> evaluator = BoundedDegreeEvaluator::Create(
-        sink, {.radius = kRadius, .threshold = 3, .parallel = {}});
+        sink, {.radius = kRadius, .threshold = 3});
     ASSERT_TRUE(evaluator.ok());
     ASSERT_TRUE(evaluator->Evaluate(chain).ok());
     // Every radius-2 ball holds 2r+1 chain nodes, less the r(r+1) the two

@@ -297,133 +297,56 @@ TEST(PebbleDifferentialTest, RichSignaturePairsMatchBruteForce) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel fan-out: verdicts must match the sequential search.
-// ---------------------------------------------------------------------------
-
-GameOptions ParallelOptions() {
-  GameOptions options;
-  options.parallel.enabled = true;
-  options.parallel.num_threads = 4;
-  options.parallel.min_domain = 1;  // Fan out even tiny root move lists.
-  return options;
-}
-
-TEST(ParallelGameTest, EfParallelVerdictsMatchSequential) {
-  std::vector<std::pair<Structure, Structure>> pairs;
-  pairs.emplace_back(MakeLinearOrder(7), MakeLinearOrder(8));
-  pairs.emplace_back(MakeDirectedCycle(5), MakeDirectedCycle(6));
-  pairs.emplace_back(MakeSet(3), MakeSet(4));
-  std::mt19937_64 rng(5150);
-  for (int i = 0; i < 12; ++i) {
-    pairs.emplace_back(MakeRandomGraph(4, 0.4, rng),
-                       MakeRandomGraph(4, 0.4, rng));
-  }
-  for (const auto& [a, b] : pairs) {
-    for (std::size_t rounds = 0; rounds <= 3; ++rounds) {
-      EfGameSolver sequential(a, b);
-      EfGameSolver parallel(a, b, ParallelOptions());
-      Result<bool> want = sequential.DuplicatorWins(rounds);
-      Result<bool> got = parallel.DuplicatorWins(rounds);
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(*got, *want) << "rounds " << rounds << "\nA: " << a.ToString()
-                             << "\nB: " << b.ToString();
-    }
-  }
-}
-
-TEST(ParallelGameTest, PebbleParallelVerdictsMatchSequential) {
-  std::vector<std::pair<Structure, Structure>> pairs;
-  pairs.emplace_back(MakeDirectedCycle(5), MakeDirectedCycle(6));
-  pairs.emplace_back(MakeSet(2), MakeSet(3));
-  std::mt19937_64 rng(8086);
-  for (int i = 0; i < 8; ++i) {
-    pairs.emplace_back(MakeRandomGraph(4, 0.4, rng),
-                       MakeRandomGraph(4, 0.4, rng));
-  }
-  for (const auto& [a, b] : pairs) {
-    for (std::size_t rounds = 0; rounds <= 4; ++rounds) {
-      PebbleGameSolver sequential(a, b, 2);
-      PebbleGameSolver parallel(a, b, 2, ParallelOptions());
-      Result<bool> want = sequential.DuplicatorWins(rounds);
-      Result<bool> got = parallel.DuplicatorWins(rounds);
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(*got, *want) << "rounds " << rounds << "\nA: " << a.ToString()
-                             << "\nB: " << b.ToString();
-    }
-  }
-}
-
-TEST(ParallelGameTest, ParallelNodeCapStillSurfacesResourceExhausted) {
-  // Duplicator-win instances: no refutation exists to race the error, so
-  // the cap must surface even in parallel mode, in both games.
-  Structure a = MakeSet(4);
-  Structure b = MakeSet(5);
-  GameOptions options = ParallelOptions();
-  options.max_nodes = 3;
-  EfGameSolver ef(a, b, options);
-  PebbleGameSolver pebble(a, b, 3, options);
-  for (Result<bool> r : {ef.DuplicatorWins(3), pebble.DuplicatorWins(3)}) {
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-    EXPECT_NE(r.status().message().find("exceeded 3 positions"),
-              std::string::npos)
-        << r.status().ToString();
-  }
-}
-
-TEST(ParallelGameTest, SequentialFallbackCountsLikeSequential) {
-  // With fewer root moves than min_domain the parallel policy runs the
-  // sequential search; the root moves it pruned while counting them must
-  // not be counted a second time.
-  Structure a = MakeSet(5);
-  Structure b = MakeSet(6);
-  GameOptions options = ParallelOptions();
-  options.parallel.min_domain = 1000;
-  EfGameSolver ef(a, b);
-  EfGameSolver ef_fallback(a, b, options);
-  PebbleGameSolver pebble(a, b, 2);
-  PebbleGameSolver pebble_fallback(a, b, 2, options);
-  ASSERT_TRUE(ef.DuplicatorWins(3).ok());
-  ASSERT_TRUE(ef_fallback.DuplicatorWins(3).ok());
-  ASSERT_TRUE(pebble.DuplicatorWins(3).ok());
-  ASSERT_TRUE(pebble_fallback.DuplicatorWins(3).ok());
-  for (const auto& [want, got] :
-       {std::pair{ef.stats(), ef_fallback.stats()},
-        std::pair{pebble.stats(), pebble_fallback.stats()}}) {
-    EXPECT_GT(want.moves_pruned, 0u);
-    EXPECT_EQ(got.nodes_explored, want.nodes_explored);
-    EXPECT_EQ(got.table_hits, want.table_hits);
-    EXPECT_EQ(got.moves_pruned, want.moves_pruned);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Node-cap (ResourceExhausted) paths of the rebuilt search.
 // ---------------------------------------------------------------------------
 
+// Each game is capped on a spoiler-win instance and on a duplicator-win
+// instance (sets), where no refutation ends the search before the cap.
 TEST(NodeCapTest, EfSequentialCap) {
-  Structure a = MakeDirectedCycle(6);
-  Structure b = MakeDirectedCycle(7);
-  GameOptions options;
-  options.max_nodes = 10;
-  EfGameSolver solver(a, b, options);
-  Result<bool> r = solver.DuplicatorWins(4);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  Structure c6 = MakeDirectedCycle(6);
+  Structure c7 = MakeDirectedCycle(7);
+  Structure s4 = MakeSet(4);
+  Structure s5 = MakeSet(5);
+  struct Case {
+    const Structure& a;
+    const Structure& b;
+    std::uint64_t max_nodes;
+  };
+  for (const Case& c : {Case{c6, c7, 10}, Case{s4, s5, 3}}) {
+    GameOptions options;
+    options.max_nodes = c.max_nodes;
+    EfGameSolver solver(c.a, c.b, options);
+    Result<bool> r = solver.DuplicatorWins(4);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(r.status().message(), "EF game search exceeded " +
+                                        std::to_string(c.max_nodes) +
+                                        " positions");
+  }
 }
 
 TEST(NodeCapTest, PebbleSequentialCap) {
-  Structure a = MakeDirectedCycle(5);
-  Structure b = MakeDirectedCycle(6);
-  GameOptions options;
-  options.max_nodes = 5;
-  PebbleGameSolver solver(a, b, 2, options);
-  Result<bool> r = solver.DuplicatorWins(4);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(r.status().message(), "pebble game search exceeded 5 positions");
+  Structure c5 = MakeDirectedCycle(5);
+  Structure c6 = MakeDirectedCycle(6);
+  Structure s4 = MakeSet(4);
+  Structure s5 = MakeSet(5);
+  struct Case {
+    const Structure& a;
+    const Structure& b;
+    std::size_t pebbles;
+    std::uint64_t max_nodes;
+  };
+  for (const Case& c : {Case{c5, c6, 2, 5}, Case{s4, s5, 3, 3}}) {
+    GameOptions options;
+    options.max_nodes = c.max_nodes;
+    PebbleGameSolver solver(c.a, c.b, c.pebbles, options);
+    Result<bool> r = solver.DuplicatorWins(4);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(r.status().message(), "pebble game search exceeded " +
+                                        std::to_string(c.max_nodes) +
+                                        " positions");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -165,37 +165,6 @@ TEST(LocalityEngineTest, PermutedCopiesShareHistograms) {
   }
 }
 
-TEST(LocalityEngineTest, ParallelHistogramIsBitIdenticalToSequential) {
-  ParallelPolicy policy;
-  policy.enabled = true;
-  policy.num_threads = 4;
-  policy.min_domain = 1;
-  for (const Structure& s : TestPool()) {
-    for (std::size_t r = 0; r <= 3; ++r) {
-      LocalityEngine seq_engine(s);
-      LocalityEngine par_engine(s);
-      NeighborhoodTypeIndex seq_index;
-      NeighborhoodTypeIndex par_index;
-      auto seq = seq_engine.TypeHistogram(r, seq_index);
-      auto par = par_engine.TypeHistogram(r, par_index, policy);
-      ASSERT_EQ(seq, par);
-      // Same interned types in the same order...
-      ASSERT_EQ(seq_index.size(), par_index.size());
-      for (NeighborhoodTypeIndex::TypeId id = 0; id < seq_index.size();
-           ++id) {
-        EXPECT_TRUE(NeighborhoodsIsomorphic(seq_index.representative(id),
-                                            par_index.representative(id)));
-      }
-      // ...and bit-identical counters, engine- and index-side.
-      EXPECT_EQ(seq_engine.stats().ToString(),
-                par_engine.stats().ToString());
-      EXPECT_EQ(seq_index.stats().canon_codes, par_index.stats().canon_codes);
-      EXPECT_EQ(seq_index.stats().canon_hits, par_index.stats().canon_hits);
-      EXPECT_EQ(seq_index.stats().iso_tests, par_index.stats().iso_tests);
-    }
-  }
-}
-
 // Both paths assign TypeIds in first-occurrence element order, so the maps
 // agree key for key even across separate indexes.
 TEST(LocalityEngineTest, EngineHistogramMatchesFreeFunction) {

@@ -1,3 +1,6 @@
+#include <cstddef>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "logic/analysis.h"
@@ -211,6 +214,80 @@ TEST(ParserTest, CountNumeralsAreCheckedDecimals) {
   Result<Formula> largest = ParseFormula("atleast 4294967295 x . x = x");
   ASSERT_TRUE(largest.ok()) << largest.status().ToString();
   EXPECT_EQ(largest->count(), 4294967295u);
+}
+
+std::string Repeat(const std::string& piece, std::size_t times) {
+  std::string out;
+  for (std::size_t i = 0; i < times; ++i) {
+    out += piece;
+  }
+  return out;
+}
+
+TEST(ParserTest, NestingPastTheCapIsAParseError) {
+  // 20,000 levels of '!' or '(' once overflowed the parser's stack; the
+  // chain and the quantifier block build a 20,000-high formula without
+  // recursing in the parser, and overflowed the passes after it.
+  constexpr std::size_t kDeep = 20000;
+  std::string chain = "true" + Repeat(" & true", kDeep);
+  std::string block = "exists";
+  for (std::size_t i = 0; i < kDeep; ++i) {
+    block += " x" + std::to_string(i);
+  }
+  block += ". true";
+  for (const std::string& text :
+       {Repeat("!", kDeep) + "true",
+        Repeat("(", kDeep) + "true" + Repeat(")", kDeep), chain, block}) {
+    Result<Formula> f = ParseFormula(text);
+    ASSERT_FALSE(f.ok()) << text.substr(0, 40);
+    EXPECT_EQ(f.status().code(), StatusCode::kParseError);
+    EXPECT_NE(f.status().message().find(
+                  "formula nests deeper than " +
+                  std::to_string(kMaxFormulaNesting) + " levels at offset "),
+              std::string::npos)
+        << f.status().ToString();
+  }
+  // The text limit is crossed at the first '!' past twice the cap.
+  EXPECT_NE(ParseFormula(Repeat("!", kDeep) + "true")
+                .status()
+                .message()
+                .find("at offset " + std::to_string(2 * kMaxFormulaNesting)),
+            std::string::npos);
+}
+
+TEST(ParserTest, NestingUpToTheCapParsesAndRoundTrips) {
+  constexpr std::size_t kCap = kMaxFormulaNesting;
+  std::string block = "exists";
+  for (std::size_t i = 0; i + 1 < kCap; ++i) {
+    block += " x" + std::to_string(i);
+  }
+  block += ". true";
+  // Each has height exactly kCap; ToString parenthesizes every nested
+  // negation and chain link, which the text limit of 2 * kCap absorbs.
+  for (const std::string& text :
+       {Repeat("!", kCap - 1) + "true", "true" + Repeat(" & true", kCap - 1),
+        Repeat("true -> ", kCap - 1) + "true", block}) {
+    Result<Formula> f = ParseFormula(text);
+    ASSERT_TRUE(f.ok()) << f.status().ToString();
+    EXPECT_EQ(f->height(), kCap);
+    Result<Formula> again = ParseFormula(f->ToString());
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(*again, *f);
+  }
+  // One more level is over the cap.
+  for (const std::string& text :
+       {Repeat("!", kCap) + "true", "true" + Repeat(" & true", kCap),
+        Repeat("true -> ", kCap) + "true"}) {
+    EXPECT_EQ(ParseFormula(text).status().code(), StatusCode::kParseError);
+  }
+  // Parentheses add no height: the text may hold twice the cap of them.
+  const std::string parens =
+      Repeat("(", 2 * kCap) + "true" + Repeat(")", 2 * kCap);
+  Result<Formula> f = ParseFormula(parens);
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  EXPECT_EQ(f->height(), 1u);
+  EXPECT_EQ(ParseFormula("(" + parens + ")").status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(CheckSignatureTest, AcceptsAndRejects) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "logic/parser.h"
 #include "planner/plan_cache.h"
 #include "server/http.h"
 #include "server/json_value.h"
@@ -821,6 +822,42 @@ TEST_F(LiveServerTest, OversizedNumeralGets400AndServerKeepsServing) {
   EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << response;
   response = post("/query",
                   R"js({"structure":"g","query":"forall x. exists y. E(x,y)"})js");
+  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
+  EXPECT_NE(response.find("\"result\":true"), std::string::npos) << response;
+}
+
+TEST_F(LiveServerTest, DeepFormulaGets400AndServerKeepsServing) {
+  // 20,000 '!' once overflowed a worker's stack and killed the process.
+  auto query = [this](const std::string& text) {
+    TestClient client(server_->port());
+    EXPECT_TRUE(client.connected());
+    const std::string body =
+        R"js({"structure":"g","query":")js" + text + "\"}";
+    return client.RoundTrip("POST /query HTTP/1.1\r\nContent-Length: " +
+                            std::to_string(body.size()) + "\r\n\r\n" +
+                            body);
+  };
+  for (const std::string& text :
+       {std::string(20000, '!') + "true",
+        std::string(20000, '(') + "true" + std::string(20000, ')')}) {
+    const std::string response = query(text);
+    EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << response;
+    EXPECT_NE(response.find("nests deeper than"), std::string::npos)
+        << response;
+  }
+  // A formula at the cap runs every pass (parse, canonicalize, analyze,
+  // plan, compile, evaluate, print, destroy) on a worker's stack: each
+  // printed negation below the first is parenthesized, so the text nests
+  // about twice the cap.
+  std::string deepest = "exists x. ";
+  for (std::size_t i = 0; i + 2 < kMaxFormulaNesting; ++i) {
+    deepest += i == 0 ? "!" : "!(";
+  }
+  deepest += "E(x,x)" + std::string(kMaxFormulaNesting - 3, ')');
+  std::string response = query(deepest);
+  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
+  EXPECT_NE(response.find("\"result\":false"), std::string::npos) << response;
+  response = query("forall x. exists y. E(x,y)");
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
   EXPECT_NE(response.find("\"result\":true"), std::string::npos) << response;
 }
