@@ -84,6 +84,25 @@ class FlatHashMap {
     return FindSlot(key, MixedHash(key)) != kNotFound;
   }
 
+  /// Heterogeneous lookup: the entry whose key satisfies `matches(key)`,
+  /// where `hash` is what Hash returns for that key. Probes with a key the
+  /// caller never builds, e.g. a relation row hashed by VectorHash::Hash
+  /// against vector keys.
+  template <typename Matches>
+  const V* Find(std::size_t hash, Matches&& matches) const {
+    if (size_ == 0) {
+      return nullptr;
+    }
+    const std::uint64_t h = Mix64(static_cast<std::uint64_t>(hash));
+    for (std::size_t i = static_cast<std::size_t>(h) & mask_; used_[i];
+         i = (i + 1) & mask_) {
+      if (hashes_[i] == h && matches(slots_[i].key)) {
+        return &slots_[i].value;
+      }
+    }
+    return nullptr;
+  }
+
   /// Inserts {key, V(args...)} if absent. Returns {pointer to the value,
   /// true if inserted}. The pointer is valid until the next insert.
   template <typename KeyArg, typename... Args>

@@ -67,25 +67,6 @@ SignatureBuckets BuildSignatureBuckets(const std::vector<std::size_t>& sigs) {
 
 }  // namespace
 
-OccurrenceLists BuildOccurrenceLists(const Structure& s) {
-  OccurrenceLists occ(s.signature().relation_count());
-  for (std::size_t r = 0; r < occ.size(); ++r) {
-    occ[r].resize(s.domain_size());
-    for (const auto t : s.relation(r).rows()) {
-      Tuple sorted(t.begin(), t.end());
-      std::sort(sorted.begin(), sorted.end());
-      Element last = kUnmapped;
-      for (Element e : sorted) {
-        if (e != last) {
-          occ[r][e].push_back(t.data());
-          last = e;
-        }
-      }
-    }
-  }
-  return occ;
-}
-
 std::vector<std::uint32_t> SwapClasses(const Structure& s,
                                        const OccurrenceLists& occ,
                                        std::uint32_t* num_classes) {
@@ -152,45 +133,23 @@ PositionState::PositionState(const Structure& a, const Structure& b,
       a_map_(a.domain_size(), kUnmapped),
       b_map_(b.domain_size(), kUnmapped),
       a_count_(a.domain_size(), 0),
-      b_count_(b.domain_size(), 0) {}
+      b_count_(b.domain_size(), 0) {
+  for (const RelationSymbol& r : a.signature().relations()) {
+    scratch_.resize(std::max(scratch_.size(), r.arity));
+  }
+}
 
-bool PositionState::NewPairRespectsRelations(Element x, Element y) const {
+bool PositionState::NewPairRespectsRelations(Element x, Element y) {
   // Any tuple made fully mapped by adding (x, y) contains x (resp. its
   // mirror contains y), so checking the occurrence lists of x and y is
   // complete. Tuples already fully mapped were validated earlier.
   for (std::size_t r = 0; r < occ_a_->size(); ++r) {
     const std::size_t arity = a_->relation(r).arity();
-    for (const Element* t : (*occ_a_)[r][x]) {
-      Tuple mapped;
-      mapped.reserve(arity);
-      bool complete = true;
-      for (Element e : std::span(t, arity)) {
-        const Element img = e == x ? y : a_map_[e];
-        if (img == kUnmapped) {
-          complete = false;
-          break;
-        }
-        mapped.push_back(img);
-      }
-      if (complete && !b_->relation(r).Contains(mapped)) {
-        return false;
-      }
-    }
-    for (const Element* t : (*occ_b_)[r][y]) {
-      Tuple mapped;
-      mapped.reserve(arity);
-      bool complete = true;
-      for (Element e : std::span(t, arity)) {
-        const Element pre = e == y ? x : b_map_[e];
-        if (pre == kUnmapped) {
-          complete = false;
-          break;
-        }
-        mapped.push_back(pre);
-      }
-      if (complete && !a_->relation(r).Contains(mapped)) {
-        return false;
-      }
+    if (!MappedRowsIn((*occ_a_)[r][x], arity, a_map_, b_->relation(r),
+                      scratch_.data()) ||
+        !MappedRowsIn((*occ_b_)[r][y], arity, b_map_, a_->relation(r),
+                      scratch_.data())) {
+      return false;
     }
   }
   return true;
@@ -211,11 +170,13 @@ bool PositionState::TryAdd(Element x, Element y) {
   if (b_map_[y] != kUnmapped) {
     return false;  // Not injective.
   }
-  if (!NewPairRespectsRelations(x, y)) {
-    return false;
-  }
   a_map_[x] = y;
   b_map_[y] = x;
+  if (!NewPairRespectsRelations(x, y)) {
+    a_map_[x] = kUnmapped;
+    b_map_[y] = kUnmapped;
+    return false;
+  }
   a_count_[x] = 1;
   b_count_[y] = 1;
   hash_ += zobrist_->PairCode(x, y);
@@ -258,7 +219,8 @@ GameSearch::GameSearch(const Structure& a, const Structure& b,
       game_(game),
       sides_{BuildSide(a), BuildSide(b)},
       zobrist_(a.domain_size(), b.domain_size()),
-      nullary_ok_(NullaryRelationsAgree(a, b)) {
+      nullary_ok_(NullaryRelationsAgree(a, b)),
+      mark_stride_(std::max(sides_[0].num_classes, sides_[1].num_classes)) {
   FMTK_CHECK(a.signature() == b.signature())
       << game << "s require equal signatures";
 }
@@ -271,6 +233,12 @@ GameSearch::Side GameSearch::BuildSide(const Structure& s) {
   side.sig = ElementSignatures(s);
   side.buckets = BuildSignatureBuckets(side.sig);
   return side;
+}
+
+std::size_t GameSearch::ClearedMarks(int which, std::size_t count) {
+  const std::size_t offset = (2 * (depth_ - 1) + which) * mark_stride_;
+  std::fill_n(marks_.begin() + offset, count, 0);
+  return offset;
 }
 
 bool GameSearch::SeedPosition(PositionState& position,

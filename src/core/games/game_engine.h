@@ -38,14 +38,7 @@ struct GameOptions {
 
 namespace game_engine {
 
-inline constexpr Element kUnmapped = static_cast<Element>(-1);
-
-/// occ[r][e] = pointers into relation r's flat row store (arity elements
-/// each) for the rows containing element e (each row listed once per
-/// distinct element). Pointers stay valid while the structure is unmodified.
-using OccurrenceLists =
-    std::vector<std::vector<std::vector<const Element*>>>;
-OccurrenceLists BuildOccurrenceLists(const Structure& s);
+using fmtk::BuildOccurrenceLists;
 
 /// signature hash -> bitset of the elements carrying it, where an element's
 /// signature hashes AtomicInvariantOf(s, e): equal for elements matched by
@@ -90,7 +83,9 @@ std::uint64_t TranspositionKey(std::uint64_t position_hash,
 /// A game position (partial map A → B) maintained incrementally: O(1)
 /// pinned-element lookup, reference counts for replayed pairs, a running
 /// Zobrist hash, and pair insertion that validates only the tuples touching
-/// the new pair (everything else was checked when it was added).
+/// the new pair (everything else was checked when it was added). The
+/// validation maps each such tuple into one scratch row owned by the state,
+/// so TryAdd allocates nothing.
 ///
 /// Nullary relations are invisible to the incremental check (no tuple
 /// contains a new element); GameSearch pre-checks them once per search via
@@ -124,7 +119,9 @@ class PositionState {
   std::size_t distinct_pairs() const { return distinct_; }
 
  private:
-  bool NewPairRespectsRelations(Element x, Element y) const;
+  // Checks the tuples touching x (in A) and y (in B) with the pair (x, y)
+  // already entered in a_map_ / b_map_.
+  bool NewPairRespectsRelations(Element x, Element y);
 
   const Structure* a_;
   const Structure* b_;
@@ -135,6 +132,7 @@ class PositionState {
   std::vector<Element> b_map_;   // b_map_[y] = preimage of y, or kUnmapped
   std::vector<std::uint32_t> a_count_;  // instances of x's pair
   std::vector<std::uint32_t> b_count_;  // instances of y's pair
+  std::vector<Element> scratch_;  // one row of the widest relation
   std::uint64_t hash_ = 0;
   std::size_t distinct_ = 0;
 };
@@ -166,6 +164,11 @@ struct SearchContext {
 /// the node counter the cap is charged against. It seeds constants, probes
 /// the table and charges the node cap at each node's head, and enumerates
 /// spoiler representatives and duplicator responses.
+///
+/// The per-node path allocates nothing: swap-class marks live in one
+/// buffer with two slots per search depth (spoiler moves, duplicator
+/// responses), grown only when the search first reaches a new depth, and
+/// the partial-isomorphism check writes into PositionState's scratch row.
 class GameSearch {
  public:
   /// The structures must outlive the search and have equal signatures.
@@ -237,6 +240,11 @@ class GameSearch {
   };
   static Side BuildSide(const Structure& s);
 
+  // Offset into marks_ of the current depth's slot `which` (0 = spoiler
+  // moves, 1 = duplicator responses), its first `count` marks cleared.
+  // Callers index marks_ by offset: a nested Node may grow the buffer.
+  std::size_t ClearedMarks(int which, std::size_t count);
+
   // Seeds the constants and `initial` into `position`; false when the
   // nullary check fails or the board is already broken (the spoiler wins
   // outright).
@@ -253,6 +261,12 @@ class GameSearch {
 
   FlatU64Map<bool> table_;
   GameStats stats_;
+
+  // Swap-class marks: slot (2·(depth − 1) + which) spans mark_stride_ (the
+  // larger class count) bytes. depth_ counts the Node expansions under way.
+  std::vector<std::uint8_t> marks_;
+  std::size_t mark_stride_;
+  std::size_t depth_ = 0;
 };
 
 template <typename State, typename Wins>
@@ -281,8 +295,15 @@ Result<bool> GameSearch::Node(Ctx& ctx, std::size_t rounds, Expand&& expand) {
   if (++stats_.nodes_explored > options_.max_nodes) {
     return NodeCapExceeded();
   }
-  FMTK_ASSIGN_OR_RETURN(const bool duplicator_wins, expand());
-  table_.TryEmplace(key, duplicator_wins);
+  if (marks_.size() < 2 * (depth_ + 1) * mark_stride_) {
+    marks_.resize(2 * (depth_ + 1) * mark_stride_);
+  }
+  ++depth_;
+  Result<bool> duplicator_wins = expand();
+  --depth_;  // On the error path too.
+  if (duplicator_wins.ok()) {
+    table_.TryEmplace(key, *duplicator_wins);
+  }
   return duplicator_wins;
 }
 
@@ -292,15 +313,15 @@ Result<bool> GameSearch::ForEachSpoilerMove(Ctx& ctx, OnPinned&& on_pinned,
   for (int side = 0; side < 2; ++side) {
     const bool in_a = side == 0;
     const Side& from = sides_[side];
-    std::vector<bool> seen(from.num_classes, false);
+    const std::size_t seen = ClearedMarks(0, from.num_classes);
     for (Element s = 0; s < from.domain_size; ++s) {
       bool go_on = true;
       if (in_a ? ctx.position.PinnedInA(s) : ctx.position.PinnedInB(s)) {
         FMTK_ASSIGN_OR_RETURN(go_on, on_pinned(in_a, s));
-      } else if (seen[from.swap_class[s]]) {
+      } else if (marks_[seen + from.swap_class[s]]) {
         CountPruned();
       } else {
-        seen[from.swap_class[s]] = true;
+        marks_[seen + from.swap_class[s]] = 1;
         FMTK_ASSIGN_OR_RETURN(go_on, on_move(in_a, s));
       }
       if (!go_on) {
@@ -319,7 +340,7 @@ Result<bool> GameSearch::FindResponse(Ctx& ctx, bool in_a, Element s,
   // null when no element over there carries it.
   const ElementBitset* match =
       to.buckets.Find(sides_[in_a ? 0 : 1].sig[s]);
-  std::vector<bool> seen(to.num_classes, false);
+  const std::size_t seen = ClearedMarks(1, to.num_classes);
   std::optional<Result<bool>> decided;
   // Returns true when the search is decided (winning response or error).
   auto consider = [&](Element d) -> bool {
@@ -330,11 +351,11 @@ Result<bool> GameSearch::FindResponse(Ctx& ctx, bool in_a, Element s,
       CountPruned();
       return false;
     }
-    if (seen[to.swap_class[d]]) {
+    if (marks_[seen + to.swap_class[d]]) {
       CountPruned();
       return false;
     }
-    seen[to.swap_class[d]] = true;
+    marks_[seen + to.swap_class[d]] = 1;
     const Element x = in_a ? s : d;
     const Element y = in_a ? d : s;
     if (!ctx.position.TryAdd(x, y)) {

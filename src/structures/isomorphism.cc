@@ -13,8 +13,6 @@ namespace fmtk {
 
 namespace {
 
-constexpr Element kUnmapped = static_cast<Element>(-1);
-
 // Builds a functional, injective map from the pair list; nullopt when the
 // pairs conflict.
 std::optional<std::unordered_map<Element, Element>> BuildFunctionalMap(
@@ -113,29 +111,6 @@ std::vector<std::size_t> AtomicInvariant(const Structure& s, Element e) {
   return inv;
 }
 
-// Occurrence lists: for each relation, for each element, the rows (flat
-// store pointers, arity elements each) containing it.
-std::vector<std::vector<std::vector<const Element*>>> OccurrenceLists(
-    const Structure& s) {
-  std::vector<std::vector<std::vector<const Element*>>> occ(
-      s.signature().relation_count());
-  for (std::size_t r = 0; r < occ.size(); ++r) {
-    occ[r].resize(s.domain_size());
-    for (const auto t : s.relation(r).rows()) {
-      Element last = kUnmapped;
-      Tuple sorted(t.begin(), t.end());
-      std::sort(sorted.begin(), sorted.end());
-      for (Element e : sorted) {
-        if (e != last) {
-          occ[r][e].push_back(t.data());
-          last = e;
-        }
-      }
-    }
-  }
-  return occ;
-}
-
 // Backtracking isomorphism search state.
 class IsoSearch {
  public:
@@ -145,8 +120,11 @@ class IsoSearch {
         n_(a.domain_size()),
         forward_(a.domain_size(), kUnmapped),
         backward_(b.domain_size(), kUnmapped),
-        occ_a_(OccurrenceLists(a)),
-        occ_b_(OccurrenceLists(b)) {
+        occ_a_(BuildOccurrenceLists(a)),
+        occ_b_(BuildOccurrenceLists(b)) {
+    for (const RelationSymbol& r : a.signature().relations()) {
+      scratch_.resize(std::max(scratch_.size(), r.arity));
+    }
     // Invariant classes for candidate pruning.
     std::map<std::vector<std::size_t>, std::size_t> classes;
     auto class_of = [&classes](const std::vector<std::size_t>& inv) {
@@ -272,35 +250,11 @@ class IsoSearch {
   bool CheckLocal(Element a, Element b) {
     for (std::size_t r = 0; r < occ_a_.size(); ++r) {
       const std::size_t arity = a_.relation(r).arity();
-      for (const Element* t : occ_a_[r][a]) {
-        Tuple mapped;
-        mapped.reserve(arity);
-        bool complete = true;
-        for (Element e : std::span(t, arity)) {
-          if (forward_[e] == kUnmapped) {
-            complete = false;
-            break;
-          }
-          mapped.push_back(forward_[e]);
-        }
-        if (complete && !b_.relation(r).Contains(mapped)) {
-          return false;
-        }
-      }
-      for (const Element* t : occ_b_[r][b]) {
-        Tuple mapped;
-        mapped.reserve(arity);
-        bool complete = true;
-        for (Element e : std::span(t, arity)) {
-          if (backward_[e] == kUnmapped) {
-            complete = false;
-            break;
-          }
-          mapped.push_back(backward_[e]);
-        }
-        if (complete && !a_.relation(r).Contains(mapped)) {
-          return false;
-        }
+      if (!MappedRowsIn(occ_a_[r][a], arity, forward_, b_.relation(r),
+                        scratch_.data()) ||
+          !MappedRowsIn(occ_b_[r][b], arity, backward_, a_.relation(r),
+                        scratch_.data())) {
+        return false;
       }
     }
     return true;
@@ -311,8 +265,10 @@ class IsoSearch {
   std::size_t n_;
   std::vector<Element> forward_;
   std::vector<Element> backward_;
-  std::vector<std::vector<std::vector<const Element*>>> occ_a_;
-  std::vector<std::vector<std::vector<const Element*>>> occ_b_;
+  OccurrenceLists occ_a_;
+  OccurrenceLists occ_b_;
+  // One row of the widest relation, the image buffer of CheckLocal.
+  std::vector<Element> scratch_;
   std::vector<std::size_t> class_a_;
   std::vector<std::size_t> class_b_;
   Adjacency adjacency_a_;
@@ -320,6 +276,26 @@ class IsoSearch {
 };
 
 }  // namespace
+
+OccurrenceLists BuildOccurrenceLists(const Structure& s) {
+  OccurrenceLists occ(s.signature().relation_count());
+  Tuple sorted;
+  for (std::size_t r = 0; r < occ.size(); ++r) {
+    occ[r].resize(s.domain_size());
+    for (const auto t : s.relation(r).rows()) {
+      sorted.assign(t.begin(), t.end());
+      std::sort(sorted.begin(), sorted.end());
+      Element last = kUnmapped;
+      for (Element e : sorted) {
+        if (e != last) {
+          occ[r][e].push_back(t.data());
+          last = e;
+        }
+      }
+    }
+  }
+  return occ;
+}
 
 std::vector<std::size_t> AtomicInvariantOf(const Structure& s, Element e) {
   return AtomicInvariant(s, e);

@@ -15,6 +15,39 @@ namespace fmtk {
 /// non-functional.
 using PartialMap = std::vector<std::pair<Element, Element>>;
 
+/// Marks an element that a partial map (as an element-indexed array)
+/// leaves unmapped.
+inline constexpr Element kUnmapped = static_cast<Element>(-1);
+
+/// occ[r][e] = pointers into relation r's flat row store (arity elements
+/// each) for the rows containing element e (each row listed once per
+/// distinct element). Pointers stay valid while the structure is unmodified.
+using OccurrenceLists =
+    std::vector<std::vector<std::vector<const Element*>>>;
+OccurrenceLists BuildOccurrenceLists(const Structure& s);
+
+/// True when every row of `rows` (arity elements each) whose elements
+/// `map` all maps (map[e] is e's image, or kUnmapped) has its image in
+/// `target`. Each image is written to `scratch` (at least `arity`
+/// elements) and probed in place, so the check allocates nothing. The
+/// partial-isomorphism searches run it over the occurrence rows of a
+/// newly mapped element, once per direction.
+inline bool MappedRowsIn(const std::vector<const Element*>& rows,
+                         std::size_t arity, const std::vector<Element>& map,
+                         const Relation& target, Element* scratch) {
+  for (const Element* row : rows) {
+    bool complete = true;
+    for (std::size_t i = 0; i < arity && complete; ++i) {
+      scratch[i] = map[row[i]];
+      complete = scratch[i] != kUnmapped;
+    }
+    if (complete && !target.ContainsRow(scratch)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Decides whether `map` is a partial isomorphism between `a` and `b` in the
 /// survey's sense: the induced map must be well-defined and injective, and
 /// for every relation symbol R and every tuple over dom(map),

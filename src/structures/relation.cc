@@ -19,6 +19,19 @@ bool DenseSpanFits(std::size_t span, std::size_t rows) {
   return span <= 4 * rows + 1024;
 }
 
+// Looks `row` (arity elements) up in a vector-keyed membership index
+// without copying it into a probe key. Cold: rows wider than two elements
+// are the rare case, so the probe stays out of the hot text (ContainsRow
+// and Position keep their arity <= 2 path compact).
+[[gnu::cold]] const std::uint32_t* FindWideRow(
+    const FlatHashMap<Tuple, std::uint32_t, VectorHash<Element>>& index,
+    const Element* row, std::size_t arity) {
+  return index.Find(VectorHash<Element>::Hash({row, arity}),
+                    [row](const Tuple& key) {
+                      return std::equal(key.begin(), key.end(), row);
+                    });
+}
+
 }  // namespace
 
 Relation::Relation(const Relation& other)
@@ -192,8 +205,7 @@ bool Relation::ContainsRow(const Element* row) const {
   if (arity_ <= 2) {
     return packed_index_.Contains(PackedKey(row, arity_));
   }
-  // Arity > 2 falls back to the vector-keyed map; build the probe key once.
-  return index_.Contains(Tuple(row, row + arity_));
+  return FindWideRow(index_, row, arity_) != nullptr;
 }
 
 std::size_t Relation::Position(const Element* row) const {
@@ -205,7 +217,7 @@ std::size_t Relation::Position(const Element* row) const {
   }
   const std::uint32_t* pos =
       arity_ <= 2 ? packed_index_.Find(PackedKey(row, arity_))
-                  : index_.Find(Tuple(row, row + arity_));
+                  : FindWideRow(index_, row, arity_);
   return pos == nullptr ? kNoPosition : *pos;
 }
 
