@@ -53,14 +53,10 @@ void EmitJsonLine(const char* bench, std::size_t n, double wall_ms,
   std::printf(
       "{\"bench\":\"%s\",\"n\":%zu,\"wall_ms\":%.3f,"
       "\"result\":%zu,\"balls_extracted\":%llu,\"bfs_node_visits\":%llu,"
-      "\"canon_codes\":%llu,\"canon_hits\":%llu,\"iso_tests\":%llu,"
       "\"frontier_reuses\":%llu}\n",
       bench, n, wall_ms, result,
       static_cast<unsigned long long>(stats.balls_extracted),
       static_cast<unsigned long long>(stats.bfs_node_visits),
-      static_cast<unsigned long long>(stats.canon_codes),
-      static_cast<unsigned long long>(stats.canon_hits),
-      static_cast<unsigned long long>(stats.iso_tests),
       static_cast<unsigned long long>(stats.frontier_reuses));
 }
 

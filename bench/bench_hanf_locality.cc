@@ -36,10 +36,17 @@ using fmtk::Structure;
 // One adjacency per structure, balls extended radius-incrementally, types
 // resolved by canonical code.
 
+// BFS work from the two engines, type-resolution work from their shared
+// index.
+struct RunStats {
+  LocalityStats balls;
+  NeighborhoodTypeIndex::Stats types;
+};
+
 std::optional<std::size_t> EngineLargestHanfRadius(const Structure& a,
                                                   const Structure& b,
                                                   std::size_t max_radius,
-                                                  LocalityStats* stats) {
+                                                  RunStats* stats) {
   if (!(a.signature() == b.signature()) ||
       a.domain_size() != b.domain_size()) {
     return std::nullopt;
@@ -56,27 +63,26 @@ std::optional<std::size_t> EngineLargestHanfRadius(const Structure& a,
     }
     best = r;
   }
-  if (stats != nullptr) {
-    *stats = engine_a.stats();
-    *stats += engine_b.stats();
-  }
+  stats->balls = engine_a.stats();
+  stats->balls += engine_b.stats();
+  stats->types = index.stats();
   return best;
 }
 
 void EmitJsonLine(const char* bench, std::size_t n, double wall_ms,
-                  std::size_t result, const LocalityStats& stats) {
+                  std::size_t result, const RunStats& stats) {
   std::printf(
       "{\"bench\":\"%s\",\"n\":%zu,\"wall_ms\":%.3f,"
       "\"result\":%zu,\"balls_extracted\":%llu,\"bfs_node_visits\":%llu,"
       "\"canon_codes\":%llu,\"canon_hits\":%llu,\"iso_tests\":%llu,"
       "\"frontier_reuses\":%llu}\n",
       bench, n, wall_ms, result,
-      static_cast<unsigned long long>(stats.balls_extracted),
-      static_cast<unsigned long long>(stats.bfs_node_visits),
-      static_cast<unsigned long long>(stats.canon_codes),
-      static_cast<unsigned long long>(stats.canon_hits),
-      static_cast<unsigned long long>(stats.iso_tests),
-      static_cast<unsigned long long>(stats.frontier_reuses));
+      static_cast<unsigned long long>(stats.balls.balls_extracted),
+      static_cast<unsigned long long>(stats.balls.bfs_node_visits),
+      static_cast<unsigned long long>(stats.types.canon_codes),
+      static_cast<unsigned long long>(stats.types.canon_hits),
+      static_cast<unsigned long long>(stats.types.iso_tests),
+      static_cast<unsigned long long>(stats.balls.frontier_reuses));
 }
 
 // Wall-clock is the best of `reps` runs; counters come from the last run.
@@ -84,9 +90,9 @@ template <typename Fn>
 void TimeAndEmit(const char* bench, std::size_t n, int reps, const Fn& fn) {
   double best_ms = 0;
   std::size_t result = 0;
-  LocalityStats stats;
+  RunStats stats;
   for (int rep = 0; rep < reps; ++rep) {
-    LocalityStats run_stats;
+    RunStats run_stats;
     const auto start = std::chrono::steady_clock::now();
     result = fn(&run_stats);
     const auto stop = std::chrono::steady_clock::now();
@@ -104,7 +110,7 @@ void RunJsonSuite() {
   for (std::size_t m : {5, 9, 13, 17, 21}) {
     Structure g1 = MakeDisjointCycles(2, m);
     Structure g2 = MakeDirectedCycle(2 * m);
-    TimeAndEmit("hanf_cycles", 2 * m, 5, [&](LocalityStats* stats) {
+    TimeAndEmit("hanf_cycles", 2 * m, 5, [&](RunStats* stats) {
       auto r = EngineLargestHanfRadius(g1, g2, m, stats);
       return r.has_value() ? *r + 1 : 0;  // 0 = none
     });
@@ -112,7 +118,7 @@ void RunJsonSuite() {
   for (std::size_t m : {8, 12, 16}) {
     Structure g1 = MakeDirectedPath(2 * m);
     Structure g2 = MakePathPlusCycle(m);
-    TimeAndEmit("hanf_chain_vs_lollipop", 2 * m, 5, [&](LocalityStats* stats) {
+    TimeAndEmit("hanf_chain_vs_lollipop", 2 * m, 5, [&](RunStats* stats) {
       auto r = EngineLargestHanfRadius(g1, g2, m, stats);
       return r.has_value() ? *r + 1 : 0;
     });

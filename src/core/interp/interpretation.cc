@@ -79,13 +79,13 @@ Result<Structure> Interpretation::Apply(const Structure& input) const {
     renumber.emplace(domain_elements[i], static_cast<Element>(i));
   }
   Structure output(output_signature_, domain_elements.size());
+  Tuple mapped;
   for (std::size_t r = 0; r < definitions_.size(); ++r) {
     const RelationDef& def = *definitions_[r];
     FMTK_ASSIGN_OR_RETURN(Relation defined,
                           EvaluateQuery(input, def.formula, def.variables));
     for (const auto t : defined.rows()) {
-      Tuple mapped;
-      mapped.reserve(t.size());
+      mapped.clear();
       bool keep = true;
       for (Element e : t) {
         auto it = renumber.find(e);
@@ -96,7 +96,7 @@ Result<Structure> Interpretation::Apply(const Structure& input) const {
         mapped.push_back(it->second);
       }
       if (keep) {
-        output.AddTuple(r, std::move(mapped));
+        output.AddTuple(r, mapped);
       }
     }
   }

@@ -3,13 +3,9 @@
 #include <cstddef>
 
 #include <optional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "base/hash.h"
 #include "core/locality/neighborhood.h"
-#include "structures/isomorphism.h"
 
 namespace fmtk {
 
@@ -64,71 +60,31 @@ Result<std::optional<GaifmanViolation>> FindGaifmanViolation(
   }
   std::vector<Tuple> tuples;
   AllTuples(s.domain_size(), m, tuples);
-  // Key each tuple's neighborhood by canonical code: isomorphic tuples land
-  // in one slot, and the earliest in-output / not-in-output representatives
-  // per slot reproduce exactly the pair the seed's pairwise bucket scan
-  // reported first. Canonicalizability is isomorphism-invariant, so a slot
-  // never has an isomorphic partner hiding in the fallback pool.
+  // Per neighborhood type, the first tuple seen in the output and the first
+  // outside it. The witness is the first tuple whose type already holds a
+  // tuple from the other side — the pair a pairwise scan in the same order
+  // reports first.
   struct Slot {
-    std::optional<Tuple> in_rep;
-    std::optional<Tuple> out_rep;
+    const Tuple* in_output = nullptr;
+    const Tuple* not_in_output = nullptr;
   };
-  std::unordered_map<CanonicalCode, Slot, CanonicalCodeHash> coded;
-  // Fallback pool for uncanonicalizable neighborhoods: invariant buckets
-  // plus the exact pairwise test, as in the seed.
-  struct Entry {
-    Tuple tuple;
-    const Neighborhood* neighborhood;  // into the memo, stable
-    bool in_output;
-  };
-  std::unordered_map<std::size_t, std::vector<Entry>> buckets;
-  // Shifted tuples of regular structures yield literally identical
-  // neighborhoods; the memo dedupes them before materialization, and the
-  // canonical code / bucket invariant — both functions of content — are
-  // computed once per distinct content (a repeated canonicalization failure
-  // would burn the whole pass budget again just to fail identically).
-  LocalityEngine::ContentMemo memo;
-  std::vector<std::optional<CanonicalCode>> entry_code;
-  std::vector<std::size_t> entry_invariant;
+  NeighborhoodTypeIndex index;
+  NeighborhoodTypeIndex::PassMemo memo;
+  std::vector<Slot> slots;
   for (const Tuple& t : tuples) {
     const bool in_output = output.Contains(t);
-    const LocalityEngine::DedupResult res =
-        engine.DedupNeighborhoodAt(memo, t, radius);
-    const Neighborhood& n = memo.exemplar(res.entry);
-    if (res.was_new) {
-      entry_code.push_back(engine.CodeOf(n));
-      entry_invariant.push_back(
-          entry_code.back().has_value()
-              ? 0
-              : IsomorphismInvariant(n.structure, n.distinguished));
+    const NeighborhoodTypeIndex::TypeId id =
+        engine.TypeAt(t, radius, index, memo);
+    slots.resize(index.size());
+    Slot& slot = slots[id];
+    if (const Tuple* other = in_output ? slot.not_in_output : slot.in_output) {
+      return std::optional<GaifmanViolation>(
+          in_output ? GaifmanViolation{t, *other}
+                    : GaifmanViolation{*other, t});
     }
-    const std::optional<CanonicalCode>& code = entry_code[res.entry];
-    if (code.has_value()) {
-      Slot& slot = coded[*code];
-      std::optional<Tuple>& opposite = in_output ? slot.out_rep : slot.in_rep;
-      if (opposite.has_value()) {
-        return std::optional<GaifmanViolation>(
-            in_output ? GaifmanViolation{t, *opposite}
-                      : GaifmanViolation{*opposite, t});
-      }
-      std::optional<Tuple>& same = in_output ? slot.in_rep : slot.out_rep;
-      if (!same.has_value()) {
-        same = t;
-      }
-    } else {
-      std::vector<Entry>& bucket = buckets[entry_invariant[res.entry]];
-      for (const Entry& other : bucket) {
-        // A shared memo entry means identical content — isomorphic without
-        // the exact search.
-        if (other.in_output != in_output &&
-            (other.neighborhood == &n ||
-             NeighborhoodsIsomorphic(*other.neighborhood, n))) {
-          return std::optional<GaifmanViolation>(
-              in_output ? GaifmanViolation{t, other.tuple}
-                        : GaifmanViolation{other.tuple, t});
-        }
-      }
-      bucket.push_back(Entry{t, &n, in_output});
+    const Tuple*& same = in_output ? slot.in_output : slot.not_in_output;
+    if (same == nullptr) {
+      same = &t;
     }
   }
   return std::optional<GaifmanViolation>(std::nullopt);

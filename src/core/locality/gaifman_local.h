@@ -28,10 +28,9 @@ Result<std::optional<GaifmanViolation>> FindGaifmanViolation(
 
 /// The same search over a prebuilt engine context — radius loops
 /// (GaifmanLocalRadiusOn, the benches) reuse one Gaifman adjacency and BFS
-/// scratch across every radius. Neighborhood types are keyed by canonical
-/// code (isomorphic tuples collide in one hash slot, replacing the pairwise
-/// isomorphism scan); neighborhoods the canonicalizer declines fall back to
-/// invariant buckets with exact tests, exactly as the seed did.
+/// scratch across every radius. Each tuple's neighborhood gets its type
+/// through LocalityEngine::TypeAt and a NeighborhoodTypeIndex local to the
+/// call, so isomorphic tuples share one slot instead of a pairwise scan.
 Result<std::optional<GaifmanViolation>> FindGaifmanViolation(
     const LocalityEngine& engine, const Relation& output, std::size_t radius);
 

@@ -1,13 +1,11 @@
 #include "core/locality/locality_engine.h"
 
 #include <algorithm>
-#include <deque>
 #include <string>
 #include <utility>
 
 #include "base/bitset.h"
 #include "base/check.h"
-#include "base/flat_hash.h"
 #include "base/hash.h"
 #include "base/popcount.h"
 #include "structures/graph.h"
@@ -17,9 +15,6 @@ namespace fmtk {
 LocalityStats& LocalityStats::operator+=(const LocalityStats& other) {
   balls_extracted += other.balls_extracted;
   bfs_node_visits += other.bfs_node_visits;
-  canon_codes += other.canon_codes;
-  canon_hits += other.canon_hits;
-  iso_tests += other.iso_tests;
   frontier_reuses += other.frontier_reuses;
   return *this;
 }
@@ -27,9 +22,6 @@ LocalityStats& LocalityStats::operator+=(const LocalityStats& other) {
 std::string LocalityStats::ToString() const {
   return "balls_extracted=" + std::to_string(balls_extracted) +
          " bfs_node_visits=" + std::to_string(bfs_node_visits) +
-         " canon_codes=" + std::to_string(canon_codes) +
-         " canon_hits=" + std::to_string(canon_hits) +
-         " iso_tests=" + std::to_string(iso_tests) +
          " frontier_reuses=" + std::to_string(frontier_reuses);
 }
 
@@ -410,28 +402,36 @@ bool LocalityEngine::BallContentMatches(Scratch& scratch,
   return true;
 }
 
-LocalityEngine::DedupResult LocalityEngine::DedupBall(
-    Scratch& scratch, ContentMemo& memo, const std::vector<Element>& ball,
-    const Tuple& center) const {
-  IndexBall(scratch, ball);
-  const std::size_t h = BallContentHash(scratch, ball, center);
-  std::vector<std::uint32_t>& row = memo.by_hash_[h];
-  for (std::uint32_t idx : row) {
-    if (BallContentMatches(scratch, ball, center, memo.entries_[idx])) {
-      return DedupResult{idx, false};
+NeighborhoodTypeIndex::TypeId LocalityEngine::TypeOfBall(
+    const std::vector<Element>& ball, const Tuple& center,
+    NeighborhoodTypeIndex& index,
+    NeighborhoodTypeIndex::PassMemo& memo) const {
+  IndexBall(scratch_, ball);
+  auto matches = [&](const Neighborhood& content) {
+    return BallContentMatches(scratch_, ball, center, content);
+  };
+  // Identical contents come in element-contiguous runs (shifted interior
+  // balls of a regular structure), so probing under the previous answer's
+  // hash usually finds this ball without hashing it.
+  if (const std::optional<std::size_t> last = memo.last_hash()) {
+    if (const auto id = index.FindContent(memo, *last, matches)) {
+      return *id;
     }
   }
-  const auto idx = static_cast<std::uint32_t>(memo.entries_.size());
-  memo.entries_.push_back(MaterializeFromBall(scratch, ball, center));
-  row.push_back(idx);
-  return DedupResult{idx, true};
+  const std::size_t hash = BallContentHash(scratch_, ball, center);
+  if (const auto id = index.FindContent(memo, hash, matches)) {
+    return *id;
+  }
+  return index.Intern(memo, MaterializeFromBall(scratch_, ball, center),
+                      hash);
 }
 
-LocalityEngine::DedupResult LocalityEngine::DedupNeighborhoodAt(
-    ContentMemo& memo, const Tuple& center, std::size_t radius) const {
+NeighborhoodTypeIndex::TypeId LocalityEngine::TypeAt(
+    const Tuple& center, std::size_t radius, NeighborhoodTypeIndex& index,
+    NeighborhoodTypeIndex::PassMemo& memo) const {
   std::vector<Element> ball;
   BallInto(scratch_, center, radius, ball, nullptr, stats_);
-  return DedupBall(scratch_, memo, ball, center);
+  return TypeOfBall(ball, center, index, memo);
 }
 
 std::vector<Element> LocalityEngine::Ball(const Tuple& center,
@@ -449,15 +449,6 @@ Neighborhood LocalityEngine::NeighborhoodAt(const Tuple& center,
   return MaterializeFromBall(scratch_, ball, center);
 }
 
-std::optional<CanonicalCode> LocalityEngine::CodeOf(
-    const Neighborhood& n) const {
-  std::optional<CanonicalCode> code = CanonicalNeighborhoodCode(n);
-  if (code.has_value()) {
-    ++stats_.canon_codes;
-  }
-  return code;
-}
-
 std::size_t LocalityEngine::CachedMaxDegree(std::size_t rel_index) const {
   FMTK_CHECK(rel_index < max_degree_cache_.size())
       << "relation index out of range";
@@ -470,7 +461,7 @@ std::size_t LocalityEngine::CachedMaxDegree(std::size_t rel_index) const {
 std::map<NeighborhoodTypeIndex::TypeId, std::size_t>
 LocalityEngine::TypeHistogram(std::size_t radius,
                               NeighborhoodTypeIndex& index) const {
-  return HistogramCore(radius, nullptr, index);
+  return Histogram(radius, nullptr, index);
 }
 
 NeighborhoodSweep LocalityEngine::NewSweep() const {
@@ -529,161 +520,22 @@ LocalityEngine::BallSizeHistogram(std::size_t radius) const {
   return out;
 }
 
-std::map<NeighborhoodTypeIndex::TypeId, std::size_t>
-LocalityEngine::HistogramCore(
+std::map<NeighborhoodTypeIndex::TypeId, std::size_t> LocalityEngine::Histogram(
     std::size_t radius, const std::vector<std::vector<Element>>* stored_balls,
     NeighborhoodTypeIndex& index) const {
-  // Phase A: per-element balls deduplicated by literal content BEFORE any
-  // materialization — each ball is stream-hashed off the occurrence lists
-  // and compared against (1) this pass's own entries and (2) the index's
-  // exact-content cache, which previous histogram passes populated with
-  // every distinct content they saw. A cache hit resolves straight to a
-  // TypeId with no Structure build and no canonicalization (the second
-  // structure of a Hanf comparison shares almost all its ball contents
-  // with the first); only genuinely novel contents are materialized and
-  // canonicalized, once each. The index is only read here. Entries are
-  // created in element order, so each one's exemplar is its content's
-  // first realizing element.
-  struct Entry {
-    const Neighborhood* exemplar = nullptr;  // owned or index-owned
-    Neighborhood* owned = nullptr;  // set when this pass materialized it
-    std::optional<NeighborhoodTypeIndex::TypeId> direct;  // content-cache hit
-    std::optional<CanonicalCode> code;
-    std::size_t content_hash = 0;
-    std::size_t count = 0;
-  };
-  std::deque<Neighborhood> owned;  // deque: stable exemplar addresses
-  std::vector<Entry> entries;
+  NeighborhoodTypeIndex::PassMemo memo;
+  std::map<NeighborhoodTypeIndex::TypeId, std::size_t> histogram;
   std::vector<Element> fresh_ball;
   Tuple center(1);
-  FlatU64Map<std::vector<std::uint32_t>> by_hash;
-  constexpr std::uint32_t kNoPrev = static_cast<std::uint32_t>(-1);
-  std::uint32_t prev = kNoPrev;
   for (Element v = 0; v < domain_size_; ++v) {
     center[0] = v;
-    const std::vector<Element>* ball;
-    if (stored_balls != nullptr) {
-      ball = &(*stored_balls)[v];
-    } else {
+    if (stored_balls == nullptr) {
       BallInto(scratch_, center, radius, fresh_ball, nullptr, stats_);
-      ball = &fresh_ball;
     }
-    IndexBall(scratch_, *ball);
-    // Identical contents come in element-contiguous runs (shifted interior
-    // balls of a regular structure), so one streaming compare against the
-    // previous element's entry usually replaces the hash + probe. A hit
-    // lands in the exact entry the by_hash probe would have found, so the
-    // outcome is unchanged.
-    if (prev != kNoPrev && BallContentMatches(scratch_, *ball, center,
-                                              *entries[prev].exemplar)) {
-      ++entries[prev].count;
-      continue;
-    }
-    const std::size_t h = BallContentHash(scratch_, *ball, center);
-    std::vector<std::uint32_t>& row = by_hash[h];
-    bool merged = false;
-    for (std::uint32_t idx : row) {
-      if (BallContentMatches(scratch_, *ball, center,
-                             *entries[idx].exemplar)) {
-        ++entries[idx].count;
-        prev = idx;
-        merged = true;
-        break;
-      }
-    }
-    if (merged) {
-      continue;
-    }
-    Entry entry;
-    entry.count = 1;
-    entry.content_hash = h;
-    if (const auto* cache_row = index.exact_cache_.Find(h)) {
-      for (const auto& [cached, cached_id] : *cache_row) {
-        if (BallContentMatches(scratch_, *ball, center, *cached)) {
-          entry.exemplar = cached;
-          entry.direct = cached_id;
-          break;
-        }
-      }
-    }
-    if (!entry.direct.has_value()) {
-      owned.push_back(MaterializeFromBall(scratch_, *ball, center));
-      entry.owned = &owned.back();
-      entry.exemplar = entry.owned;
-    }
-    prev = static_cast<std::uint32_t>(entries.size());
-    row.push_back(prev);
-    entries.push_back(std::move(entry));
+    ++histogram[TypeOfBall(
+        stored_balls == nullptr ? fresh_ball : (*stored_balls)[v], center,
+        index, memo)];
   }
-  // Canonicalization is a function of content, so once per distinct
-  // content suffices; the counters stay element-based (the entry count).
-  const bool canon = index.canonical_enabled();
-  for (Entry& en : entries) {
-    if (en.direct.has_value()) {
-      continue;
-    }
-    en.code = canon ? CanonicalNeighborhoodCode(*en.exemplar) : std::nullopt;
-    if (en.code.has_value()) {
-      stats_.canon_codes += en.count;
-    }
-  }
-  // Phase B: intern. Entries with equal codes pool their counts under the
-  // first one, and types are interned in entry (first-element) order, so
-  // TypeIds follow the first realizing element.
-  struct Pending {
-    const CanonicalCode* code;  // null marks a fallback entry
-    std::size_t count;
-    const Neighborhood* exemplar;
-  };
-  FlatHashMap<CanonicalCode, std::size_t, CanonicalCodeHash> slot_of;
-  std::vector<Pending> pendings;
-  std::map<NeighborhoodTypeIndex::TypeId, std::size_t> histogram;
-  std::uint64_t direct_hits = 0;
-  for (const Entry& en : entries) {
-    if (en.direct.has_value()) {
-      histogram[*en.direct] += en.count;
-      direct_hits += en.count;
-    } else if (en.code.has_value()) {
-      auto [slot, inserted] = slot_of.TryEmplace(*en.code, pendings.size());
-      if (inserted) {
-        // Point at the entry's code, not into the map: the flat map
-        // relocates its keys on rehash, and `entries` is frozen from here.
-        pendings.push_back(Pending{&*en.code, en.count, en.exemplar});
-      } else {
-        pendings[*slot].count += en.count;
-      }
-    } else {
-      pendings.push_back(Pending{nullptr, en.count, en.exemplar});
-    }
-  }
-  std::vector<NeighborhoodTypeIndex::TypeId> id_of(pendings.size(), 0);
-  for (std::size_t i = 0; i < pendings.size(); ++i) {
-    const Pending& p = pendings[i];
-    if (p.code != nullptr) {
-      NeighborhoodTypeIndex::Resolution res = index.Resolve(*p.code,
-                                                            *p.exemplar);
-      stats_.canon_hits += (res.was_new ? 0 : 1) + (p.count - 1);
-      id_of[i] = res.id;
-    } else {
-      const std::uint64_t before = index.stats().iso_tests;
-      id_of[i] = index.FallbackTypeOf(*p.exemplar);
-      stats_.iso_tests += index.stats().iso_tests - before;
-    }
-    histogram[id_of[i]] += p.count;
-  }
-  // Register every distinct coded content so later passes — in particular
-  // the other structure of a Hanf comparison sharing this index — resolve
-  // it by content probe alone. This is the exemplars' last use, so
-  // ownership moves into the index instead of copying.
-  for (Entry& en : entries) {
-    if (en.code.has_value() && en.owned != nullptr) {
-      const std::size_t* slot = slot_of.Find(*en.code);
-      FMTK_CHECK(slot != nullptr) << "coded content missing from the merge";
-      index.RegisterContent(std::move(*en.owned), id_of[*slot],
-                            en.content_hash);
-    }
-  }
-  index.stats_.exact_hits += direct_hits;
   return histogram;
 }
 
@@ -715,7 +567,7 @@ NeighborhoodSweep::HistogramAt(std::size_t radius,
     }
     ++radius_;
   }
-  return engine_->HistogramCore(radius_, &balls_, index);
+  return engine_->Histogram(radius_, &balls_, index);
 }
 
 }  // namespace fmtk

@@ -3,39 +3,32 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "base/flat_hash.h"
 #include "core/locality/neighborhood.h"
 #include "structures/structure.h"
 
 namespace fmtk {
 
-/// Counters for the locality engine, in the style of EvalStats / GameStats /
-/// DatalogStats. Deterministic: a function of the structure and the calls.
+/// BFS counters for the locality engine, in the style of EvalStats /
+/// GameStats / DatalogStats. Deterministic: a function of the structure and
+/// the calls. Type-resolution work is counted by NeighborhoodTypeIndex.
 struct LocalityStats {
   /// Balls extracted by a fresh bounded BFS (radius-incremental extensions
   /// are counted under frontier_reuses instead).
   std::uint64_t balls_extracted = 0;
   /// Nodes discovered across all bounded-BFS work (stamped first visits).
   std::uint64_t bfs_node_visits = 0;
-  /// Canonical codes computed.
-  std::uint64_t canon_codes = 0;
-  /// Types resolved by a canonical-code probe (no isomorphism search).
-  std::uint64_t canon_hits = 0;
-  /// Exact AreIsomorphic runs on the fallback path.
-  std::uint64_t iso_tests = 0;
   /// Balls grown from the saved frontier of the previous radius instead of
   /// being recomputed from scratch.
   std::uint64_t frontier_reuses = 0;
 
   LocalityStats& operator+=(const LocalityStats& other);
 
-  /// e.g. "balls_extracted=12 bfs_node_visits=40 ... frontier_reuses=0".
+  /// e.g. "balls_extracted=12 bfs_node_visits=40 frontier_reuses=0".
   std::string ToString() const;
 };
 
@@ -92,12 +85,19 @@ class LocalityEngine {
   /// structure, set semantics) to NeighborhoodOf on the same inputs.
   Neighborhood NeighborhoodAt(const Tuple& center, std::size_t radius) const;
 
-  /// Multiset of the r-neighborhood types of all single points. One scan
-  /// extracts, deduplicates and canonicalizes the balls; a second pass
-  /// interns the distinct codes ordered by first realizing element, so new
-  /// TypeIds follow element order.
+  /// Multiset of the r-neighborhood types of all single points, resolved
+  /// by TypeAt's path in element order, so new TypeIds follow the first
+  /// realizing element.
   std::map<NeighborhoodTypeIndex::TypeId, std::size_t> TypeHistogram(
       std::size_t radius, NeighborhoodTypeIndex& index) const;
+
+  /// The type of N_r(center) in `index`. The ball is probed by content
+  /// (NeighborhoodTypeIndex::FindContent) with its would-be induced tuples
+  /// streamed off the occurrence lists, and materialized only on a miss.
+  /// Calls of one pass (the Gaifman search) share `memo`.
+  NeighborhoodTypeIndex::TypeId TypeAt(
+      const Tuple& center, std::size_t radius, NeighborhoodTypeIndex& index,
+      NeighborhoodTypeIndex::PassMemo& memo) const;
 
   /// Ball-size histograms for every radius r = 0..radius in one pass:
   /// result[r][s] = number of elements v with |B_r(v)| == s. Cheaper than a
@@ -115,41 +115,6 @@ class LocalityEngine {
 
   /// A radius-incremental sweep positioned at radius 0.
   NeighborhoodSweep NewSweep() const;
-
-  /// Canonical code of a neighborhood, counted in stats(). Convenience for
-  /// callers that intern codes themselves (the Gaifman-locality search).
-  std::optional<CanonicalCode> CodeOf(const Neighborhood& n) const;
-
-  /// The distinct literal neighborhood contents seen by DedupNeighborhoodAt
-  /// calls sharing this memo. Exemplar references stay valid for the memo's
-  /// lifetime (entries live in a deque).
-  class ContentMemo {
-   public:
-    std::size_t size() const { return entries_.size(); }
-    const Neighborhood& exemplar(std::size_t entry) const {
-      return entries_[entry];
-    }
-
-   private:
-    friend class LocalityEngine;
-    std::deque<Neighborhood> entries_;
-    // Content hash -> entry indices with that hash.
-    FlatU64Map<std::vector<std::uint32_t>> by_hash_;
-  };
-
-  struct DedupResult {
-    std::size_t entry;  // index into the memo
-    bool was_new;       // first occurrence of this content
-  };
-
-  /// NeighborhoodAt deduplicated by literal content. The r-ball of `center`
-  /// is hashed and compared against the memo's entries by streaming the
-  /// would-be induced tuples straight off the occurrence lists — a repeat
-  /// content (shifted tuples of a regular structure produce long runs of
-  /// them) costs one allocation-free comparison instead of a Structure
-  /// build; only a novel content is materialized.
-  DedupResult DedupNeighborhoodAt(ContentMemo& memo, const Tuple& center,
-                                  std::size_t radius) const;
 
   /// MaxDegree(structure, rel_index), computed once per engine and cached;
   /// the BNDP profiler calls this once per observation.
@@ -199,9 +164,10 @@ class LocalityEngine {
 
   // Streaming content probes computed directly from a sorted ball + center
   // via the occurrence lists, with no materialization: BallContentHash
-  // equals internal::NeighborhoodContentHash of the neighborhood
-  // MaterializeFromBall would build, and BallContentMatches compares that
-  // would-be neighborhood against `n` tuple-by-tuple in insertion order.
+  // equals the content hash NeighborhoodTypeIndex computes for the
+  // neighborhood MaterializeFromBall would build, and BallContentMatches
+  // compares that would-be neighborhood against `n` tuple-by-tuple in
+  // insertion order.
   // `scratch` must have the ball indexed (IndexBall).
   std::size_t BallContentHash(Scratch& scratch,
                               const std::vector<Element>& ball,
@@ -209,16 +175,17 @@ class LocalityEngine {
   bool BallContentMatches(Scratch& scratch, const std::vector<Element>& ball,
                           const Tuple& center, const Neighborhood& n) const;
 
-  // DedupNeighborhoodAt on an already-extracted sorted ball (indexes it
-  // into `scratch` itself).
-  DedupResult DedupBall(Scratch& scratch, ContentMemo& memo,
-                        const std::vector<Element>& ball,
-                        const Tuple& center) const;
+  // The one path from a ball to its type: the previous answer's content
+  // hash, then this ball's, then materialize and intern. `ball` is the
+  // sorted B_r(center).
+  NeighborhoodTypeIndex::TypeId TypeOfBall(
+      const std::vector<Element>& ball, const Tuple& center,
+      NeighborhoodTypeIndex& index,
+      NeighborhoodTypeIndex::PassMemo& memo) const;
 
-  // Shared implementation of TypeHistogram / NeighborhoodSweep::HistogramAt:
-  // balls either come from `stored_balls` or from a fresh bounded BFS at
-  // `radius`.
-  std::map<NeighborhoodTypeIndex::TypeId, std::size_t> HistogramCore(
+  // TypeHistogram / NeighborhoodSweep::HistogramAt: balls come from
+  // `stored_balls` or from a fresh bounded BFS at `radius`.
+  std::map<NeighborhoodTypeIndex::TypeId, std::size_t> Histogram(
       std::size_t radius,
       const std::vector<std::vector<Element>>* stored_balls,
       NeighborhoodTypeIndex& index) const;

@@ -510,18 +510,6 @@ Neighborhood NeighborhoodOf(const Structure& s, const Adjacency& gaifman,
   return Neighborhood{std::move(induced), std::move(distinguished)};
 }
 
-namespace internal {
-
-std::size_t NeighborhoodContentHash(const Neighborhood& n) {
-  return ContentHash(n);
-}
-
-bool NeighborhoodContentEqual(const Neighborhood& a, const Neighborhood& b) {
-  return IdenticalContent(a, b);
-}
-
-}  // namespace internal
-
 bool NeighborhoodsIsomorphic(const Neighborhood& a, const Neighborhood& b) {
   return AreIsomorphic(a.structure, b.structure, a.distinguished,
                        b.distinguished);
@@ -529,115 +517,61 @@ bool NeighborhoodsIsomorphic(const Neighborhood& a, const Neighborhood& b) {
 
 NeighborhoodTypeIndex::TypeId NeighborhoodTypeIndex::TypeOf(
     const Neighborhood& n) {
-  // Level 1: literal-content hits skip all isomorphism machinery. A plain
-  // find — operator[] would grow an empty row per novel content even once
-  // the exemplar cap stops anything from being cached under it.
-  const std::size_t content = ContentHash(n);
-  if (const auto* row = exact_cache_.Find(content)) {
-    for (const auto& [exemplar, id] : *row) {
-      if (IdenticalContent(*exemplar, n)) {
-        ++stats_.exact_hits;
-        return id;
-      }
-    }
+  PassMemo memo;
+  const std::size_t hash = ContentHash(n);
+  if (const std::optional<TypeId> id =
+          FindContent(memo, hash, [&n](const Neighborhood& content) {
+            return IdenticalContent(content, n);
+          })) {
+    return *id;
   }
-  // Level 2: exact resolution through the canonical code, one map probe.
+  return Intern(memo, Neighborhood(n), hash);
+}
+
+NeighborhoodTypeIndex::TypeId NeighborhoodTypeIndex::Intern(
+    PassMemo& memo, Neighborhood&& n, std::size_t hash) {
+  TypeId id = reps_.size();
+  bool known = false;
+  std::optional<CanonicalCode> code;
   if (options_.use_canonical_codes) {
-    if (std::optional<CanonicalCode> code = CanonicalNeighborhoodCode(n)) {
-      ++stats_.canon_codes;
-      auto [slot, inserted] =
-          code_map_.TryEmplace(std::move(*code), reps_.size());
-      const TypeId id = *slot;
-      if (!inserted) {
-        ++stats_.canon_hits;
-        // Novel literal content of a known type: seed the content cache so
-        // re-presenting this exact neighborhood is a level-1 hit. One copy
-        // per distinct content, bounded by the exemplar cap.
-        if (exemplars_.size() < options_.max_exemplars) {
-          exemplars_.push_back(n);
-          exact_cache_[content].emplace_back(&exemplars_.back(), id);
-        }
-        return id;
-      }
-      reps_.push_back(n);
-      // The stored representative doubles as the content exemplar — no
-      // second deep copy into exemplars_.
-      exact_cache_[content].emplace_back(&reps_.back(), id);
-      return id;
-    }
+    code = CanonicalNeighborhoodCode(n);
   }
-  return FallbackTypeOf(n);
-}
-
-NeighborhoodTypeIndex::TypeId NeighborhoodTypeIndex::FallbackTypeOf(
-    const Neighborhood& n) {
-  const std::size_t content = ContentHash(n);
-  if (const auto* row = exact_cache_.Find(content)) {
-    for (const auto& [exemplar, id] : *row) {
-      if (IdenticalContent(*exemplar, n)) {
-        ++stats_.exact_hits;
-        return id;
+  if (code.has_value()) {
+    ++stats_.canon_codes;
+    const auto [slot, inserted] = code_map_.TryEmplace(std::move(*code), id);
+    id = *slot;
+    known = !inserted;
+    stats_.canon_hits += known ? 1 : 0;
+  } else {
+    // Bucket by the expensive invariant, pre-filter candidates by the cheap
+    // signature, then the exact isomorphism test.
+    std::vector<std::size_t> signature = CheapSignature(n);
+    std::vector<BucketEntry>& bucket =
+        buckets_[IsomorphismInvariant(n.structure, n.distinguished)];
+    for (const BucketEntry& entry : bucket) {
+      if (entry.signature != signature) {
+        ++stats_.signature_rejects;
+        continue;
+      }
+      ++stats_.iso_tests;
+      if (NeighborhoodsIsomorphic(reps_[entry.id], n)) {
+        id = entry.id;
+        known = true;
+        break;
       }
     }
-  }
-  // Bucket by the expensive invariant, pre-filter candidates by the cheap
-  // signature, then the exact isomorphism test.
-  const std::size_t invariant =
-      IsomorphismInvariant(n.structure, n.distinguished);
-  std::vector<std::size_t> signature = CheapSignature(n);
-  std::vector<BucketEntry>& bucket = buckets_[invariant];
-  TypeId resolved = reps_.size();
-  bool found = false;
-  for (const BucketEntry& entry : bucket) {
-    if (entry.signature != signature) {
-      ++stats_.signature_rejects;
-      continue;
-    }
-    ++stats_.iso_tests;
-    if (NeighborhoodsIsomorphic(reps_[entry.id], n)) {
-      resolved = entry.id;
-      found = true;
-      break;
+    if (!known) {
+      bucket.push_back(BucketEntry{id, std::move(signature)});
     }
   }
-  if (!found) {
-    reps_.push_back(n);
-    bucket.push_back(BucketEntry{resolved, std::move(signature)});
-  }
-  if (exemplars_.size() < options_.max_exemplars) {
-    exemplars_.push_back(n);
-    exact_cache_[content].emplace_back(&exemplars_.back(), resolved);
-  }
-  return resolved;
-}
-
-NeighborhoodTypeIndex::Resolution NeighborhoodTypeIndex::Resolve(
-    const CanonicalCode& code, const Neighborhood& exemplar) {
-  FMTK_CHECK(options_.use_canonical_codes)
-      << "Resolve requires canonical codes to be enabled";
-  auto [slot, inserted] = code_map_.TryEmplace(code, reps_.size());
-  const TypeId id = *slot;
-  if (inserted) {
-    reps_.push_back(exemplar);
-    exact_cache_[ContentHash(exemplar)].emplace_back(&reps_.back(), id);
-  }
-  return Resolution{id, inserted};
-}
-
-void NeighborhoodTypeIndex::RegisterContent(Neighborhood&& exemplar, TypeId id,
-                                            std::size_t content_hash) {
-  if (exemplars_.size() >= options_.max_exemplars) {
-    return;
-  }
-  std::vector<std::pair<const Neighborhood*, TypeId>>& row =
-      exact_cache_[content_hash];
-  for (const auto& [cached, cached_id] : row) {
-    if (IdenticalContent(*cached, exemplar)) {
-      return;
-    }
-  }
-  exemplars_.push_back(std::move(exemplar));
-  row.emplace_back(&exemplars_.back(), id);
+  const bool cache = cached_ < options_.max_exemplars;
+  std::deque<Neighborhood>& store =
+      !known ? reps_ : (cache ? exemplars_ : memo.contents_);
+  store.push_back(std::move(n));
+  (cache ? exact_cache_ : memo.rows_)[hash].emplace_back(&store.back(), id);
+  cached_ += cache ? 1 : 0;
+  memo.last_hash_ = hash;
+  return id;
 }
 
 const Neighborhood& NeighborhoodTypeIndex::representative(TypeId id) const {

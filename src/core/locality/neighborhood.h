@@ -52,42 +52,61 @@ using CanonicalCodeHash = VectorHash<std::uint32_t>;
 /// class split across the two regimes.
 std::optional<CanonicalCode> CanonicalNeighborhoodCode(const Neighborhood& n);
 
-namespace internal {
-/// Hash / equality of literal neighborhood content (same relations, tuples,
-/// constants, and distinguished elements under the same numbering) — the
-/// level the exact-content cache works at. Identical content trivially
-/// implies isomorphism, and canonicalization is a function of content, so
-/// content-equal neighborhoods share their canonical code. Exposed for the
-/// locality engine, which dedupes by content before canonicalizing.
-std::size_t NeighborhoodContentHash(const Neighborhood& n);
-bool NeighborhoodContentEqual(const Neighborhood& a, const Neighborhood& b);
-}  // namespace internal
-
 /// Interns isomorphism types of neighborhoods: equal ids iff isomorphic
 /// (exact). Ids are comparable across structures through the same index
-/// instance.
+/// instance, and the index is the only place a neighborhood gets one.
 ///
-/// TypeOf resolves through three levels, each strictly cheaper than the
-/// next: (1) an exact-content cache answering literally identical
-/// neighborhoods (histograms produce many — e.g. every interior point of a
-/// path) without any isomorphism work; (2) a canonical-code probe — one
-/// hash-map lookup resolving any isomorphic (not just identical)
-/// neighborhood exactly; (3) for neighborhoods the canonicalizer declines,
-/// buckets keyed by IsomorphismInvariant whose entries carry a cheap
-/// atomic-signature pre-filter in front of the exact AreIsomorphic test.
-/// Level (3) with canonicalization disabled is also the differential
-/// oracle the tests compare the code path against.
+/// Resolution has three levels, each strictly cheaper than the next:
+/// (1) literal content: the exact-content cache (plus a caller's PassMemo)
+/// answers identical neighborhoods, which histograms produce many of (every
+/// interior point of a path), with no isomorphism work; (2) the canonical
+/// code, one hash probe resolving any isomorphic neighborhood exactly;
+/// (3) for neighborhoods the canonicalizer declines, buckets keyed by
+/// IsomorphismInvariant whose entries carry a cheap atomic-signature
+/// pre-filter in front of the exact AreIsomorphic test. Level (3) with
+/// canonicalization disabled is the differential oracle the tests compare
+/// the code path against.
+///
+/// TypeOf runs the levels on a materialized neighborhood. The locality
+/// engine splits them so a repeated ball is never materialized:
+/// FindContent is level (1) on a ball known only by its content hash and a
+/// streaming comparison, and Intern runs levels (2) and (3) on the
+/// neighborhood materialized after a miss. So every resolved neighborhood
+/// is counted exactly once, as an exact hit or by Intern.
 class NeighborhoodTypeIndex {
  public:
   using TypeId = std::size_t;
 
+ private:
+  // Content hash -> neighborhoods with that hash and their types.
+  using ContentRows =
+      FlatU64Map<std::vector<std::pair<const Neighborhood*, TypeId>>>;
+
+ public:
   struct Options {
-    /// Caps exemplar storage in the exact-content cache; correctness does
-    /// not depend on it (missed contents fall through to the other levels).
+    /// Caps the entries of the exact-content cache, the memory a long-lived
+    /// index keeps per literal content; correctness does not depend on it
+    /// (missed contents fall through to the other levels).
     std::size_t max_exemplars = 4096;
     /// Disable to force every miss through the invariant-bucket path — the
     /// seed behavior, kept as the differential oracle.
     bool use_canonical_codes = true;
+  };
+
+  /// The literal contents one pass over many balls (a histogram, a Gaifman
+  /// search) resolved after the exact-content cache was full, so the pass
+  /// still answers each repeated content at level (1). Uncapped; freed with
+  /// the pass.
+  class PassMemo {
+   public:
+    /// Content hash of the neighborhood this pass resolved last.
+    std::optional<std::size_t> last_hash() const { return last_hash_; }
+
+   private:
+    friend class NeighborhoodTypeIndex;
+    std::deque<Neighborhood> contents_;
+    ContentRows rows_;
+    std::optional<std::size_t> last_hash_;
   };
 
   NeighborhoodTypeIndex() = default;
@@ -95,18 +114,31 @@ class NeighborhoodTypeIndex {
 
   TypeId TypeOf(const Neighborhood& n);
 
-  /// Interns a type by its precomputed canonical code. `exemplar` must be a
-  /// neighborhood whose CanonicalNeighborhoodCode is `code`; it becomes the
-  /// type representative when the code is new. Used by LocalityEngine's
-  /// histogram, which computes every code first and then interns them in
-  /// first-element order.
-  struct Resolution {
-    TypeId id;
-    bool was_new;
-  };
-  Resolution Resolve(const CanonicalCode& code, const Neighborhood& exemplar);
+  /// Level (1) without a materialized neighborhood: the type of the cached
+  /// or memoized neighborhood with content hash `hash` for which
+  /// `matches(const Neighborhood&)` confirms identical literal content.
+  /// Counts an exact hit.
+  template <typename Matches>
+  std::optional<TypeId> FindContent(PassMemo& memo, std::size_t hash,
+                                    const Matches& matches) {
+    for (const ContentRows* rows : {&exact_cache_, &memo.rows_}) {
+      if (const auto* row = rows->Find(hash)) {
+        for (const auto& [content, id] : *row) {
+          if (matches(*content)) {
+            ++stats_.exact_hits;
+            memo.last_hash_ = hash;
+            return id;
+          }
+        }
+      }
+    }
+    return std::nullopt;
+  }
 
-  bool canonical_enabled() const { return options_.use_canonical_codes; }
+  /// Levels (2) and (3) for a neighborhood FindContent missed; `hash` is
+  /// its content hash. Keeps `n` findable by content: in the cache while it
+  /// has room, else in `memo`.
+  TypeId Intern(PassMemo& memo, Neighborhood&& n, std::size_t hash);
 
   /// Number of distinct types seen.
   std::size_t size() const { return reps_.size(); }
@@ -116,41 +148,24 @@ class NeighborhoodTypeIndex {
   /// never relocates elements as it grows).
   const Neighborhood& representative(TypeId id) const;
 
-  /// Number of distinct content hashes with cached exemplars. Bounded by
-  /// Options::max_exemplars plus the number of types (regression guard for
-  /// a seed bug that grew empty rows without bound once the cap was hit).
+  /// Number of distinct content hashes in the exact-content cache, at most
+  /// Options::max_exemplars (regression guard for a seed bug that grew
+  /// empty rows without bound once the cap was hit).
   std::size_t exact_cache_rows() const { return exact_cache_.size(); }
 
-  /// Counters for the TypeOf pipeline.
+  /// Counters, per resolved neighborhood. In the canonical regime each
+  /// neighborhood the canonicalizer accepts is an exact hit or one
+  /// canonicalization, and the types added are canon_codes - canon_hits.
   struct Stats {
-    std::uint64_t exact_hits = 0;         // answered by the content cache
+    std::uint64_t exact_hits = 0;         // answered by literal content
     std::uint64_t canon_codes = 0;        // canonicalizations performed
-    std::uint64_t canon_hits = 0;         // answered by a code probe
+    std::uint64_t canon_hits = 0;         // codes that named a known type
     std::uint64_t signature_rejects = 0;  // pre-filtered bucket candidates
     std::uint64_t iso_tests = 0;          // exact AreIsomorphic runs
   };
   const Stats& stats() const { return stats_; }
 
  private:
-  friend class LocalityEngine;
-
-  // Levels (1) and (3) only — for callers that already know the
-  // canonicalizer declines this neighborhood (re-attempting would burn the
-  // whole refinement budget again just to fail identically).
-  TypeId FallbackTypeOf(const Neighborhood& n);
-
-  // Records `exemplar` (an instance of type `id`) in the exact-content
-  // cache, so later literally-identical neighborhoods — including histogram
-  // balls the engine probes before materializing — resolve with no
-  // isomorphism work at all. Idempotent per content; capped by
-  // max_exemplars. `content_hash` must be ContentHash(exemplar) (the engine
-  // already streamed it off the ball). The engine registers every distinct
-  // content of a histogram pass, not just the type representatives Resolve
-  // stores, and hands over ownership — registration is the content's last
-  // use in the merge.
-  void RegisterContent(Neighborhood&& exemplar, TypeId id,
-                       std::size_t content_hash);
-
   struct BucketEntry {
     TypeId id;
     // Cheap isomorphism-invariant signature of the representative; a
@@ -158,19 +173,18 @@ class NeighborhoodTypeIndex {
     std::vector<std::size_t> signature;
   };
 
-  // TypeId -> representative, indexed positionally.
+  // TypeId -> representative, indexed positionally. A representative
+  // doubles as its content's cache entry.
   std::deque<Neighborhood> reps_;
   // Canonical code -> type. Exact: no verification needed on a hit.
   FlatHashMap<CanonicalCode, TypeId, CanonicalCodeHash> code_map_;
   // IsomorphismInvariant hash -> candidate types (fallback regime only).
   FlatU64Map<std::vector<BucketEntry>> buckets_;
-  // Exact-content fast path: content hash -> exemplars seen with that
-  // content and their resolved types. Representatives double as exemplars;
-  // additional exemplar storage is capped, and past the cap lookups still
-  // work but new contents are not cached.
+  // Level (1): every resolved content while the cache has room. Entries
+  // point into reps_ or exemplars_ (non-representative contents).
   std::deque<Neighborhood> exemplars_;
-  FlatU64Map<std::vector<std::pair<const Neighborhood*, TypeId>>>
-      exact_cache_;
+  ContentRows exact_cache_;
+  std::size_t cached_ = 0;  // entries in exact_cache_
   Options options_;
   Stats stats_;
 };

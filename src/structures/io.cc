@@ -104,8 +104,8 @@ class StructureParser {
     }
     Structure s(signature, domain);
     for (std::size_t r = 0; r < relations.size(); ++r) {
-      for (Tuple& t : relations[r].tuples) {
-        s.AddTuple(r, std::move(t));
+      for (const Tuple& t : relations[r].tuples) {
+        s.AddTuple(r, t);
       }
     }
     for (std::size_t c = 0; c < constants.size(); ++c) {

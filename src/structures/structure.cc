@@ -96,7 +96,7 @@ Result<std::size_t> Structure::RelationIndex(std::string_view name) const {
   return *index;
 }
 
-bool Structure::AddTuple(std::size_t index, Tuple tuple) {
+bool Structure::AddTuple(std::size_t index, const Tuple& tuple) {
   FMTK_CHECK(index < relations_.size()) << "relation index out of range";
   for (Element e : tuple) {
     FMTK_CHECK(e < domain_size_)
@@ -106,10 +106,10 @@ bool Structure::AddTuple(std::size_t index, Tuple tuple) {
   return relations_[index].Add(tuple);
 }
 
-bool Structure::AddTuple(std::string_view name, Tuple tuple) {
+bool Structure::AddTuple(std::string_view name, const Tuple& tuple) {
   Result<std::size_t> index = RelationIndex(name);
   FMTK_CHECK(index.ok()) << index.status().ToString();
-  return AddTuple(*index, std::move(tuple));
+  return AddTuple(*index, tuple);
 }
 
 Status Structure::TryAddTuple(std::string_view name, Tuple tuple) {
@@ -199,10 +199,10 @@ Structure InducedSubstructure(const Structure& s,
     FMTK_CHECK(inserted) << "duplicate element in subdomain";
   }
   Structure out(s.signature_ptr(), subdomain.size());
+  Tuple mapped;
   for (std::size_t r = 0; r < s.signature().relation_count(); ++r) {
     for (const auto t : s.relation(r).rows()) {
-      Tuple mapped;
-      mapped.reserve(t.size());
+      mapped.clear();
       bool keep = true;
       for (Element e : t) {
         auto it = renumber.find(e);
@@ -213,7 +213,7 @@ Structure InducedSubstructure(const Structure& s,
         mapped.push_back(it->second);
       }
       if (keep) {
-        out.AddTuple(r, std::move(mapped));
+        out.AddTuple(r, mapped);
       }
     }
   }
@@ -246,7 +246,7 @@ Result<Structure> DisjointUnion(const Structure& a, const Structure& b) {
       for (Element& e : shifted) {
         e += shift;
       }
-      out.AddTuple(r, std::move(shifted));
+      out.AddTuple(r, shifted);
     }
   }
   for (std::size_t c = 0; c < a.signature().constant_count(); ++c) {

@@ -55,10 +55,10 @@ class Structure {
   /// Inserts `tuple` into relation `index`. Element range and arity are
   /// CHECKed; use TryAddTuple for unvalidated input.
   /// Returns false when the tuple was already present.
-  bool AddTuple(std::size_t index, Tuple tuple);
+  bool AddTuple(std::size_t index, const Tuple& tuple);
 
   /// Convenience: insert by relation name.
-  bool AddTuple(std::string_view name, Tuple tuple);
+  bool AddTuple(std::string_view name, const Tuple& tuple);
 
   /// Validated insertion for user-supplied data.
   Status TryAddTuple(std::string_view name, Tuple tuple);

@@ -4,13 +4,16 @@
 #include <numeric>
 #include <optional>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/locality/gaifman_local.h"
 #include "core/locality/locality_engine.h"
 #include "core/locality/neighborhood.h"
+#include "queries/relation_query.h"
 #include "structures/generators.h"
 #include "structures/graph.h"
 #include "structures/isomorphism.h"
@@ -260,6 +263,10 @@ TEST(LocalityEngineTest, ExactCacheRespectsExemplarCap) {
   EXPECT_EQ(index.size(), 20u);
 }
 
+// BFS work is counted by the engine, type-resolution work by the index,
+// once per element: in the canonical regime each element is answered by
+// literal content or canonicalized, and only codes new to the index add
+// types.
 TEST(LocalityEngineTest, StatsCountBallsAndCanonWork) {
   Structure s = MakeDirectedCycle(10);
   LocalityEngine engine(s);
@@ -267,11 +274,181 @@ TEST(LocalityEngineTest, StatsCountBallsAndCanonWork) {
   (void)engine.TypeHistogram(2, index);
   EXPECT_EQ(engine.stats().balls_extracted, 10u);
   EXPECT_GT(engine.stats().bfs_node_visits, 0u);
-  // One isomorphism class, ten elements: one code interned, nine hits.
-  EXPECT_EQ(engine.stats().canon_codes, 10u);
-  EXPECT_EQ(engine.stats().canon_hits, 9u);
-  EXPECT_EQ(engine.stats().iso_tests, 0u);
+  // One isomorphism class in five literal contents: the balls of 3..7 are
+  // shifted copies of the ball of 2, and the balls of 0, 1, 8 and 9 wrap
+  // around 0, so each is numbered differently. Five codes, the first
+  // interned and four hits; five elements answered by content.
+  EXPECT_EQ(index.stats().canon_codes, 5u);
+  EXPECT_EQ(index.stats().canon_hits, 4u);
+  EXPECT_EQ(index.stats().exact_hits, 5u);
+  EXPECT_EQ(index.stats().iso_tests, 0u);
   EXPECT_EQ(index.size(), 1u);
+  for (const Structure& p : TestPool()) {
+    LocalityEngine pool_engine(p);
+    NeighborhoodSweep sweep = pool_engine.NewSweep();
+    NeighborhoodTypeIndex pool_index;
+    for (std::size_t r = 0; r <= 3; ++r) {
+      // A fresh pass, then the sweep's pass over the same contents.
+      for (int pass = 0; pass < 2; ++pass) {
+        const NeighborhoodTypeIndex::Stats before = pool_index.stats();
+        const std::size_t types_before = pool_index.size();
+        if (pass == 0) {
+          (void)pool_engine.TypeHistogram(r, pool_index);
+        } else {
+          (void)sweep.HistogramAt(r, pool_index);
+        }
+        const NeighborhoodTypeIndex::Stats& after = pool_index.stats();
+        const std::uint64_t codes = after.canon_codes - before.canon_codes;
+        EXPECT_EQ(after.exact_hits - before.exact_hits + codes,
+                  p.domain_size())
+            << "radius " << r << " pass " << pass;
+        EXPECT_EQ(pool_index.size() - types_before,
+                  codes - (after.canon_hits - before.canon_hits))
+            << "radius " << r << " pass " << pass;
+      }
+    }
+  }
+}
+
+// All tuples of {0..n-1}^m in lexicographic order.
+std::vector<Tuple> AllTuplesOf(std::size_t n, std::size_t m) {
+  std::vector<Tuple> out(1, Tuple());
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<Tuple> next;
+    for (const Tuple& t : out) {
+      for (Element e = 0; e < n; ++e) {
+        next.push_back(t);
+        next.back().push_back(e);
+      }
+    }
+    out = std::move(next);
+  }
+  return out;
+}
+
+// Every m-tuple's r-neighborhood, with an isomorphism invariant that lets
+// the brute-force scan skip pairs it proves non-isomorphic.
+struct TupleHoods {
+  std::vector<Tuple> tuples;
+  std::vector<Neighborhood> hoods;
+  std::vector<std::size_t> invariants;
+};
+
+TupleHoods HoodsOf(const Structure& s, std::size_t m, std::size_t radius) {
+  LocalityEngine engine(s);
+  TupleHoods out;
+  out.tuples = AllTuplesOf(s.domain_size(), m);
+  for (const Tuple& t : out.tuples) {
+    out.hoods.push_back(engine.NeighborhoodAt(t, radius));
+    out.invariants.push_back(IsomorphismInvariant(
+        out.hoods.back().structure, out.hoods.back().distinguished));
+  }
+  return out;
+}
+
+// The witness by brute force: in AllTuplesOf order, the first tuple with an
+// earlier tuple on the other side of `output` whose neighborhood is
+// isomorphic to its own, paired with the first such earlier tuple.
+std::optional<GaifmanViolation> BruteForceViolation(const TupleHoods& h,
+                                                    const Relation& output) {
+  for (std::size_t j = 0; j < h.tuples.size(); ++j) {
+    const bool in_j = output.Contains(h.tuples[j]);
+    for (std::size_t i = 0; i < j; ++i) {
+      if (output.Contains(h.tuples[i]) != in_j &&
+          h.invariants[i] == h.invariants[j] &&
+          NeighborhoodsIsomorphic(h.hoods[i], h.hoods[j])) {
+        return in_j ? GaifmanViolation{h.tuples[j], h.tuples[i]}
+                    : GaifmanViolation{h.tuples[i], h.tuples[j]};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+// Expects FindGaifmanViolation to report the brute-force witness; returns
+// whether there is one.
+bool ExpectSameWitness(const Structure& s, const TupleHoods& hoods,
+                       const Relation& output, std::size_t radius,
+                       const std::string& label) {
+  Result<std::optional<GaifmanViolation>> found =
+      FindGaifmanViolation(s, output, radius);
+  EXPECT_TRUE(found.ok()) << label;
+  const std::optional<GaifmanViolation> expected =
+      BruteForceViolation(hoods, output);
+  if (!found.ok() || found->has_value() != expected.has_value()) {
+    ADD_FAILURE() << label << ": search and brute force disagree";
+  } else if (expected.has_value()) {
+    EXPECT_EQ((*found)->in_output, expected->in_output) << label;
+    EXPECT_EQ((*found)->not_in_output, expected->not_in_output) << label;
+  }
+  return expected.has_value();
+}
+
+// FindGaifmanViolation reports exactly the pair the pairwise scan finds,
+// for the edge relation, its transitive closure and a random binary
+// output, on every pool structure.
+TEST(LocalityEngineTest, GaifmanWitnessMatchesBruteForce) {
+  const RelationQuery tc = RelationQuery::TransitiveClosure();
+  std::mt19937_64 rng(20261019);
+  std::bernoulli_distribution coin(0.3);
+  std::size_t violations = 0;
+  for (const Structure& s : TestPool()) {
+    Relation random(2);
+    for (const Tuple& t : AllTuplesOf(s.domain_size(), 2)) {
+      if (coin(rng)) {
+        random.Add(t);
+      }
+    }
+    const std::vector<std::pair<std::string, Relation>> outputs = {
+        {"E", s.relation(0)}, {"TC", *tc.Evaluate(s)}, {"random", random}};
+    for (std::size_t r = 0; r <= 2; ++r) {
+      const TupleHoods hoods = HoodsOf(s, 2, r);
+      for (const auto& [name, output] : outputs) {
+        violations += ExpectSameWitness(
+            s, hoods, output, r,
+            name + " radius " + std::to_string(r) + " n " +
+                std::to_string(s.domain_size()));
+      }
+    }
+  }
+  EXPECT_GT(violations, 0u);
+}
+
+// The same agreement where the canonicalizer declines some balls: two
+// disjoint stars with 129 leaves each. At radius 1 a center's ball is its
+// whole star, above kCanonMaxDomain, so the centers' types come from the
+// invariant-bucket path while the leaves' two-element balls get codes.
+TEST(LocalityEngineTest, GaifmanWitnessMatchesBruteForceWithoutCodes) {
+  const Element leaves = 129;
+  const Element centers[2] = {0, leaves + 1};
+  Structure stars(MakeDirectedPath(1).signature_ptr(), 2 * (leaves + 1));
+  for (Element c : centers) {
+    for (Element leaf = c + 1; leaf <= c + leaves; ++leaf) {
+      stars.AddTuple(0, {c, leaf});
+    }
+  }
+  LocalityEngine engine(stars);
+  ASSERT_FALSE(CanonicalNeighborhoodCode(engine.NeighborhoodAt({centers[0]}, 1))
+                   .has_value());
+  ASSERT_TRUE(CanonicalNeighborhoodCode(engine.NeighborhoodAt({1}, 1))
+                  .has_value());
+  Relation one_center(1);
+  one_center.Add({centers[0]});
+  Relation both_centers = one_center;
+  both_centers.Add({centers[1]});
+  Relation some_leaves(1);
+  some_leaves.Add({5});
+  some_leaves.Add({9});
+  const TupleHoods hoods = HoodsOf(stars, 1, 1);
+  EXPECT_TRUE(ExpectSameWitness(stars, hoods, one_center, 1, "one center"));
+  EXPECT_FALSE(
+      ExpectSameWitness(stars, hoods, both_centers, 1, "both centers"));
+  EXPECT_TRUE(ExpectSameWitness(stars, hoods, some_leaves, 1, "leaves"));
+  const std::optional<GaifmanViolation> v =
+      *FindGaifmanViolation(stars, one_center, 1);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->in_output, Tuple{centers[0]});
+  EXPECT_EQ(v->not_in_output, Tuple{centers[1]});
 }
 
 TEST(LocalityEngineTest, CachedMaxDegreeMatchesGraphScan) {

@@ -1,5 +1,5 @@
 // Guards the allocation-free inner loops of the game and isomorphism
-// searches. This binary replaces the global operator new with a counting
+// searches and of neighborhood materialization. This binary replaces the global operator new with a counting
 // one, runs each search twice with the same structures (a small solve and
 // a much larger one) and asserts that the larger solve allocates no more
 // than a small constant beyond the smaller one: the setup (occurrence
@@ -17,6 +17,7 @@
 
 #include "core/games/ef_game.h"
 #include "core/games/pebble_game.h"
+#include "core/locality/locality_engine.h"
 #include "structures/generators.h"
 #include "structures/isomorphism.h"
 #include "structures/signature.h"
@@ -166,6 +167,31 @@ TEST(SearchAllocTest, IsomorphismAllocationsDoNotGrowWithWorkBinary) {
 
 TEST(SearchAllocTest, IsomorphismAllocationsDoNotGrowWithWorkTernary) {
   ExpectIsoAllocationsDoNotGrowWithWork(3);
+}
+
+// Materializing a neighborhood maps each induced row into one reused row
+// and copies it into the relation's row store. What may grow with the row
+// count is the geometric growth of the row store, its membership index
+// and the BFS buffers: 8 allocations from 4 to 36 rows when this test was
+// written. One allocation per row costs 32 more.
+constexpr std::size_t kNeighborhoodSlack = 16;
+
+TEST(SearchAllocTest, NeighborhoodAllocationsDoNotGrowWithRows) {
+  const Structure grid = MakeGrid(20, 20);
+  const LocalityEngine engine(grid);
+  std::size_t small_rows = 0;
+  std::size_t big_rows = 0;
+  // Element 210 is interior (row 10, column 10): its radius-1 ball has 4
+  // induced edges and its radius-3 ball 36.
+  const std::size_t small = AllocationsOf([&] {
+    small_rows = engine.NeighborhoodAt({210}, 1).structure.TupleCount();
+  });
+  const std::size_t big = AllocationsOf([&] {
+    big_rows = engine.NeighborhoodAt({210}, 3).structure.TupleCount();
+  });
+  ASSERT_GE(big_rows, 8 * small_rows);
+  EXPECT_LE(big, small + kNeighborhoodSlack)
+      << "rows " << small_rows << " -> " << big_rows;
 }
 
 }  // namespace
