@@ -53,11 +53,12 @@ void EmitJsonLine(const char* bench, std::size_t n, double wall_ms,
   std::printf(
       "{\"bench\":\"%s\",\"n\":%zu,\"wall_ms\":%.3f,"
       "\"result\":%zu,\"balls_extracted\":%llu,\"bfs_node_visits\":%llu,"
-      "\"frontier_reuses\":%llu}\n",
+      "\"frontier_reuses\":%llu,\"balls_shifted\":%llu}\n",
       bench, n, wall_ms, result,
       static_cast<unsigned long long>(stats.balls_extracted),
       static_cast<unsigned long long>(stats.bfs_node_visits),
-      static_cast<unsigned long long>(stats.frontier_reuses));
+      static_cast<unsigned long long>(stats.frontier_reuses),
+      static_cast<unsigned long long>(stats.balls_shifted));
 }
 
 template <typename Fn>

@@ -85,8 +85,9 @@ void EmitJsonLine(const char* bench, std::size_t n, double wall_ms,
         static_cast<unsigned long long>(stats.types->canon_hits),
         static_cast<unsigned long long>(stats.types->iso_tests));
   }
-  std::printf("\"frontier_reuses\":%llu}\n",
-              static_cast<unsigned long long>(stats.balls.frontier_reuses));
+  std::printf("\"frontier_reuses\":%llu,\"balls_shifted\":%llu}\n",
+              static_cast<unsigned long long>(stats.balls.frontier_reuses),
+              static_cast<unsigned long long>(stats.balls.balls_shifted));
 }
 
 template <typename Fn>

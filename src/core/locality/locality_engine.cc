@@ -1,6 +1,7 @@
 #include "core/locality/locality_engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -16,13 +17,15 @@ LocalityStats& LocalityStats::operator+=(const LocalityStats& other) {
   balls_extracted += other.balls_extracted;
   bfs_node_visits += other.bfs_node_visits;
   frontier_reuses += other.frontier_reuses;
+  balls_shifted += other.balls_shifted;
   return *this;
 }
 
 std::string LocalityStats::ToString() const {
   return "balls_extracted=" + std::to_string(balls_extracted) +
          " bfs_node_visits=" + std::to_string(bfs_node_visits) +
-         " frontier_reuses=" + std::to_string(frontier_reuses);
+         " frontier_reuses=" + std::to_string(frontier_reuses) +
+         " balls_shifted=" + std::to_string(balls_shifted);
 }
 
 LocalityEngine::LocalityEngine(const Structure& s)
@@ -30,19 +33,50 @@ LocalityEngine::LocalityEngine(const Structure& s)
       domain_size_(s.domain_size()),
       max_degree_cache_(s.signature().relation_count()),
       scratch_(s.domain_size()) {
-  // CSR-pack the Gaifman adjacency; the nested vectors are dropped after.
-  Adjacency adj = GaifmanAdjacency(s);
-  csr_offsets_.resize(domain_size_ + 1, 0);
-  std::size_t total = 0;
+  // CSR-pack the Gaifman adjacency (GaifmanAdjacency's lists) straight
+  // from the tuples: count each element's co-members, scatter them, then
+  // sort and deduplicate every slice and close the gaps between slices.
+  auto for_each_gaifman_pair = [&s](auto&& fn) {
+    for (std::size_t r = 0; r < s.signature().relation_count(); ++r) {
+      const Relation& rel = s.relation(r);
+      const std::size_t arity = rel.arity();
+      for (std::size_t row = 0; row < rel.size(); ++row) {
+        const Element* t = rel.TupleData(row);
+        for (std::size_t i = 0; i < arity; ++i) {
+          for (std::size_t j = i + 1; j < arity; ++j) {
+            if (t[i] != t[j]) {
+              fn(t[i], t[j]);
+              fn(t[j], t[i]);
+            }
+          }
+        }
+      }
+    }
+  };
+  csr_offsets_.assign(domain_size_ + 1, 0);
+  for_each_gaifman_pair([this](Element a, Element) { ++csr_offsets_[a + 1]; });
   for (Element v = 0; v < domain_size_; ++v) {
-    total += adj[v].size();
+    csr_offsets_[v + 1] += csr_offsets_[v];
   }
-  csr_neighbors_.reserve(total);
+  csr_neighbors_.resize(csr_offsets_[domain_size_]);
+  {
+    std::vector<std::uint32_t> cursor(csr_offsets_.begin(),
+                                      csr_offsets_.end() - 1);
+    for_each_gaifman_pair(
+        [&](Element a, Element b) { csr_neighbors_[cursor[a]++] = b; });
+  }
+  std::uint32_t kept = 0;
   for (Element v = 0; v < domain_size_; ++v) {
-    csr_offsets_[v] = static_cast<std::uint32_t>(csr_neighbors_.size());
-    csr_neighbors_.insert(csr_neighbors_.end(), adj[v].begin(), adj[v].end());
+    const auto begin = csr_neighbors_.begin() + csr_offsets_[v];
+    const auto end = csr_neighbors_.begin() + csr_offsets_[v + 1];
+    std::sort(begin, end);
+    const auto unique_end = std::unique(begin, end);
+    csr_offsets_[v] = kept;
+    std::copy(begin, unique_end, csr_neighbors_.begin() + kept);
+    kept += static_cast<std::uint32_t>(unique_end - begin);
   }
-  csr_offsets_[domain_size_] = static_cast<std::uint32_t>(csr_neighbors_.size());
+  csr_offsets_[domain_size_] = kept;
+  csr_neighbors_.resize(kept);
   // Occurrence lists: tuple indices by member element, one entry per
   // distinct member so the min-member rule in MaterializeFromBall emits
   // every contained tuple exactly once.
@@ -175,7 +209,11 @@ Neighborhood LocalityEngine::MaterializeFromBall(
     }
     return static_cast<Element>(scratch.local[e]);
   };
-  Tuple mapped;
+  // Each relation is collected into scratch, sorted and installed as one
+  // flat array with no membership hash (Relation::FromSortedRows), so a
+  // neighborhood the type index keeps costs little more than its rows.
+  std::vector<Element>& rows = scratch.rows;
+  std::vector<std::uint32_t>& order = scratch.order;
   for (std::size_t r = 0; r < s_->signature().relation_count(); ++r) {
     const Relation& rel = s_->relation(r);
     if (rel.arity() == 0) {
@@ -188,32 +226,48 @@ Neighborhood LocalityEngine::MaterializeFromBall(
     }
     const Occurrences& occ = occurrences_[r];
     const std::size_t arity = rel.arity();
+    rows.clear();
     for (Element e : ball) {
       for (std::uint32_t k = occ.offsets[e]; k < occ.offsets[e + 1]; ++k) {
         const Element* t = rel.TupleData(occ.tuple_index[k]);
         // One pass: track the minimum (each fully-contained tuple is added
         // exactly once, when e is its minimum element) while relabeling.
-        mapped.clear();
+        const std::size_t start = rows.size();
         Element mn = t[0];
         bool inside = true;
-        for (std::size_t i = 0; i < arity; ++i) {
+        for (std::size_t i = 0; i < arity && inside; ++i) {
           const Element x = t[i];
-          if (x < mn) {
-            mn = x;
-          }
-          if (inside) {
-            if (scratch.local_stamp[x] != gen) {
-              inside = false;
-            } else {
-              mapped.push_back(static_cast<Element>(scratch.local[x]));
-            }
-          }
+          mn = std::min(mn, x);
+          inside = scratch.local_stamp[x] == gen;
+          rows.push_back(static_cast<Element>(scratch.local[x]));
         }
-        if (inside && mn == e) {
-          induced.AddTuple(r, mapped);
+        if (!inside || mn != e) {
+          rows.resize(start);
         }
       }
     }
+    const std::size_t count = rows.size() / arity;
+    if (count == 0) {
+      continue;
+    }
+    // Relabeling is injective, so the rows are distinct; sort them.
+    order.resize(count);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&rows, arity](std::uint32_t a, std::uint32_t b) {
+                return std::lexicographical_compare(
+                    rows.begin() + a * arity, rows.begin() + (a + 1) * arity,
+                    rows.begin() + b * arity, rows.begin() + (b + 1) * arity);
+              });
+    std::vector<Element> sorted;
+    sorted.reserve(rows.size());
+    for (const std::uint32_t i : order) {
+      sorted.insert(sorted.end(), rows.begin() + i * arity,
+                    rows.begin() + (i + 1) * arity);
+    }
+    induced.SetRelation(
+        r, Relation::FromSortedRows(arity, std::move(sorted),
+                                    /*build_column_indexes=*/false));
   }
   for (std::size_t c = 0; c < s_->signature().constant_count(); ++c) {
     std::optional<Element> v = s_->constant(c);
@@ -250,7 +304,6 @@ std::size_t LocalityEngine::BallContentHash(Scratch& scratch,
     }
     return static_cast<Element>(scratch.local[e]);
   };
-  Tuple mapped;
   for (std::size_t r = 0; r < s_->signature().relation_count(); ++r) {
     const Relation& rel = s_->relation(r);
     std::size_t folded = 0;
@@ -269,8 +322,8 @@ std::size_t LocalityEngine::BallContentHash(Scratch& scratch,
           // One fused pass: track the minimum member (the tuple is emitted
           // only at its minimum), membership of every member, and the
           // VectorHash of the relabeled tuple (seed = size, then each local
-          // index combined in position order — bit-identical to hashing the
-          // materialized tuple).
+          // index combined in position order, then Mix64 — bit-identical to
+          // hashing the materialized tuple).
           Element mn = t[0];
           bool inside = true;
           std::size_t th = arity;
@@ -291,7 +344,7 @@ std::size_t LocalityEngine::BallContentHash(Scratch& scratch,
             continue;
           }
           ++count;
-          folded += th;
+          folded += static_cast<std::size_t>(Mix64(th));
         }
       }
     }
@@ -305,13 +358,14 @@ std::size_t LocalityEngine::BallContentHash(Scratch& scratch,
     }
     HashCombine(h, lv.has_value() ? static_cast<std::size_t>(*lv) + 1 : 0);
   }
-  mapped.clear();
+  // VectorHash of the relabeled center, folded in place like the tuples.
+  std::size_t center_hash = center.size();
   for (Element e : center) {
     std::optional<Element> le = local_of(e);
     FMTK_CHECK(le.has_value()) << "center must lie in its ball";
-    mapped.push_back(*le);
+    HashCombine(center_hash, *le);
   }
-  HashCombine(h, tuple_hash(mapped));
+  HashCombine(h, static_cast<std::size_t>(Mix64(center_hash)));
   return h;
 }
 
@@ -319,10 +373,9 @@ bool LocalityEngine::BallContentMatches(Scratch& scratch,
                                         const std::vector<Element>& ball,
                                         const Tuple& center,
                                         const Neighborhood& n) const {
-  // Compares the materialization this ball would produce against `n`.
-  // MaterializeFromBall inserts tuples relation-major, ball-ascending,
-  // occurrence-ascending, and Relation preserves insertion order, so a
-  // sequential walk in that same order is an exact content comparison.
+  // Compares the materialization this ball would produce against `n` as
+  // sets: per relation, equal sizes and every induced tuple, relabeled, a
+  // row of `n` (the induced tuples are distinct, so that is equality).
   if (n.structure.domain_size() != ball.size() ||
       n.distinguished.size() != center.size()) {
     return false;
@@ -352,13 +405,15 @@ bool LocalityEngine::BallContentMatches(Scratch& scratch,
     }
     const Occurrences& occ = occurrences_[r];
     const std::size_t arity = rel.arity();
+    std::vector<Element>& row = scratch.rows;
+    row.resize(arity);
     std::size_t idx = 0;
     for (Element e : ball) {
       for (std::uint32_t k = occ.offsets[e]; k < occ.offsets[e + 1]; ++k) {
         const Element* t = rel.TupleData(occ.tuple_index[k]);
         // Fused min + membership pass; only fully-contained tuples at their
-        // minimum member take part in the sequential comparison, exactly as
-        // in MaterializeFromBall.
+        // minimum member are compared, exactly as MaterializeFromBall emits
+        // them.
         Element mn = t[0];
         bool inside = true;
         for (std::size_t i = 0; i < arity; ++i) {
@@ -376,11 +431,11 @@ bool LocalityEngine::BallContentMatches(Scratch& scratch,
         if (idx == out.size()) {
           return false;
         }
-        const Element* o = out.TupleData(idx);
         for (std::size_t i = 0; i < arity; ++i) {
-          if (o[i] != static_cast<Element>(scratch.local[t[i]])) {
-            return false;
-          }
+          row[i] = static_cast<Element>(scratch.local[t[i]]);
+        }
+        if (!out.ContainsRow(row.data())) {
+          return false;
         }
         ++idx;
       }
@@ -429,9 +484,8 @@ NeighborhoodTypeIndex::TypeId LocalityEngine::TypeOfBall(
 NeighborhoodTypeIndex::TypeId LocalityEngine::TypeAt(
     const Tuple& center, std::size_t radius, NeighborhoodTypeIndex& index,
     NeighborhoodTypeIndex::PassMemo& memo) const {
-  std::vector<Element> ball;
-  BallInto(scratch_, center, radius, ball, nullptr, stats_);
-  return TypeOfBall(ball, center, index, memo);
+  BallInto(scratch_, center, radius, scratch_.ball, nullptr, stats_);
+  return TypeOfBall(scratch_.ball, center, index, memo);
 }
 
 std::vector<Element> LocalityEngine::Ball(const Tuple& center,
@@ -443,10 +497,9 @@ std::vector<Element> LocalityEngine::Ball(const Tuple& center,
 
 Neighborhood LocalityEngine::NeighborhoodAt(const Tuple& center,
                                             std::size_t radius) const {
-  std::vector<Element> ball;
-  BallInto(scratch_, center, radius, ball, nullptr, stats_);
-  IndexBall(scratch_, ball);
-  return MaterializeFromBall(scratch_, ball, center);
+  BallInto(scratch_, center, radius, scratch_.ball, nullptr, stats_);
+  IndexBall(scratch_, scratch_.ball);
+  return MaterializeFromBall(scratch_, scratch_.ball, center);
 }
 
 std::size_t LocalityEngine::CachedMaxDegree(std::size_t rel_index) const {
@@ -520,21 +573,119 @@ LocalityEngine::BallSizeHistogram(std::size_t radius) const {
   return out;
 }
 
+const ElementBitset& LocalityEngine::ShiftEqualBits() const {
+  if (shift_equal_.has_value()) {
+    return *shift_equal_;
+  }
+  ElementBitset& bits = shift_equal_.emplace(domain_size_);
+  for (std::size_t c = 0; c < s_->signature().constant_count(); ++c) {
+    if (s_->constant(c).has_value()) {
+      return bits;
+    }
+  }
+  if (domain_size_ > 0) {
+    bits.SetAll();
+    bits.Clear(domain_size_ - 1);  // no successor
+  }
+  // Per relation, compare the rows containing w, moved by +1, with the rows
+  // containing w + 1: first in occurrence order, which matches when the
+  // rows were inserted in a regular pattern, else both sorted (adding 1
+  // keeps the order).
+  std::vector<const Element*> rows;
+  std::vector<const Element*> next_rows;
+  for (std::size_t r = 0; r < s_->signature().relation_count(); ++r) {
+    const Relation& rel = s_->relation(r);
+    const std::size_t arity = rel.arity();
+    if (arity == 0) {
+      continue;  // arity-0 relations are the same in every ball
+    }
+    const Occurrences& occ = occurrences_[r];
+    auto rows_of = [&](Element e, std::vector<const Element*>& out) {
+      out.clear();
+      for (std::uint32_t k = occ.offsets[e]; k < occ.offsets[e + 1]; ++k) {
+        out.push_back(rel.TupleData(occ.tuple_index[k]));
+      }
+    };
+    auto shifted_row = [arity](const Element* a, const Element* b) {
+      for (std::size_t j = 0; j < arity; ++j) {
+        if (a[j] + 1 != b[j]) {
+          return false;
+        }
+      }
+      return true;
+    };
+    auto row_less = [arity](const Element* a, const Element* b) {
+      return std::lexicographical_compare(a, a + arity, b, b + arity);
+    };
+    for (Element w = 0; w + 1 < domain_size_; ++w) {
+      if (!bits.Test(w)) {
+        continue;
+      }
+      const std::uint32_t begin = occ.offsets[w];
+      const std::uint32_t count = occ.offsets[w + 1] - begin;
+      if (occ.offsets[w + 2] - occ.offsets[w + 1] != count) {
+        bits.Clear(w);
+        continue;
+      }
+      std::uint32_t k = 0;
+      while (k < count &&
+             shifted_row(rel.TupleData(occ.tuple_index[begin + k]),
+                         rel.TupleData(occ.tuple_index[begin + count + k]))) {
+        ++k;
+      }
+      if (k == count) {
+        continue;
+      }
+      rows_of(w, rows);
+      rows_of(w + 1, next_rows);
+      std::sort(rows.begin(), rows.end(), row_less);
+      std::sort(next_rows.begin(), next_rows.end(), row_less);
+      if (!std::equal(rows.begin(), rows.end(), next_rows.begin(),
+                      shifted_row)) {
+        bits.Clear(w);
+      }
+    }
+  }
+  return bits;
+}
+
 std::map<NeighborhoodTypeIndex::TypeId, std::size_t> LocalityEngine::Histogram(
     std::size_t radius, const std::vector<std::vector<Element>>* stored_balls,
     NeighborhoodTypeIndex& index) const {
+  const ElementBitset& shift_equal = ShiftEqualBits();
   NeighborhoodTypeIndex::PassMemo memo;
   std::map<NeighborhoodTypeIndex::TypeId, std::size_t> histogram;
-  std::vector<Element> fresh_ball;
+  std::vector<Element>& fresh_ball = scratch_.ball;
   Tuple center(1);
+  NeighborhoodTypeIndex::TypeId id = 0;
   for (Element v = 0; v < domain_size_; ++v) {
     center[0] = v;
-    if (stored_balls == nullptr) {
-      BallInto(scratch_, center, radius, fresh_ball, nullptr, stats_);
+    // `fresh_ball` still holds B_r(v - 1). If all of B_r(v - 1) is
+    // shift-equal, N_r(v) is N_r(v - 1): same type, no BFS, no probe.
+    bool shifted = false;
+    if (v > 0) {
+      const std::vector<Element>& previous =
+          stored_balls == nullptr ? fresh_ball : (*stored_balls)[v - 1];
+      shifted = std::all_of(previous.begin(), previous.end(),
+                            [&shift_equal](Element w) {
+                              return shift_equal.Test(w);
+                            });
     }
-    ++histogram[TypeOfBall(
-        stored_balls == nullptr ? fresh_ball : (*stored_balls)[v], center,
-        index, memo)];
+    if (stored_balls == nullptr) {
+      if (shifted) {
+        for (Element& e : fresh_ball) {
+          ++e;
+        }
+        ++stats_.balls_shifted;
+      } else {
+        BallInto(scratch_, center, radius, fresh_ball, nullptr, stats_);
+      }
+    }
+    id = shifted ? index.RepeatContent(id)
+                 : TypeOfBall(stored_balls == nullptr ? fresh_ball
+                                                      : (*stored_balls)[v],
+                              center, index, memo);
+    ++histogram[id];
   }
   return histogram;
 }

@@ -8,12 +8,13 @@
 #include <string>
 #include <vector>
 
+#include "base/bitset.h"
 #include "core/locality/neighborhood.h"
 #include "structures/structure.h"
 
 namespace fmtk {
 
-/// BFS counters for the locality engine, in the style of EvalStats /
+/// Ball counters for the locality engine, in the style of EvalStats /
 /// GameStats / DatalogStats. Deterministic: a function of the structure and
 /// the calls. Type-resolution work is counted by NeighborhoodTypeIndex.
 struct LocalityStats {
@@ -25,10 +26,15 @@ struct LocalityStats {
   /// Balls grown from the saved frontier of the previous radius instead of
   /// being recomputed from scratch.
   std::uint64_t frontier_reuses = 0;
+  /// Balls of a fresh-ball histogram pass obtained by shifting the previous
+  /// element's ball by one instead of a BFS; such a pass extracts or shifts
+  /// each element's ball exactly once.
+  std::uint64_t balls_shifted = 0;
 
   LocalityStats& operator+=(const LocalityStats& other);
 
-  /// e.g. "balls_extracted=12 bfs_node_visits=40 frontier_reuses=0".
+  /// e.g. "balls_extracted=12 bfs_node_visits=40 frontier_reuses=0
+  /// balls_shifted=0".
   std::string ToString() const;
 };
 
@@ -87,7 +93,8 @@ class LocalityEngine {
 
   /// Multiset of the r-neighborhood types of all single points, resolved
   /// by TypeAt's path in element order, so new TypeIds follow the first
-  /// realizing element.
+  /// realizing element. An element whose predecessor's ball is all
+  /// shift-equal takes the predecessor's type with no BFS and no probe.
   std::map<NeighborhoodTypeIndex::TypeId, std::size_t> TypeHistogram(
       std::size_t radius, NeighborhoodTypeIndex& index) const;
 
@@ -136,6 +143,11 @@ class LocalityEngine {
     std::vector<std::uint64_t> local_stamp;
     std::uint64_t local_generation = 0;
     std::vector<std::uint32_t> local;
+    std::vector<Element> ball;  // the ball TypeAt and histogram passes type
+    // Induced rows being materialized (and their sort order), or the one
+    // relabeled row a content probe looks up.
+    std::vector<Element> rows;
+    std::vector<std::uint32_t> order;
   };
 
   // Publishes `ball` (sorted) as the current ball of `scratch`: afterwards
@@ -156,7 +168,8 @@ class LocalityEngine {
   void ExtendBall(Scratch& scratch, std::vector<Element>& ball,
                   std::vector<Element>& frontier, LocalityStats& stats) const;
 
-  // Induced substructure of a sorted ball with `center` distinguished.
+  // Induced substructure of a sorted ball with `center` distinguished,
+  // each relation stored sorted with no membership hash.
   // `scratch` must have the ball indexed (IndexBall).
   Neighborhood MaterializeFromBall(Scratch& scratch,
                                    const std::vector<Element>& ball,
@@ -166,8 +179,7 @@ class LocalityEngine {
   // via the occurrence lists, with no materialization: BallContentHash
   // equals the content hash NeighborhoodTypeIndex computes for the
   // neighborhood MaterializeFromBall would build, and BallContentMatches
-  // compares that would-be neighborhood against `n` tuple-by-tuple in
-  // insertion order.
+  // compares that would-be neighborhood against `n` as sets of tuples.
   // `scratch` must have the ball indexed (IndexBall).
   std::size_t BallContentHash(Scratch& scratch,
                               const std::vector<Element>& ball,
@@ -183,8 +195,18 @@ class LocalityEngine {
       NeighborhoodTypeIndex& index,
       NeighborhoodTypeIndex::PassMemo& memo) const;
 
+  // Bit w is set iff w + 1 is in the domain and the tuples containing
+  // w + 1 are exactly those containing w with every component moved by +1.
+  // If every member of B_r(v - 1) is shift-equal, then B_r(v) is
+  // B_r(v - 1) + 1 and N_r(v) is N_r(v - 1) as a structure. No bit is set
+  // while a constant is interpreted (a constant does not move). Built on
+  // the first histogram pass.
+  const ElementBitset& ShiftEqualBits() const;
+
   // TypeHistogram / NeighborhoodSweep::HistogramAt: balls come from
-  // `stored_balls` or from a fresh bounded BFS at `radius`.
+  // `stored_balls` or from a fresh bounded BFS at `radius`; an element
+  // whose predecessor's ball is all shift-equal takes the predecessor's
+  // type (a fresh ball is then the predecessor's, shifted in place).
   std::map<NeighborhoodTypeIndex::TypeId, std::size_t> Histogram(
       std::size_t radius,
       const std::vector<std::vector<Element>>* stored_balls,
@@ -203,6 +225,7 @@ class LocalityEngine {
     std::vector<std::uint32_t> tuple_index;
   };
   std::vector<Occurrences> occurrences_;
+  mutable std::optional<ElementBitset> shift_equal_;
   mutable std::vector<std::optional<std::size_t>> max_degree_cache_;
   mutable Scratch scratch_;
   mutable LocalityStats stats_;

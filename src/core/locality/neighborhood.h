@@ -135,6 +135,14 @@ class NeighborhoodTypeIndex {
     return std::nullopt;
   }
 
+  /// Level (1) answered by the caller: a neighborhood it has proven equal,
+  /// as a structure with its distinguished tuple, to one already resolved
+  /// as `id` (a histogram's shifted ball). Counts an exact hit.
+  TypeId RepeatContent(TypeId id) {
+    ++stats_.exact_hits;
+    return id;
+  }
+
   /// Levels (2) and (3) for a neighborhood FindContent missed; `hash` is
   /// its content hash. Keeps `n` findable by content: in the cache while it
   /// has room, else in `memo`.

@@ -432,7 +432,9 @@ Result<Structure> ParseStructureBinary(std::string_view bytes,
       }
       builder.Add(row.data());
     }
-    p.rel = builder.Build();
+    // Column indexes are built on first use: a loaded structure often
+    // reaches engines that probe few of its columns, or none.
+    p.rel = builder.Build(/*build_column_indexes=*/false);
     p.duplicates = builder.DuplicatesDropped();
     if (p.duplicates > 0) {
       Warn(sink, DiagCode::kIoDuplicateTuple,

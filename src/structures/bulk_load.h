@@ -74,7 +74,7 @@ Result<LoadedGraph> LoadEdgeListFile(const std::string& path,
 /// then per constant its name and an explicit presence byte. Unlike the
 /// textual format (io.h), uninterpreted constants survive the round trip —
 /// SerializeStructureBinary/ParseStructureBinary is lossless for every
-/// structure.
+/// structure. Parsed relations build their column indexes on first use.
 std::string SerializeStructureBinary(const Structure& s);
 Result<Structure> ParseStructureBinary(std::string_view bytes,
                                        DiagnosticSink* sink = nullptr);

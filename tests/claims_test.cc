@@ -106,11 +106,13 @@ TEST(ClaimsTest, BoundedDegreePassIsLinearWhereNaiveCheckIsQuadratic) {
         sink, {.radius = kRadius, .threshold = 3});
     ASSERT_TRUE(evaluator.ok());
     ASSERT_TRUE(evaluator->Evaluate(chain).ok());
-    // Every radius-2 ball holds 2r+1 chain nodes, less the r(r+1) the two
-    // ends cut off: visits per element stay below 2r+1 at every size.
-    EXPECT_EQ(evaluator->locality_stats().bfs_node_visits,
-              (2 * kRadius + 1) * n - kRadius * (kRadius + 1))
-        << "n=" << n;
+    // The pass is linear: each element's ball is found by a BFS or is its
+    // predecessor's ball shifted by one. Only 0 (no predecessor), 1..3 and
+    // n-3..n-1 (whose predecessor's ball reaches an end of the chain) run
+    // a BFS, over balls of 3+4+5+5 and 5+4+3 nodes at every size.
+    EXPECT_EQ(evaluator->locality_stats().balls_shifted, n - 7) << "n=" << n;
+    EXPECT_EQ(evaluator->locality_stats().balls_extracted, 7u) << "n=" << n;
+    EXPECT_EQ(evaluator->locality_stats().bfs_node_visits, 29u) << "n=" << n;
   }
 }
 

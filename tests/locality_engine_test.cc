@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -10,13 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include "core/algorithmic/bounded_degree.h"
 #include "core/locality/gaifman_local.h"
 #include "core/locality/locality_engine.h"
 #include "core/locality/neighborhood.h"
+#include "eval/compiled_eval.h"
+#include "logic/parser.h"
 #include "queries/relation_query.h"
 #include "structures/generators.h"
 #include "structures/graph.h"
 #include "structures/isomorphism.h"
+#include "structures/signature.h"
 #include "structures/structure.h"
 
 namespace fmtk {
@@ -235,6 +240,169 @@ TEST(LocalityEngineTest, SweepVisitsEachNodeOncePerElement) {
             oneshot.stats().bfs_node_visits);
 }
 
+// Shapes where consecutive elements have shifted neighborhoods (grids,
+// cycles, chains, a ternary chain, a periodically colored cycle), shapes
+// where they do not (random graphs and random signatures of arity 0..3),
+// and the cases the shift must not see through: interpreted constants,
+// rows inserted in reverse order, and a cycle with one edge reversed,
+// whose ends have as many rows as their successors but not shifted ones.
+std::vector<Structure> ShiftCorpus() {
+  std::vector<Structure> corpus;
+  for (std::size_t w : {5, 9, 16, 64}) {
+    corpus.push_back(MakeGrid(w, w));
+  }
+  corpus.push_back(MakeDirectedCycle(10));
+  corpus.push_back(MakeDirectedCycle(41));
+  corpus.push_back(MakeDirectedPath(12));
+  corpus.push_back(MakeDirectedPath(40));
+  corpus.push_back(MakeDisjointCycles(2, 9));
+  corpus.push_back(MakePathPlusCycle(8));
+  Structure reversed(Signature::Graph(), 20);
+  for (Element i = 19; i-- > 0;) {
+    reversed.AddTuple(0, {i, i + 1});
+  }
+  corpus.push_back(std::move(reversed));
+  Structure one_reversed(Signature::Graph(), 12);
+  for (Element i = 0; i < 12; ++i) {
+    const Element next = (i + 1) % 12;
+    one_reversed.AddTuple(0, i == 5 ? Tuple{next, i} : Tuple{i, next});
+  }
+  corpus.push_back(std::move(one_reversed));
+  auto colored_sig = std::make_shared<Signature>();
+  colored_sig->AddRelation("E", 2).AddRelation("Red", 1);
+  Structure colored(colored_sig, 30);
+  for (Element i = 0; i < 30; ++i) {
+    colored.AddTuple(0, {i, (i + 1) % 30});
+    if (i % 7 == 0) {
+      colored.AddTuple(1, {i});
+    }
+  }
+  corpus.push_back(std::move(colored));
+  // The chain of consecutive triples, with a true nullary flag and a
+  // constant, left uninterpreted and then interpreted.
+  auto ternary_sig = std::make_shared<Signature>();
+  ternary_sig->AddRelation("R", 3).AddRelation("P", 0).AddConstant("c");
+  Structure ternary(ternary_sig, 25);
+  for (Element i = 0; i + 2 < 25; ++i) {
+    ternary.AddTuple(0, {i, i + 1, i + 2});
+  }
+  ternary.AddTuple(1, {});
+  corpus.push_back(ternary);
+  ternary.SetConstant(0, 12);
+  corpus.push_back(std::move(ternary));
+  std::mt19937_64 rng(20261021);
+  for (int i = 0; i < 4; ++i) {
+    corpus.push_back(MakeRandomGraph(16, 0.15, rng));
+  }
+  for (int i = 0; i < 6; ++i) {
+    const std::size_t n = 12;
+    auto sig = std::make_shared<Signature>();
+    const std::size_t relations = 1 + rng() % 3;
+    for (std::size_t r = 0; r < relations; ++r) {
+      sig->AddRelation("R" + std::to_string(r), rng() % 4);
+    }
+    sig->AddConstant("c").AddConstant("d");
+    Structure s(sig, n);
+    for (std::size_t r = 0; r < relations; ++r) {
+      const std::size_t arity = sig->relation(r).arity;
+      const std::size_t rows = arity == 0 ? rng() % 2 : n;
+      for (std::size_t k = 0; k < rows; ++k) {
+        Tuple t;
+        for (std::size_t j = 0; j < arity; ++j) {
+          t.push_back(static_cast<Element>(rng() % n));
+        }
+        s.AddTuple(r, t);
+      }
+    }
+    if (i % 2 == 1) {
+      s.SetConstant(0, static_cast<Element>(rng() % n));  // d stays unset
+    }
+    corpus.push_back(std::move(s));
+  }
+  return corpus;
+}
+
+// The histogram pass (with its shift step) against the independent
+// NeighborhoodAt + TypeOf path, fresh and through a sweep's stored balls,
+// each with a fresh index: equal histograms, TypeIds in first-element
+// order, and every element's ball either extracted or shifted once.
+TEST(LocalityEngineTest, ShiftedHistogramsMatchIndependentPath) {
+  std::uint64_t shifted = 0;
+  for (const Structure& s : ShiftCorpus()) {
+    LocalityEngine engine(s);
+    NeighborhoodSweep sweep = engine.NewSweep();
+    for (std::size_t r = 0; r <= 4; ++r) {
+      const std::string label = "n " + std::to_string(s.domain_size()) +
+                                " radius " + std::to_string(r);
+      NeighborhoodTypeIndex ref_index;
+      const auto ref = NeighborhoodTypeHistogram(s, r, ref_index);
+      const LocalityStats before = engine.stats();
+      NeighborhoodTypeIndex fresh_index;
+      EXPECT_EQ(engine.TypeHistogram(r, fresh_index), ref) << label;
+      const LocalityStats& after = engine.stats();
+      EXPECT_EQ(after.balls_extracted - before.balls_extracted +
+                    after.balls_shifted - before.balls_shifted,
+                s.domain_size())
+          << label;
+      shifted += after.balls_shifted - before.balls_shifted;
+      NeighborhoodTypeIndex sweep_index;
+      EXPECT_EQ(sweep.HistogramAt(r, sweep_index), ref) << label;
+    }
+  }
+  EXPECT_GT(shifted, 0u);
+}
+
+// The three sentences of the toolbox workload: one evaluator each, shared
+// across the graphs of the shift corpus so clipped histograms are reused,
+// against the compiled evaluator on every graph.
+TEST(LocalityEngineTest, BoundedDegreeVerdictsMatchCompiledEvaluator) {
+  for (const char* text :
+       {"forall x. exists y. E(x,y)", "exists x. forall y. ~E(y,x)",
+        "exists x. exists y. E(x,y) & E(y,x)"}) {
+    const Formula sentence = *ParseFormula(text);
+    Result<BoundedDegreeEvaluator> evaluator =
+        BoundedDegreeEvaluator::Create(sentence);
+    ASSERT_TRUE(evaluator.ok());
+    for (const Structure& s : ShiftCorpus()) {
+      if (!(s.signature() == *Signature::Graph())) {
+        continue;
+      }
+      Result<CompiledEvaluator> compiled =
+          CompiledEvaluator::Compile(s, sentence);
+      ASSERT_TRUE(compiled.ok());
+      const Result<bool> expected = compiled->Evaluate();
+      const Result<bool> got = evaluator->Evaluate(s);
+      ASSERT_TRUE(expected.ok() && got.ok());
+      EXPECT_EQ(*got, *expected)
+          << text << " on n " << s.domain_size();
+    }
+    EXPECT_GT(evaluator->cache_hits(), 0u) << text;
+  }
+}
+
+// The engine's streaming content hash is the one TypeOf computes on the
+// materialized neighborhood: a histogram pass over contents the index has
+// already resolved answers every element by content, with no
+// canonicalization.
+TEST(LocalityEngineTest, EngineProbesFindContentsTypeOfResolved) {
+  for (const Structure& s : ShiftCorpus()) {
+    if (s.domain_size() > 100) {
+      continue;  // stays under the exact-content cache's cap
+    }
+    LocalityEngine engine(s);
+    for (std::size_t r = 0; r <= 2; ++r) {
+      NeighborhoodTypeIndex index;
+      const auto ref = NeighborhoodTypeHistogram(s, r, index);
+      const NeighborhoodTypeIndex::Stats before = index.stats();
+      EXPECT_EQ(engine.TypeHistogram(r, index), ref);
+      EXPECT_EQ(index.stats().canon_codes, before.canon_codes)
+          << "n " << s.domain_size() << " radius " << r;
+      EXPECT_EQ(index.stats().exact_hits - before.exact_hits,
+                s.domain_size());
+    }
+  }
+}
+
 // Regression guard for the seed bug: once the exemplar cap is reached,
 // probing novel contents must not grow empty exact-cache rows.
 TEST(LocalityEngineTest, ExactCacheRespectsExemplarCap) {
@@ -272,12 +440,18 @@ TEST(LocalityEngineTest, StatsCountBallsAndCanonWork) {
   LocalityEngine engine(s);
   NeighborhoodTypeIndex index;
   (void)engine.TypeHistogram(2, index);
-  EXPECT_EQ(engine.stats().balls_extracted, 10u);
+  // Elements 1..7 are shift-equal: the edges at each, moved by one, are
+  // the edges at its successor. The edges 9->0 at 0 and 8->9 at 8 have no
+  // shifted copy, and 9 has no successor. So the balls of 4, 5 and 6,
+  // whose predecessors' balls lie in 1..7, are shifted, not searched.
+  EXPECT_EQ(engine.stats().balls_extracted, 7u);
+  EXPECT_EQ(engine.stats().balls_shifted, 3u);
   EXPECT_GT(engine.stats().bfs_node_visits, 0u);
   // One isomorphism class in five literal contents: the balls of 3..7 are
   // shifted copies of the ball of 2, and the balls of 0, 1, 8 and 9 wrap
   // around 0, so each is numbered differently. Five codes, the first
-  // interned and four hits; five elements answered by content.
+  // interned and four hits; five elements answered by content, three of
+  // them by the shift.
   EXPECT_EQ(index.stats().canon_codes, 5u);
   EXPECT_EQ(index.stats().canon_hits, 4u);
   EXPECT_EQ(index.stats().exact_hits, 5u);

@@ -1,5 +1,6 @@
 // Guards the allocation-free inner loops of the game and isomorphism
-// searches and of neighborhood materialization. This binary replaces the global operator new with a counting
+// searches, of neighborhood materialization and typing, and of locality
+// engine setup. This binary replaces the global operator new with a counting
 // one, runs each search twice with the same structures (a small solve and
 // a much larger one) and asserts that the larger solve allocates no more
 // than a small constant beyond the smaller one: the setup (occurrence
@@ -18,6 +19,7 @@
 #include "core/games/ef_game.h"
 #include "core/games/pebble_game.h"
 #include "core/locality/locality_engine.h"
+#include "core/locality/neighborhood.h"
 #include "structures/generators.h"
 #include "structures/isomorphism.h"
 #include "structures/signature.h"
@@ -169,11 +171,12 @@ TEST(SearchAllocTest, IsomorphismAllocationsDoNotGrowWithWorkTernary) {
   ExpectIsoAllocationsDoNotGrowWithWork(3);
 }
 
-// Materializing a neighborhood maps each induced row into one reused row
-// and copies it into the relation's row store. What may grow with the row
-// count is the geometric growth of the row store, its membership index
-// and the BFS buffers: 8 allocations from 4 to 36 rows when this test was
-// written. One allocation per row costs 32 more.
+// Materializing a neighborhood collects the induced rows in the engine's
+// reused scratch and installs each relation as one sorted array. What may
+// grow with the row count is the geometric growth of that scratch and of
+// the BFS buffers; the 36-row ball made 12 allocations against 16 for the
+// 4-row one when this test was last changed (the first call grows the
+// scratch). One allocation per row costs 32 more.
 constexpr std::size_t kNeighborhoodSlack = 16;
 
 TEST(SearchAllocTest, NeighborhoodAllocationsDoNotGrowWithRows) {
@@ -192,6 +195,43 @@ TEST(SearchAllocTest, NeighborhoodAllocationsDoNotGrowWithRows) {
   ASSERT_GE(big_rows, 8 * small_rows);
   EXPECT_LE(big, small + kNeighborhoodSlack)
       << "rows " << small_rows << " -> " << big_rows;
+}
+
+// The engine's setup is a fixed set of flat arrays (CSR adjacency,
+// occurrence lists, BFS scratch), each allocated once whatever the domain
+// size, so a 64x64 grid costs the same allocations as a 16x16 one. A list
+// per element costs thousands more.
+TEST(SearchAllocTest, EngineConstructionAllocationsDoNotGrowWithDomain) {
+  const Structure small_grid = MakeGrid(16, 16);
+  const Structure big_grid = MakeGrid(64, 64);
+  const std::size_t small =
+      AllocationsOf([&] { const LocalityEngine engine(small_grid); });
+  const std::size_t big =
+      AllocationsOf([&] { const LocalityEngine engine(big_grid); });
+  EXPECT_EQ(big, small);
+}
+
+// Typing a ball whose content the index already holds reuses the engine's
+// ball and probes by a hash folded in place: no allocation, whether the
+// pass's memo names the content last or the probe hashes the ball.
+TEST(SearchAllocTest, RepeatedTypeAtDoesNotAllocate) {
+  const Structure grid = MakeGrid(20, 20);
+  const LocalityEngine engine(grid);
+  NeighborhoodTypeIndex index;
+  NeighborhoodTypeIndex::PassMemo memo;
+  NeighborhoodTypeIndex::PassMemo fresh_memo;
+  const Tuple center = {210};
+  const NeighborhoodTypeIndex::TypeId id = engine.TypeAt(center, 2, index, memo);
+  NeighborhoodTypeIndex::TypeId again = id + 1;
+  NeighborhoodTypeIndex::TypeId hashed = id + 1;
+  EXPECT_EQ(AllocationsOf([&] { again = engine.TypeAt(center, 2, index, memo); }),
+            0u);
+  EXPECT_EQ(AllocationsOf(
+                [&] { hashed = engine.TypeAt(center, 2, index, fresh_memo); }),
+            0u);
+  EXPECT_EQ(again, id);
+  EXPECT_EQ(hashed, id);
+  EXPECT_EQ(index.stats().exact_hits, 2u);
 }
 
 }  // namespace
